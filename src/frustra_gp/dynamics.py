@@ -19,6 +19,15 @@ dv/dt = omega (z x v).  The reduced state is the exact convex combination
 a contraction (|v_S(t)| <= 1) that is unitary only when a single sector
 carries all weight.
 
+`rotation_matrices` evaluates that sum folded onto m1, m2 >= 0: sectors
+(+-m1, +-m2) share weight and Gamma, so each |m| > 0 enters once with twice
+its weight (m = 0, present for even N, keeps its own), which turns the
+(N + 1)^2 sectors into (floor(N/2) + 1)^2.  The terms odd in n_x or n_y
+cancel in pairs, so the summed map has exactly five nonzero entries: the
+diagonal and M_xy = -M_yx.  Time is processed in chunks whose row count is
+a fixed element budget divided by the folded sector count, so temporary
+memory does not grow with the number of times.
+
 `literal_polarizations` additionally evaluates an alternate transcription of
 the same sector sum that carries a -1 / 2^(2N+1) prefactor and a reflected
 x axis in its initial frame.  It is kept, unpatched, to document its
@@ -128,58 +137,81 @@ def sector_rotation(
     return BlochVector.from_array(rotated)
 
 
+# Budget of (time rows x folded sectors) per chunk.  The phase block and
+# the [1 - cos | sin] block of one chunk take 3 * 8 * 2^15 B = 768 KiB,
+# which stays inside a per-core L2 cache.
+_CHUNK_ELEMENTS = 1 << 15
+
+
 @lru_cache(maxsize=64)
 def _sector_tables(config: SystemConfig):
-    """Flattened (m1-major ascending, then m2) sector arrays for fast sums.
+    """Sector sum folded onto the m1, m2 >= 0 quadrant.
 
-    Returns (weights, axes, gammas): weights (S,), unit axes (S, 3) with zero
-    rows for Gamma = 0 sectors, gammas (S,), for S = (N + 1)^2 sectors.
+    Returns (total, gammas, table) for S = (floor(N/2) + 1)^2 folded
+    sectors, m1-major ascending then m2: total is the summed weight (1 up
+    to rounding), gammas (S,) the frequencies, and table (2S, 4) the
+    coefficients that turn one chunk's [1 - cos(Gamma t) | sin(Gamma t)]
+    rows into the four reductions rotation_matrices needs.  Each |m| > 0
+    stands for the pair +-m and carries twice its ladder weight.
     """
-    ladder = sector_weights(config.bath_size)
+    ladder = [s for s in sector_weights(config.bath_size) if s.m >= 0.0]
     m = np.array([s.m for s in ladder])
-    w = np.array([s.w for s in ladder])
-    m1 = np.repeat(m, m.size)
-    m2 = np.tile(m, m.size)
+    w = np.array([s.w if s.m == 0.0 else 2.0 * s.w for s in ladder])
+    bx2 = np.repeat((config.alpha1 * m) ** 2, m.size)
+    by2 = np.tile((config.alpha2 * m) ** 2, m.size)
+    bz2 = config.omega**2
+    gammas2 = bx2 + by2 + bz2
+    gammas = np.sqrt(gammas2)
     weights = np.repeat(w, w.size) * np.tile(w, w.size)
-    bx = config.alpha1 * m1
-    by = config.alpha2 * m2
-    bz = np.full_like(bx, config.omega)
-    gammas = np.sqrt(bx * bx + by * by + bz * bz)
-    axes = np.zeros((gammas.size, 3))
-    nz = gammas > 0.0
-    axes[nz, 0] = bx[nz] / gammas[nz]
-    axes[nz, 1] = by[nz] / gammas[nz]
-    axes[nz, 2] = bz[nz] / gammas[nz]
-    for arr in (weights, axes, gammas):
+    s = gammas.size
+    table = np.zeros((2 * s, 4))
+    # w (1 - n_i^2) for i = x, y, z against the 1 - cos block ...
+    table[:s, 0] = weights * ((by2 + bz2) / gammas2)
+    table[:s, 1] = weights * ((bx2 + bz2) / gammas2)
+    table[:s, 2] = weights * ((bx2 + by2) / gammas2)
+    # ... and w n_z against the sin block.
+    table[s:, 3] = weights * (config.omega / gammas)
+    for arr in (gammas, table):
         arr.setflags(write=False)
-    return weights, axes, gammas
+    return float(weights.sum()), gammas, table
 
 
 def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     """Weighted sector-sum rotation map M(t), shape (n_times, 3, 3).
 
-    v_S(t) = M(t) @ v(0).  Gamma = 0 sectors contribute w * identity through
-    the cos term (their axis rows are zeroed).
+    v_S(t) = M(t) @ v(0).  Sectors (+-m1, +-m2) share weight and Gamma, so
+    every term odd in n_x or n_y cancels and M(t) has exactly five nonzero
+    entries (c = cos(Gamma t), s = sin(Gamma t), sums over sectors):
+
+        M_ii = sum w - sum w (1 - c) (1 - n_i^2)      for i = x, y, z
+        M_xy = -M_yx = -sum w s n_z
+
+    The sums run over the folded quadrant of _sector_tables, and time is
+    processed in chunks of _CHUNK_ELEMENTS // S rows, so the temporaries
+    stay near 24 * _CHUNK_ELEMENTS bytes (one row when S alone exceeds it)
+    and memory beyond the result is independent of the number of times.
     """
     validate_config(config)
-    times = np.asarray(times, dtype=float)
-    weights, axes, gammas = _sector_tables(config)
-    # Per-sector cross-product matrices K and projectors P = n n^T.
-    k_mats = np.zeros((gammas.size, 3, 3))
-    k_mats[:, 0, 1] = -axes[:, 2]
-    k_mats[:, 0, 2] = axes[:, 1]
-    k_mats[:, 1, 0] = axes[:, 2]
-    k_mats[:, 1, 2] = -axes[:, 0]
-    k_mats[:, 2, 0] = -axes[:, 1]
-    k_mats[:, 2, 1] = axes[:, 0]
-    p_mats = axes[:, :, None] * axes[:, None, :]
-    phases = np.outer(times, gammas)
-    cosv = np.cos(phases)
-    sinv = np.sin(phases)
-    eye_part = (cosv * weights).sum(axis=1)
-    out = np.einsum("n,ij->nij", eye_part, np.eye(3))
-    out += np.einsum("ns,sij->nij", sinv * weights, k_mats)
-    out += np.einsum("ns,sij->nij", (1.0 - cosv) * weights, p_mats)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    total, gammas, table = _sector_tables(config)
+    s = gammas.size
+    rows = max(1, _CHUNK_ELEMENTS // s)
+    phases = np.empty((rows, s))
+    trig = np.empty((rows, 2 * s))
+    sums = np.empty((times.size, 4))
+    for lo in range(0, times.size, rows):
+        k = min(rows, times.size - lo)
+        ph, tr = phases[:k], trig[:k]
+        np.multiply.outer(times[lo : lo + k], gammas, out=ph)
+        np.cos(ph, out=tr[:, :s])
+        np.subtract(1.0, tr[:, :s], out=tr[:, :s])
+        np.sin(ph, out=tr[:, s:])
+        np.matmul(tr, table, out=sums[lo : lo + k])
+    out = np.zeros((times.size, 3, 3))
+    for i in range(3):
+        out[:, i, i] = total - sums[:, i]
+    out[:, 0, 1] = -sums[:, 3]
+    out[:, 1, 0] = sums[:, 3]
     return out
 
 

@@ -1,17 +1,22 @@
 """End-to-end tests of the command-line interface.
 
-Everything runs in-process through `run(argv)` except one smoke test of the
-installed console script.  Output contracts under test: exact CSV headers,
-17-significant-digit floats that re-parse bit-exactly, principal/unwrapped
-consistency, JSON mirrors, config-file precedence, and thread-count
-independence of the output bytes.
+Everything runs in-process through `run(argv)` except smoke tests of the
+installed console script and of `python -m frustra_gp`, and the BLAS
+thread-count check, which needs fresh interpreters.  Output contracts under
+test: exact CSV headers, 17-significant-digit floats that re-parse
+bit-exactly, principal/unwrapped consistency, JSON mirrors, config-file
+precedence, and independence of the output bytes from worker and BLAS
+thread counts.
 """
 
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +33,31 @@ from frustra_gp.cli import (
 )
 from frustra_gp.errors import ConfigError
 from frustra_gp.experiments import AngleGrid
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+GP_N48_ARGS = [
+    "gp",
+    "--bath-size", "48",
+    "--alpha1", "0.5",
+    "--alpha2", "0.5",
+    "--t-end", "50",
+    "--theta", "1.1",
+    "--phi", "0.4",
+    "--format", "json",
+]
+
+
+def _module_run(args, **env):
+    """Run `python -m frustra_gp ARGS` in a fresh interpreter on the source tree."""
+    full_env = dict(os.environ, PYTHONPATH=str(SRC), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "frustra_gp", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=full_env,
+    )
+
 
 SURFACE_ARGS = [
     "surface",
@@ -333,3 +363,24 @@ def test_console_script_help_runs():
     )
     assert proc.returncode == 0
     assert "COMMAND" in proc.stdout
+
+
+def test_module_entry_point_help_runs():
+    proc = _module_run(["--help"])
+    assert proc.returncode == 0
+    assert "COMMAND" in proc.stdout
+
+
+def test_gp_n48_output_bytes_repeat(tmp_path):
+    first = tmp_path / "a.json"
+    second = tmp_path / "b.json"
+    assert run(GP_N48_ARGS + ["--out", str(first)]) == 0
+    assert run(GP_N48_ARGS + ["--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_gp_n48_output_bytes_ignore_blas_threads():
+    one = _module_run(GP_N48_ARGS, OPENBLAS_NUM_THREADS="1")
+    two = _module_run(GP_N48_ARGS, OPENBLAS_NUM_THREADS="2")
+    assert one.returncode == 0 and two.returncode == 0
+    assert one.stdout == two.stdout

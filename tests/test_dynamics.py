@@ -5,15 +5,21 @@ Oracles used here, independent of the implementation under test:
   built by eigendecomposition of the Hermitian generator i*K (K the cross-
   product matrix), computed inside the test;
 - the vectorized trajectory is cross-checked against a scalar loop that
-  sums sector_rotation results with math.fsum weighting;
+  sums sector_rotation results with math.fsum weighting, also at the
+  headline bath sizes N = 20 and 48;
+- the folded rotation map is property-tested against the unfolded
+  (S, 3, 3) full-sector formula, written out inside this file;
 - the verbatim polarization transcription is cross-checked against the
   rotation-sum identity it must equal.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frustra_gp import (
     BlochTrajectory,
@@ -122,24 +128,40 @@ def test_trajectory_starts_at_initial_bloch():
         assert np.max(np.abs(traj.points[0] - initial_bloch(ang).as_array())) < 1e-14
 
 
+def _scalar_sector_sum(cfg, ang, t):
+    ladder = sector_weights(cfg.bath_size)
+    v0 = initial_bloch(ang)
+    acc = [[], [], []]
+    for s1 in ladder:
+        for s2 in ladder:
+            rotated = sector_rotation(v0, cfg, s1.m, s2.m, t).as_array()
+            weight = s1.w * s2.w
+            for axis in range(3):
+                acc[axis].append(weight * rotated[axis])
+    return np.array([math.fsum(parts) for parts in acc])
+
+
 def test_bloch_at_matches_scalar_sector_sum():
     rng = np.random.default_rng(29)
     for _ in range(6):
         cfg = _random_config(rng, n_max=4)
         ang = _random_angles(rng)
         t = float(rng.uniform(0.0, 10.0))
-        ladder = sector_weights(cfg.bath_size)
-        v0 = initial_bloch(ang)
-        acc = [[], [], []]
-        for s1 in ladder:
-            for s2 in ladder:
-                rotated = sector_rotation(v0, cfg, s1.m, s2.m, t).as_array()
-                weight = s1.w * s2.w
-                for axis in range(3):
-                    acc[axis].append(weight * rotated[axis])
-        expected = np.array([math.fsum(parts) for parts in acc])
         got = bloch_at(cfg, ang, t).as_array()
-        assert np.max(np.abs(got - expected)) < 1e-13
+        assert np.max(np.abs(got - _scalar_sector_sum(cfg, ang, t))) < 1e-13
+
+
+@pytest.mark.parametrize("bath_size", [20, 48])
+def test_bloch_at_matches_scalar_sector_sum_at_headline_sizes(bath_size):
+    # the split-vs-single claim is made at these N, so the folded sum is
+    # checked there against every unfolded sector, one at a time
+    rng = np.random.default_rng(bath_size)
+    for alpha1, alpha2 in [(0.25, 0.25), (1.0, 0.0), (0.5, 0.9)]:
+        cfg = SystemConfig(omega=2.0, alpha1=alpha1, alpha2=alpha2, bath_size=bath_size)
+        ang = _random_angles(rng)
+        for t in (0.7, 13.3, 50.0):
+            got = bloch_at(cfg, ang, t).as_array()
+            assert np.max(np.abs(got - _scalar_sector_sum(cfg, ang, t))) < 1e-13
 
 
 def test_bloch_at_rejects_negative_time():
@@ -173,6 +195,74 @@ def test_rotation_matrices_contractive_and_identity_at_zero():
     assert np.max(np.abs(mats[0] - np.eye(3))) < 1e-14
     spectral = np.linalg.svd(mats, compute_uv=False)[:, 0]
     assert spectral.max() <= 1.0 + 1e-12
+
+
+def _unfolded_rotation_matrices(cfg, times):
+    """Every (m1, m2) sector's R = c I + s K + (1 - c) n n^T, weighted and summed."""
+    ladder = sector_weights(cfg.bath_size)
+    m = np.array([s.m for s in ladder])
+    w = np.array([s.w for s in ladder])
+    m1 = np.repeat(m, m.size)
+    m2 = np.tile(m, m.size)
+    weights = np.repeat(w, w.size) * np.tile(w, w.size)
+    bx = cfg.alpha1 * m1
+    by = cfg.alpha2 * m2
+    bz = np.full_like(bx, cfg.omega)
+    gammas = np.sqrt(bx * bx + by * by + bz * bz)
+    axes = np.stack([bx, by, bz], axis=1) / gammas[:, None]
+    k_mats = np.zeros((gammas.size, 3, 3))
+    k_mats[:, 0, 1] = -axes[:, 2]
+    k_mats[:, 0, 2] = axes[:, 1]
+    k_mats[:, 1, 0] = axes[:, 2]
+    k_mats[:, 1, 2] = -axes[:, 0]
+    k_mats[:, 2, 0] = -axes[:, 1]
+    k_mats[:, 2, 1] = axes[:, 0]
+    p_mats = axes[:, :, None] * axes[:, None, :]
+    phases = np.outer(times, gammas)
+    cosv = np.cos(phases)
+    sinv = np.sin(phases)
+    out = np.einsum("n,ij->nij", (cosv * weights).sum(axis=1), np.eye(3))
+    out += np.einsum("ns,sij->nij", sinv * weights, k_mats)
+    out += np.einsum("ns,sij->nij", (1.0 - cosv) * weights, p_mats)
+    return out
+
+
+_couplings = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    omega=st.floats(0.05, 5.0),
+    alpha1=_couplings,
+    alpha2=_couplings,
+    bath_size=st.integers(1, 21),
+    times=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8),
+)
+def test_folded_rotation_map_properties(omega, alpha1, alpha2, bath_size, times):
+    cfg = SystemConfig(omega=omega, alpha1=alpha1, alpha2=alpha2, bath_size=bath_size)
+    times = np.array([0.0] + times)
+    mats = rotation_matrices(cfg, times)
+    for i, j in [(0, 2), (1, 2), (2, 0), (2, 1)]:
+        assert np.all(mats[:, i, j] == 0.0)
+    assert np.array_equal(mats[:, 0, 1], -mats[:, 1, 0])
+    assert np.max(np.abs(mats[0] - np.eye(3))) <= 1e-15
+    assert np.linalg.norm(mats, ord=2, axis=(1, 2)).max() <= 1.0 + 1e-12
+    assert np.max(np.abs(mats - _unfolded_rotation_matrices(cfg, times))) <= 1e-13
+
+
+def test_rotation_matrices_peak_memory_is_bounded():
+    # N = 48 to t = 50 on the auto grid: 5441 nodes against 625 folded
+    # sectors; the unfolded map peaked near 500 MB here
+    cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48)
+    times = np.linspace(0.0, 50.0, 5441)
+    tracemalloc.start()
+    try:
+        mats = rotation_matrices(cfg, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mats.shape == (5441, 3, 3)
+    assert peak < 16 * 2**20
 
 
 def test_trajectory_batch_matches_single():
