@@ -21,7 +21,6 @@ from .dynamics import (
     literal_polarizations,
     rotation_matrices,
     sector_rotation,
-    trajectory_batch,
 )
 from .errors import (
     ConfigError,
@@ -132,7 +131,6 @@ __all__ = [
     "sector_rotation",
     "sector_weights",
     "strategy_compare",
-    "trajectory_batch",
     "validate_config",
     "verify_suite",
     "__version__",

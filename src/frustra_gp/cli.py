@@ -18,6 +18,7 @@ parallelism; output bytes never depend on the thread count.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -35,6 +36,8 @@ from .errors import (
     UsageError,
 )
 from .experiments import (
+    COMPARE_METRICS,
+    SURFACE_MODES,
     AngleGrid,
     GpSurface,
     StrategyReport,
@@ -66,8 +69,6 @@ _HALF_PI = format(math.pi / 2.0, ".17g")
 _THETA_MAX = format(math.pi - 0.05, ".17g")
 
 _GP_METHODS = ("closed_form", "south_pole", "discrete_holonomy")
-_METRICS = ("mean_dist_to_unitary", "mean_abs_gp")
-_MODES = ("physical", "literal")
 _DEFAULT_COUPLINGS = "1,0;0,1;0.25,0.25;0.5,0.5"
 
 # ---------------------------------------------------------------------------
@@ -141,9 +142,9 @@ _CONVERTERS = {
     "n-phi": _conv_pos_int,
     "theta-min": _conv_float,
     "theta-max": _conv_float,
-    "mode": _conv_choice(*_MODES),
+    "mode": _conv_choice(*SURFACE_MODES),
     "method": _conv_choice(*_GP_METHODS),
-    "metric": _conv_choice(*_METRICS),
+    "metric": _conv_choice(*COMPARE_METRICS),
     "couplings": _conv_couplings,
     "max-bath-size": _conv_pos_int,
     "seed": _conv_int,
@@ -457,27 +458,27 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_surface_csv(surface: GpSurface, sink) -> int:
-    """Emit the canonical CSV (theta outer, phi inner); returns bytes written."""
+def _write_lines(sink, header: str, rows) -> int:
+    """Write `header`, then each row, to `sink`; returns the UTF-8 bytes written."""
     written = 0
-
-    def emit(line: str) -> None:
-        nonlocal written
+    for line in itertools.chain((header,), rows):
         sink.write(line)
         written += len(line.encode("utf-8"))
+    return written
 
-    emit(SURFACE_CSV_HEADER + "\n")
+
+def write_surface_csv(surface: GpSurface, sink) -> int:
+    """Emit the canonical CSV (theta outer, phi inner); returns bytes written."""
     thetas = surface.grid.thetas()
     phis = surface.grid.phis()
-    for i in range(surface.grid.n_theta):
-        theta_txt = _fmt(thetas[i])
-        for j in range(surface.grid.n_phi):
-            emit(
-                f"{theta_txt},{_fmt(phis[j])},{_fmt(surface.gamma[i, j])},"
-                f"{_fmt(surface.gamma_unwrapped[i, j])},"
-                f"{int(surface.singular_count[i, j])}\n"
-            )
-    return written
+    rows = (
+        f"{_fmt(thetas[i])},{_fmt(phis[j])},{_fmt(surface.gamma[i, j])},"
+        f"{_fmt(surface.gamma_unwrapped[i, j])},"
+        f"{int(surface.singular_count[i, j])}\n"
+        for i in range(surface.grid.n_theta)
+        for j in range(surface.grid.n_phi)
+    )
+    return _write_lines(sink, SURFACE_CSV_HEADER + "\n", rows)
 
 
 def surface_to_json(surface: GpSurface) -> dict:
@@ -509,43 +510,27 @@ def surface_to_json(surface: GpSurface) -> dict:
 
 def write_bloch_csv(trajectory: BlochTrajectory, sink) -> int:
     """Emit t,x,y,z rows with 17 significant digits; returns bytes written."""
-    written = 0
-
-    def emit(line: str) -> None:
-        nonlocal written
-        sink.write(line)
-        written += len(line.encode("utf-8"))
-
-    emit(BLOCH_CSV_HEADER + "\n")
-    times = trajectory.grid.times()
-    for k in range(times.size):
-        x, y, z = trajectory.points[k]
-        emit(f"{_fmt(times[k])},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n")
-    return written
+    rows = (
+        f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n"
+        for t, (x, y, z) in zip(trajectory.grid.times(), trajectory.points)
+    )
+    return _write_lines(sink, BLOCH_CSV_HEADER + "\n", rows)
 
 
 def write_compare_csv(report: StrategyReport, sink) -> int:
     """Ranked strategy table, prefixed by metric/winner comment lines."""
-    written = 0
-
-    def emit(line: str) -> None:
-        nonlocal written
-        sink.write(line)
-        written += len(line.encode("utf-8"))
-
-    emit(f"# metric={report.metric}\n")
-    emit(f"# winner={report.winner}\n")
-    emit(COMPARE_CSV_HEADER + "\n")
+    header = (
+        f"# metric={report.metric}\n# winner={report.winner}\n{COMPARE_CSV_HEADER}\n"
+    )
     by_label = {entry.label: entry for entry in report.entries}
-    for label in report.ranking:
-        e = by_label[label]
-        emit(
-            f"{e.label},{_fmt(e.config.omega)},{_fmt(e.config.alpha1)},"
-            f"{_fmt(e.config.alpha2)},{e.config.bath_size},{_fmt(e.mean_abs_gp)},"
-            f"{_fmt(e.mean_dist_to_unitary)},{_fmt(e.min_gp)},{_fmt(e.max_gp)},"
-            f"{e.missing_cells}\n"
-        )
-    return written
+    rows = (
+        f"{e.label},{_fmt(e.config.omega)},{_fmt(e.config.alpha1)},"
+        f"{_fmt(e.config.alpha2)},{e.config.bath_size},{_fmt(e.mean_abs_gp)},"
+        f"{_fmt(e.mean_dist_to_unitary)},{_fmt(e.min_gp)},{_fmt(e.max_gp)},"
+        f"{e.missing_cells}\n"
+        for e in (by_label[label] for label in report.ranking)
+    )
+    return _write_lines(sink, header, rows)
 
 
 def _write_out(out: str, writer) -> None:

@@ -238,14 +238,6 @@ def bloch_trajectory(
     return BlochTrajectory(grid=grid, points=pts, config=config, initial=angles)
 
 
-def trajectory_batch(
-    config: SystemConfig, v0s: np.ndarray, times: np.ndarray
-) -> np.ndarray:
-    """Evolve many initial Bloch vectors at once; returns (n_cells, n_times, 3)."""
-    m = rotation_matrices(config, times)
-    return np.einsum("nij,cj->cni", m, np.asarray(v0s, dtype=float))
-
-
 def _sinc_factors(gammas: np.ndarray, t: float):
     """sin(Gamma t)/Gamma and (1 - cos(Gamma t))/Gamma^2 with Gamma -> 0 limits."""
     safe = np.where(gammas > 0.0, gammas, 1.0)

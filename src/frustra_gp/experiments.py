@@ -41,9 +41,7 @@ from .model import (
 )
 from .oracle import OracleLimits, oracle_trajectory
 from .phase import (
-    DEFAULT_R_TOL,
     PolarTrack,
-    _track_arrays,
     angular_distance,
     gp_closed_form,
     gp_discrete_holonomy,
@@ -154,7 +152,6 @@ def _surface_row(
     rot: np.ndarray,
     mode: str,
     grid: TimeGrid,
-    r_tol: float,
 ):
     """Evaluate one constant-theta row of a surface; returns three 1-d arrays."""
     st, ct = math.sin(theta), math.cos(theta)
@@ -172,20 +169,17 @@ def _surface_row(
     sing = np.empty(phis.size, dtype=int)
     for j in range(phis.size):
         try:
-            series = _track_arrays(cells[j], r_tol)
-            track = PolarTrack(grid=grid, **series)
+            track = PolarTrack.from_points(cells[j], grid)
             res = gp_closed_form(track, require_pure=(mode == "physical"))
             gam[j] = res.gamma
             unw[j] = res.gamma_unwrapped
-            sing[j] = res.diagnostics.singular_nodes
         except IndeterminatePhaseError:
-            gam[j] = math.nan
-            unw[j] = math.nan
-            sing[j] = int(series["singular"].sum())
+            gam[j] = unw[j] = math.nan
         except ResolutionError as exc:
             raise ResolutionError(
                 f"cell theta={theta:.6f}, phi={phis[j]:.6f}: {exc}"
             ) from exc
+        sing[j] = int(track.singular.sum())
     return gam, unw, sing
 
 
@@ -197,7 +191,6 @@ def gp_surface(
     time_steps: int | None = None,
     sampling_factor: int = 40,
     threads: int = 1,
-    r_tol: float = DEFAULT_R_TOL,
 ) -> GpSurface:
     """Closed-form geometric phase over an angle grid (theta outer, phi inner)."""
     validate_config(config)
@@ -219,7 +212,7 @@ def gp_surface(
 
     def fill(i: int) -> None:
         gamma[i], unwrapped[i], singular[i] = _surface_row(
-            float(thetas[i]), phis, rot, mode, tg, r_tol
+            float(thetas[i]), phis, rot, mode, tg
         )
 
     if threads == 1:

@@ -9,7 +9,7 @@ A trajectory v(t) is first reduced to polar-track series
 
 with theta_t in [0, pi] (equivalently sin^2(theta_t/2) = (1 + A/eps_plus)/2,
 the numerically stable form used here; it follows that
-cos(theta_t) = -A / eps_plus).  Nodes with R below a tolerance have an
+cos(theta_t) = -A / eps_plus).  Nodes with R below R_TOL have an
 indeterminate azimuth; chi is propagated flat across them and they are
 flagged singular.
 
@@ -32,6 +32,16 @@ special case gamma = (1/2) integral chi_dot (1 - cos(theta_t)) dt
 (`gp_south_pole`, valid only when the state starts at theta0 = pi).  In the
 decoupled limit both reproduce gamma = -pi (1 - cos(theta0)) at tau =
 2 pi / omega, the value returned by `gp_unitary_reference`.
+
+The four numerical guards are fixed module constants, not parameters:
+
+    R_TOL        1e-12      R below it flags a node singular
+    Z_TOL        1e-14      |bracket| below it: closed form indeterminate
+    OVERLAP_TOL  1e-10      holonomy step overlap below it: step unresolved
+    _JUMP_LIMIT  pi - 1e-9  azimuth step at or above it: step unresolved
+
+An unresolved step raises ResolutionError (refine the grid); an
+indeterminate phase raises IndeterminatePhaseError.
 """
 
 from __future__ import annotations
@@ -53,7 +63,11 @@ from .model import InitialStateAngles
 TWO_PI = 2.0 * math.pi
 
 # Azimuth tolerance: a node with R below this has no usable phase.
-DEFAULT_R_TOL = 1e-12
+R_TOL = 1e-12
+# Closed-form bracket modulus below which the phase is indeterminate.
+Z_TOL = 1e-14
+# Holonomy step overlap below which neighbors count as orthogonal.
+OVERLAP_TOL = 1e-10
 # Unwrap increments at the branch boundary cannot be resolved.
 _JUMP_LIMIT = math.pi - 1e-9
 
@@ -104,6 +118,58 @@ class PolarTrack:
     def n_steps(self) -> int:
         return self.A.size
 
+    @classmethod
+    def from_points(cls, points: np.ndarray, grid: TimeGrid) -> PolarTrack:
+        """Polar-track series of raw (n, 3) Bloch samples taken on `grid`."""
+        pts = np.asarray(points, dtype=float)
+        a = pts[:, 2].copy()
+        rxy = np.hypot(pts[:, 0], pts[:, 1])
+        r = rxy / 2.0
+        eps = np.hypot(a, rxy)
+        singular = r < R_TOL
+
+        raw = np.arctan2(pts[:, 1], pts[:, 0])
+        valid = ~singular
+        if not valid.any():
+            filled = np.zeros_like(raw)
+        else:
+            # Flat continuation: copy the previous valid azimuth forward; a
+            # singular prefix borrows the first valid azimuth.
+            idx = np.where(valid, np.arange(raw.size), -1)
+            idx = np.maximum.accumulate(idx)
+            first_valid = int(np.flatnonzero(valid)[0])
+            idx[idx < 0] = first_valid
+            filled = raw[idx]
+
+        d_raw = np.diff(filled)
+        d = d_raw - TWO_PI * np.floor((d_raw + math.pi) / TWO_PI)
+        if d.size and np.max(np.abs(d)) >= _JUMP_LIMIT:
+            worst = int(np.argmax(np.abs(d)))
+            raise ResolutionError(
+                "time grid too coarse to unwrap the azimuth: step"
+                f" {worst} -> {worst + 1} swings by {d[worst]:+.6f} rad;"
+                " refine the grid (smaller dt or larger sampling factor)"
+            )
+        jumps = int(np.count_nonzero(np.abs(d_raw - d) > math.pi))
+        chi = np.empty_like(filled)
+        chi[0] = filled[0]
+        np.cumsum(d, out=chi[1:])
+        chi[1:] += filled[0]
+
+        ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
+        sin2_half = np.clip((1.0 + ratio) / 2.0, 0.0, 1.0)
+        theta_t = 2.0 * np.arcsin(np.sqrt(sin2_half))
+        return cls(
+            grid=grid,
+            A=a,
+            R=r,
+            chi=chi,
+            theta_t=theta_t,
+            eps_plus=eps,
+            singular=singular,
+            unwrap_jumps=jumps,
+        )
+
 
 @dataclass(frozen=True)
 class GpDiagnostics:
@@ -126,63 +192,9 @@ class GpResult:
     diagnostics: GpDiagnostics
 
 
-def _track_arrays(points: np.ndarray, r_tol: float) -> dict:
-    """Compute polar-track series from raw (n, 3) Bloch samples."""
-    pts = np.asarray(points, dtype=float)
-    a = pts[:, 2].copy()
-    rxy = np.hypot(pts[:, 0], pts[:, 1])
-    r = rxy / 2.0
-    eps = np.hypot(a, rxy)
-    singular = r < r_tol
-
-    raw = np.arctan2(pts[:, 1], pts[:, 0])
-    valid = ~singular
-    if not valid.any():
-        filled = np.zeros_like(raw)
-    else:
-        # Flat continuation: copy the previous valid azimuth forward; a
-        # singular prefix borrows the first valid azimuth.
-        idx = np.where(valid, np.arange(raw.size), -1)
-        idx = np.maximum.accumulate(idx)
-        first_valid = int(np.flatnonzero(valid)[0])
-        idx[idx < 0] = first_valid
-        filled = raw[idx]
-
-    d_raw = np.diff(filled)
-    d = d_raw - TWO_PI * np.floor((d_raw + math.pi) / TWO_PI)
-    if d.size and np.max(np.abs(d)) >= _JUMP_LIMIT:
-        worst = int(np.argmax(np.abs(d)))
-        raise ResolutionError(
-            "time grid too coarse to unwrap the azimuth: step"
-            f" {worst} -> {worst + 1} swings by {d[worst]:+.6f} rad;"
-            " refine the grid (smaller dt or larger sampling factor)"
-        )
-    jumps = int(np.count_nonzero(np.abs(d_raw - d) > math.pi))
-    chi = np.empty_like(filled)
-    chi[0] = filled[0]
-    np.cumsum(d, out=chi[1:])
-    chi[1:] += filled[0]
-
-    ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
-    sin2_half = np.clip((1.0 + ratio) / 2.0, 0.0, 1.0)
-    theta_t = 2.0 * np.arcsin(np.sqrt(sin2_half))
-    return {
-        "A": a,
-        "R": r,
-        "chi": chi,
-        "theta_t": theta_t,
-        "eps_plus": eps,
-        "singular": singular,
-        "unwrap_jumps": jumps,
-    }
-
-
-def polar_track(traj: BlochTrajectory, r_tol: float = DEFAULT_R_TOL) -> PolarTrack:
+def polar_track(traj: BlochTrajectory) -> PolarTrack:
     """Reduce a Bloch trajectory to its polar-track series."""
-    if r_tol <= 0.0:
-        raise ConfigError("r_tol must be positive")
-    series = _track_arrays(traj.points, r_tol)
-    return PolarTrack(grid=traj.grid, **series)
+    return PolarTrack.from_points(traj.points, traj.grid)
 
 
 def _trapezoid_on_chi(chi: np.ndarray, integrand: np.ndarray) -> float:
@@ -197,10 +209,18 @@ def _pure_start_halves(a0: float) -> tuple[float, float]:
     return c0, s0
 
 
+def _track_diagnostics(track: PolarTrack) -> GpDiagnostics:
+    return GpDiagnostics(
+        n_steps=track.n_steps,
+        singular_nodes=int(track.singular.sum()),
+        unwrap_jumps=track.unwrap_jumps,
+        lambda_plus_end=(1.0 + float(track.eps_plus[-1])) / 2.0,
+    )
+
+
 def gp_closed_form(
     track: PolarTrack,
     angles: InitialStateAngles | None = None,
-    z_tol: float = 1e-14,
     require_pure: bool = True,
 ) -> GpResult:
     """Geometric phase of the dominant branch from the closed-form expression.
@@ -233,9 +253,9 @@ def gp_closed_form(
     cos2_half = np.cos(track.theta_t / 2.0) ** 2
     connection = _trapezoid_on_chi(track.chi, cos2_half)
     bracket = c0 * math.sin(half_end) + np.exp(1.0j * dchi) * s0 * math.cos(half_end)
-    if abs(bracket) < z_tol:
+    if abs(bracket) < Z_TOL:
         raise IndeterminatePhaseError(
-            f"indeterminate phase: |bracket| = {abs(bracket):.3e} < {z_tol:.3e}"
+            f"indeterminate phase: |bracket| = {abs(bracket):.3e} < {Z_TOL:.3e}"
         )
     head = math.atan2(bracket.imag, bracket.real)
     unwrapped = head - connection
@@ -243,12 +263,7 @@ def gp_closed_form(
         gamma=principal_value(unwrapped),
         gamma_unwrapped=unwrapped,
         method="closed_form",
-        diagnostics=GpDiagnostics(
-            n_steps=track.n_steps,
-            singular_nodes=int(track.singular.sum()),
-            unwrap_jumps=track.unwrap_jumps,
-            lambda_plus_end=(1.0 + float(track.eps_plus[-1])) / 2.0,
-        ),
+        diagnostics=_track_diagnostics(track),
     )
 
 
@@ -273,16 +288,11 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
         gamma=principal_value(unwrapped),
         gamma_unwrapped=unwrapped,
         method="south_pole",
-        diagnostics=GpDiagnostics(
-            n_steps=track.n_steps,
-            singular_nodes=int(track.singular.sum()),
-            unwrap_jumps=track.unwrap_jumps,
-            lambda_plus_end=(1.0 + float(track.eps_plus[-1])) / 2.0,
-        ),
+        diagnostics=_track_diagnostics(track),
     )
 
 
-def _branch_spinors(points: np.ndarray, r_tol: float = DEFAULT_R_TOL) -> np.ndarray:
+def _branch_spinors(points: np.ndarray) -> np.ndarray:
     """Eigenvectors of the dominant branch, shape (n, 2), rows (up, down).
 
     The + eigenvector of (1 + v.sigma)/2 points along v:
@@ -302,14 +312,12 @@ def _branch_spinors(points: np.ndarray, r_tol: float = DEFAULT_R_TOL) -> np.ndar
     cos_half = np.sqrt(np.clip((1.0 + ratio) / 2.0, 0.0, 1.0))
     sin_half = np.sqrt(np.clip((1.0 - ratio) / 2.0, 0.0, 1.0))
     phase = np.ones(pts.shape[0], dtype=complex)
-    ok = rxy > r_tol
+    ok = rxy > R_TOL
     phase[ok] = (pts[ok, 0] + 1.0j * pts[ok, 1]) / rxy[ok]
     return np.column_stack([cos_half.astype(complex), sin_half * phase])
 
 
-def pancharatnam_phase(
-    spinors: np.ndarray, overlap_tol: float = 1e-10
-) -> tuple[float, float, float]:
+def pancharatnam_phase(spinors: np.ndarray) -> tuple[float, float, float]:
     """Holonomy phase of a chain of spinors (gauge invariant).
 
     Returns (gamma, gamma_unwrapped, min_step_overlap):
@@ -322,7 +330,7 @@ def pancharatnam_phase(
     overlaps = np.einsum("ij,ij->i", s[:-1].conj(), s[1:])
     moduli = np.abs(overlaps)
     min_overlap = float(moduli.min())
-    if min_overlap < overlap_tol:
+    if min_overlap < OVERLAP_TOL:
         worst = int(np.argmin(moduli))
         raise ResolutionError(
             f"consecutive branch eigenvectors nearly orthogonal at step {worst}"
@@ -338,11 +346,7 @@ def pancharatnam_phase(
     return principal_value(unwrapped), unwrapped, min_overlap
 
 
-def gp_discrete_holonomy(
-    traj: BlochTrajectory,
-    overlap_tol: float = 1e-10,
-    r_tol: float = DEFAULT_R_TOL,
-) -> GpResult:
+def gp_discrete_holonomy(traj: BlochTrajectory) -> GpResult:
     """Geometric phase from the discrete eigenvector-overlap product.
 
     Independent of the closed form: eigendecomposes each node analytically
@@ -355,8 +359,8 @@ def gp_discrete_holonomy(
         raise PreconditionError(
             f"initial state not pure: |v(0)| = {eps0:.12f}"
         )
-    spinors = _branch_spinors(traj.points, r_tol)
-    gamma, unwrapped, min_overlap = pancharatnam_phase(spinors, overlap_tol)
+    spinors = _branch_spinors(traj.points)
+    gamma, unwrapped, min_overlap = pancharatnam_phase(spinors)
     eps_end = float(np.linalg.norm(traj.points[-1]))
     rxy = np.hypot(traj.points[:, 0], traj.points[:, 1])
     return GpResult(
@@ -365,7 +369,7 @@ def gp_discrete_holonomy(
         method="discrete_holonomy",
         diagnostics=GpDiagnostics(
             n_steps=traj.points.shape[0],
-            singular_nodes=int(np.count_nonzero(rxy / 2.0 < r_tol)),
+            singular_nodes=int(np.count_nonzero(rxy / 2.0 < R_TOL)),
             unwrap_jumps=0,
             lambda_plus_end=(1.0 + eps_end) / 2.0,
             min_step_overlap=min_overlap,

@@ -37,7 +37,6 @@ from frustra_gp import (
     rotation_matrices,
     sector_rotation,
     sector_weights,
-    trajectory_batch,
 )
 
 
@@ -263,19 +262,6 @@ def test_rotation_matrices_peak_memory_is_bounded():
         tracemalloc.stop()
     assert mats.shape == (5441, 3, 3)
     assert peak < 16 * 2**20
-
-
-def test_trajectory_batch_matches_single():
-    rng = np.random.default_rng(59)
-    cfg = _random_config(rng, n_max=4)
-    times = np.linspace(0.0, 6.0, 40)
-    angles = [_random_angles(rng) for _ in range(5)]
-    v0s = np.array([initial_bloch(a).as_array() for a in angles])
-    batch = trajectory_batch(cfg, v0s, times)
-    for idx, ang in enumerate(angles):
-        grid = TimeGrid(0.0, 6.0, 40)
-        single = bloch_trajectory(cfg, ang, grid).points
-        assert np.max(np.abs(batch[idx] - single)) < 1e-13
 
 
 def test_single_x_bath_map_commutes_with_half_turn_about_z():

@@ -9,13 +9,18 @@ from frustra_gp import (
     AngleGrid,
     ConfigError,
     GpSurface,
+    InitialStateAngles,
     ResolutionError,
     SystemConfig,
+    TimeGrid,
     angular_distance,
     auto_time_grid,
+    bloch_trajectory,
+    gp_closed_form,
     gp_surface,
     gp_unitary_reference,
     max_sector_freq,
+    polar_track,
     strategy_compare,
     verify_suite,
 )
@@ -108,6 +113,36 @@ def test_surface_deterministic_across_threads():
 def test_surface_resolution_error_names_cell():
     with pytest.raises(ResolutionError, match="cell theta="):
         gp_surface(UNITARY_CFG, SMALL_GRID, math.pi, time_steps=3)
+
+
+def test_surface_indeterminate_cells_are_nan():
+    # After a half turn an equator start sits opposite its origin, so the
+    # closed-form bracket vanishes; the other rows keep a finite phase.
+    half_turn = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
+    grid = AngleGrid(n_theta=3, n_phi=4, theta_min=0.5, theta_max=math.pi - 0.5)
+    surf = gp_surface(half_turn, grid, math.pi / 2, time_steps=301)
+    assert np.all(np.isnan(surf.gamma[1])) and np.all(np.isnan(surf.gamma_unwrapped[1]))
+    assert np.all(surf.singular_count[1] == 0)
+    for row in (0, 2):
+        assert np.all(np.isfinite(surf.gamma[row]))
+        assert np.all(np.isfinite(surf.gamma_unwrapped[row]))
+    report = strategy_compare(
+        [("a", half_turn), ("b", half_turn)], grid, math.pi / 2, time_steps=301
+    )
+    assert [e.missing_cells for e in report.entries] == [4, 4]
+
+
+def test_surface_cells_match_single_trajectory_route():
+    cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=3)
+    grid = AngleGrid(n_theta=5, n_phi=4, theta_min=0.3, theta_max=math.pi - 0.3)
+    surf = gp_surface(cfg, grid, 5.0, time_steps=501)
+    tg = TimeGrid(0.0, 5.0, 501)
+    for i, theta in enumerate(grid.thetas()):
+        for j, phi in enumerate(grid.phis()):
+            ang = InitialStateAngles(theta=float(theta), phi=float(phi))
+            res = gp_closed_form(polar_track(bloch_trajectory(cfg, ang, tg)))
+            assert abs(surf.gamma_unwrapped[i, j] - res.gamma_unwrapped) <= 1e-12
+            assert surf.singular_count[i, j] == res.diagnostics.singular_nodes
 
 
 def test_gp_surface_validation():

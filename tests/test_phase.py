@@ -12,6 +12,7 @@ routes must land on it, and the general closed form must sit exactly
 2*pi below the pole form in unreduced value there.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from frustra_gp import (
     polar_track,
     principal_value,
 )
+from frustra_gp import phase
 from frustra_gp.dynamics import BlochTrajectory
 
 SPIRAL_GAMMA = 0.117858422016549  # 2 - sin(0.6)/0.3
@@ -351,3 +353,21 @@ def test_result_principal_matches_unwrapped():
     for res in (gp_closed_form(polar_track(traj)), gp_discrete_holonomy(traj)):
         assert res.gamma == principal_value(res.gamma_unwrapped)
         assert -math.pi <= res.gamma < math.pi
+
+
+def test_guards_are_fixed_constants():
+    assert (phase.R_TOL, phase.Z_TOL, phase.OVERLAP_TOL) == (1e-12, 1e-14, 1e-10)
+    for fn in (
+        polar_track,
+        gp_closed_form,
+        gp_south_pole,
+        gp_discrete_holonomy,
+        pancharatnam_phase,
+        PolarTrack.from_points,
+    ):
+        assert not [p for p in inspect.signature(fn).parameters if p.endswith("_tol")]
+    # R = |v_xy| / 2 just below R_TOL is singular, just above it is not
+    rxy = 2.0 * phase.R_TOL
+    pts = np.array([[0.0, 0.0, 1.0], [0.99 * rxy, 0.0, 1.0], [1.01 * rxy, 0.0, 1.0]])
+    track = PolarTrack.from_points(pts, TimeGrid(0.0, 1.0, 3))
+    assert track.singular.tolist() == [True, True, False]
