@@ -708,6 +708,7 @@ def run(argv=None) -> int:
     """Execute one invocation; returns the process exit status."""
     if argv is None:
         argv = sys.argv[1:]
+    params = {}
     try:
         try:
             namespace = build_parser().parse_args(argv)
@@ -727,6 +728,18 @@ def run(argv=None) -> int:
         OracleError,
     ) as exc:
         print(f"frustra-gp: numerical error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # The rotation map and the sweeps grow with the bath size; running
+        # out of memory is a property of the request, reported like a
+        # numerical limit rather than as a traceback.
+        size = params.get("bath_size", params.get("max_bath_size"))
+        where = f" at bath size N = {size}" if size is not None else ""
+        print(
+            f"frustra-gp: numerical error: out of memory{where};"
+            " lower the bath size, the evolution time or the grid",
+            file=sys.stderr,
+        )
         return 2
 
 

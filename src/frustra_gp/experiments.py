@@ -163,7 +163,11 @@ def _surface_row(
         # the reflected frame vector (sin t sin p, sin t cos p, cos t).
         starts = np.column_stack([st * np.sin(phis), st * np.cos(phis), np.full_like(phis, ct)])
         scale = -0.5
-    cells = scale * np.einsum("nij,cj->cni", rot, starts)
+    # Node k of cell j is rot[k] @ starts[j]: one (C, 3) x (3, 9n) product.  The
+    # folded map has 5 nonzero entries (M_xx, M_xy = -M_yx, M_yy, M_zz); its
+    # zero xz/yz/zx/zy entries add exact zeros.  scale is 1 or -1/2, so
+    # scaling the starts first is exact.
+    cells = ((scale * starts) @ rot.reshape(-1, 3).T).reshape(phis.size, -1, 3)
     gam = np.empty(phis.size)
     unw = np.empty(phis.size)
     sing = np.empty(phis.size, dtype=int)

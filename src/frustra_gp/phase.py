@@ -47,6 +47,7 @@ indeterminate phase raises IndeterminatePhaseError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,9 @@ Z_TOL = 1e-14
 OVERLAP_TOL = 1e-10
 # Unwrap increments at the branch boundary cannot be resolved.
 _JUMP_LIMIT = math.pi - 1e-9
+# Below this norm x^2 + y^2 + z^2 is subnormal or zero, so its square root
+# is no longer within an ulp of |v|.
+_SQUARES_EXACT_MIN = math.sqrt(sys.float_info.min)
 
 
 def principal_value(angle):
@@ -77,7 +81,20 @@ def principal_value(angle):
 
     Rounding in angle - 2*pi*k can overshoot either boundary by a few ulp
     for large inputs, so the result is folded once more where needed.
+    Scalar input (including np.float64) gives a built-in float; array input
+    gives an array.
     """
+    if isinstance(angle, (float, int)):
+        # Same arithmetic as the array path below, without its per-call cost.
+        angle = float(angle)
+        if not math.isfinite(angle):
+            return math.nan
+        wrapped = angle - TWO_PI * math.floor((angle + math.pi) / TWO_PI)
+        if wrapped >= math.pi:
+            wrapped -= TWO_PI
+        if wrapped < -math.pi:
+            wrapped += TWO_PI
+        return wrapped
     angle = np.asarray(angle, dtype=float)
     wrapped = angle - TWO_PI * np.floor((angle + math.pi) / TWO_PI)
     wrapped = np.where(wrapped >= math.pi, wrapped - TWO_PI, wrapped)
@@ -122,19 +139,32 @@ class PolarTrack:
     def from_points(cls, points: np.ndarray, grid: TimeGrid) -> PolarTrack:
         """Polar-track series of raw (n, 3) Bloch samples taken on `grid`."""
         pts = np.asarray(points, dtype=float)
+        x, y = pts[:, 0], pts[:, 1]
         a = pts[:, 2].copy()
-        rxy = np.hypot(pts[:, 0], pts[:, 1])
+        rxy2 = x * x + y * y
+        eps = np.sqrt(rxy2 + a * a)
+        if _SQUARES_EXACT_MIN <= eps.min() and eps.max() < math.inf:
+            rxy = np.sqrt(rxy2)
+            ratio = a / eps
+        else:
+            # Squares that underflow or overflow lose the norm's bits: take
+            # the scaled hypot route, with ratio 0 where eps is 0.
+            rxy = np.hypot(x, y)
+            eps = np.hypot(a, rxy)
+            ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
         r = rxy / 2.0
-        eps = np.hypot(a, rxy)
         singular = r < R_TOL
 
-        raw = np.arctan2(pts[:, 1], pts[:, 0])
-        valid = ~singular
-        if not valid.any():
+        raw = np.arctan2(y, x)
+        n_singular = int(np.count_nonzero(singular))
+        if n_singular == 0:
+            filled = raw
+        elif n_singular == raw.size:
             filled = np.zeros_like(raw)
         else:
             # Flat continuation: copy the previous valid azimuth forward; a
             # singular prefix borrows the first valid azimuth.
+            valid = ~singular
             idx = np.where(valid, np.arange(raw.size), -1)
             idx = np.maximum.accumulate(idx)
             first_valid = int(np.flatnonzero(valid)[0])
@@ -156,7 +186,6 @@ class PolarTrack:
         np.cumsum(d, out=chi[1:])
         chi[1:] += filled[0]
 
-        ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
         sin2_half = np.clip((1.0 + ratio) / 2.0, 0.0, 1.0)
         theta_t = 2.0 * np.arcsin(np.sqrt(sin2_half))
         return cls(

@@ -414,3 +414,40 @@ def test_gp_n48_output_bytes_ignore_blas_threads():
     two = _module_run(GP_N48_ARGS, OPENBLAS_NUM_THREADS="2")
     assert one.returncode == 0 and two.returncode == 0
     assert one.stdout == two.stdout
+
+
+def test_compare_output_bytes_ignore_blas_and_worker_threads():
+    # Each sweep row is projected by one BLAS product of shape (6, 3) x
+    # (3, 9n); 2001 steps put it past OpenBLAS's single-thread size limit,
+    # so OPENBLAS_NUM_THREADS=2 really splits it.
+    args = ["compare", "--bath-size", "4", "--n-theta", "5", "--n-phi", "6",
+            "--steps", "2001"]
+    runs = [
+        _module_run(args, OPENBLAS_NUM_THREADS=blas, **{THREADS_ENV: workers})
+        for blas, workers in (("1", "1"), ("2", "1"), ("2", "2"))
+    ]
+    assert all(proc.returncode == 0 for proc in runs)
+    # Two comment lines, the header and the four default allocations.
+    assert len(runs[0].stdout.splitlines()) == 7
+    assert runs[1].stdout == runs[0].stdout
+    assert runs[2].stdout == runs[0].stdout
+
+
+@pytest.mark.parametrize(
+    "argv, callee",
+    [
+        (["surface", "--bath-size", "400", "--t-end", "50"], "gp_surface"),
+        (["compare", "--bath-size", "400"], "strategy_compare"),
+        (["gp", "--bath-size", "400"], "bloch_trajectory"),
+    ],
+)
+def test_memory_error_is_numerical_error(monkeypatch, capsys, argv, callee):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"frustra_gp.cli.{callee}", out_of_memory)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("frustra-gp: numerical error: out of memory")
+    assert "bath size N = 400" in err
+    assert "Traceback" not in err

@@ -13,10 +13,13 @@ routes must land on it, and the general closed form must sit exactly
 """
 
 import inspect
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frustra_gp import (
     ConfigError,
@@ -72,6 +75,27 @@ def test_principal_value_randomized_containment():
     assert np.all(p >= -math.pi) and np.all(p < math.pi)
     k = np.round((x - p) / (2.0 * math.pi))
     assert np.max(np.abs(x - p - 2.0 * math.pi * k)) < 1e-9
+
+
+def test_principal_value_scalar_is_builtin_float():
+    rng = np.random.default_rng(77)
+    values = [math.pi, -math.pi, 3.0 * math.pi, -3.0 * math.pi, 0.0, 1.0,
+              2.0 * math.pi, math.nextafter(math.pi, 0.0), 1e6 + 0.5, -1e15]
+    values += list(rng.uniform(-1e6, 1e6, size=200))
+    as_array = principal_value(np.array(values))
+    assert isinstance(as_array, np.ndarray) and as_array.dtype == np.float64
+    for value, expected in zip(values, as_array):
+        for given_value in (float(value), np.float64(value)):
+            out = principal_value(given_value)
+            assert type(out) is float
+            assert out == expected
+            assert -math.pi <= out < math.pi
+    assert principal_value(3) == principal_value(3.0)
+    # Comparisons of the result are plain bools, so reports stay JSON.
+    json.dumps({"gamma": principal_value(np.float64(7.0)),
+                "passed": principal_value(np.float64(7.0)) <= 1.0})
+    assert math.isnan(principal_value(math.nan))
+    assert math.isnan(principal_value(math.inf))
 
 
 def test_angular_distance_properties():
@@ -145,6 +169,121 @@ def test_polar_track_singular_prefix_back_fills_azimuth():
     assert track.singular[0]
     assert not track.singular[1:].any()
     assert track.chi[0] == track.chi[1]
+
+
+def _reference_track_series(points):
+    """Reference route for PolarTrack.from_points: two hypot calls, the
+    flat-continuation fill on every track and a masked divide; returns the
+    series as a dict."""
+    pts = np.asarray(points, dtype=float)
+    a = pts[:, 2].copy()
+    rxy = np.hypot(pts[:, 0], pts[:, 1])
+    r = rxy / 2.0
+    eps = np.hypot(a, rxy)
+    singular = r < phase.R_TOL
+    raw = np.arctan2(pts[:, 1], pts[:, 0])
+    valid = ~singular
+    if not valid.any():
+        filled = np.zeros_like(raw)
+    else:
+        idx = np.where(valid, np.arange(raw.size), -1)
+        idx = np.maximum.accumulate(idx)
+        idx[idx < 0] = int(np.flatnonzero(valid)[0])
+        filled = raw[idx]
+    d_raw = np.diff(filled)
+    d = d_raw - 2.0 * math.pi * np.floor((d_raw + math.pi) / (2.0 * math.pi))
+    if d.size and np.max(np.abs(d)) >= phase._JUMP_LIMIT:
+        worst = int(np.argmax(np.abs(d)))
+        raise ResolutionError(
+            "time grid too coarse to unwrap the azimuth: step"
+            f" {worst} -> {worst + 1} swings by {d[worst]:+.6f} rad;"
+            " refine the grid (smaller dt or larger sampling factor)"
+        )
+    chi = np.empty_like(filled)
+    chi[0] = filled[0]
+    np.cumsum(d, out=chi[1:])
+    chi[1:] += filled[0]
+    ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
+    sin2_half = np.clip((1.0 + ratio) / 2.0, 0.0, 1.0)
+    return {
+        "A": a,
+        "R": r,
+        "chi": chi,
+        "theta_t": 2.0 * np.arcsin(np.sqrt(sin2_half)),
+        "eps_plus": eps,
+        "singular": singular,
+        "unwrap_jumps": int(np.count_nonzero(np.abs(d_raw - d) > math.pi)),
+    }
+
+
+@st.composite
+def _polar_points(draw):
+    """(n, 3) samples: regular nodes at R >= 5e-7, singular nodes at
+    R <= 1e-14 (far from R_TOL on both sides), and sometimes one half-turn
+    azimuth step."""
+    n = draw(st.integers(2, 40))
+    pattern = draw(st.sampled_from(("none", "prefix", "isolated", "all", "random")))
+    if pattern == "none":
+        singular = [False] * n
+    elif pattern == "prefix":
+        k = draw(st.integers(1, n - 1))
+        singular = [True] * k + [False] * (n - k)
+    elif pattern == "isolated":
+        picked = draw(st.sets(st.sampled_from(range(0, n, 2)), min_size=1))
+        singular = [i in picked for i in range(n)]
+    elif pattern == "all":
+        singular = [True] * n
+    else:
+        singular = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    # Singular nodes sit on the z axis, at the origin, or so close to it
+    # that the squared norm leaves the normal float range.
+    pole = draw(st.sampled_from(("axis", "origin", "tiny")))
+    tiny_z = draw(st.lists(st.floats(-1e-155, 1e-155), min_size=n, max_size=n))
+    max_step = draw(st.floats(0.05, 3.3))
+    steps = draw(st.lists(st.floats(-max_step, max_step), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # A half turn between two nodes cannot be unwrapped.
+        steps[draw(st.integers(0, n - 1))] = math.pi
+    rho = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    z = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    tiny = draw(st.lists(st.floats(-7e-15, 7e-15), min_size=2 * n, max_size=2 * n))
+    chi = np.cumsum(steps)
+    pts = np.empty((n, 3))
+    for i in range(n):
+        if singular[i]:
+            pz = {"axis": z[i], "origin": 0.0, "tiny": tiny_z[i]}[pole]
+            pts[i] = (tiny[2 * i], tiny[2 * i + 1], pz)
+        else:
+            pts[i] = (rho[i] * math.cos(chi[i]), rho[i] * math.sin(chi[i]), z[i])
+    return pts
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=_polar_points())
+def test_from_points_matches_reference_route(pts):
+    grid = TimeGrid(0.0, 1.0, pts.shape[0])
+    try:
+        want = _reference_track_series(pts)
+    except ResolutionError as exc:
+        with pytest.raises(ResolutionError) as got:
+            PolarTrack.from_points(pts, grid)
+        assert str(got.value) == str(exc)
+        return
+    track = PolarTrack.from_points(pts, grid)
+    assert np.array_equal(track.singular, want["singular"])
+    assert track.unwrap_jumps == want["unwrap_jumps"]
+    for name in ("A", "R", "chi", "eps_plus"):
+        np.testing.assert_allclose(getattr(track, name), want[name], rtol=0, atol=1e-15)
+    # theta_t = 2 arcsin(sqrt((1 + A/eps)/2)) turns a one-ulp change of eps
+    # into an error of order 1e-16 / sin(theta_t) near the poles, so theta_t
+    # is compared through the half-angle squares the phase routes consume,
+    # and bit for bit wherever eps came out identical.
+    for f in (np.cos, np.sin):
+        np.testing.assert_allclose(
+            f(track.theta_t / 2.0) ** 2, f(want["theta_t"] / 2.0) ** 2, rtol=0, atol=1e-15
+        )
+    same_eps = track.eps_plus == want["eps_plus"]
+    assert np.array_equal(track.theta_t[same_eps], want["theta_t"][same_eps])
 
 
 def test_stationary_pole_gives_zero_phase():
