@@ -227,9 +227,14 @@ def polar_track(traj: BlochTrajectory) -> PolarTrack:
 
 
 def _trapezoid_on_chi(chi: np.ndarray, integrand: np.ndarray) -> float:
-    """sum_i dchi_i * (f_i + f_{i+1}) / 2 for f sampled on the same nodes."""
+    """sum_i dchi_i * (f_i + f_{i+1}) / 2 for f sampled on the same nodes.
+
+    np.sum, not np.dot: OpenBLAS splits a dot product of more than 10^4
+    nodes over its threads, and the partial sums then round differently
+    with each thread count.
+    """
     d = np.diff(chi)
-    return float(np.dot(d, (integrand[:-1] + integrand[1:]) / 2.0))
+    return float(np.sum(d * ((integrand[:-1] + integrand[1:]) / 2.0)))
 
 
 def _pure_start_halves(a0: float) -> tuple[float, float]:
@@ -321,17 +326,16 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
     )
 
 
-def _branch_spinors(points: np.ndarray) -> np.ndarray:
+def _branch_spinors(points: np.ndarray, rxy: np.ndarray) -> np.ndarray:
     """Eigenvectors of the dominant branch, shape (n, 2), rows (up, down).
 
     The + eigenvector of (1 + v.sigma)/2 points along v:
     (cos(beta/2), e^{i chi} sin(beta/2)) with cos(beta) = v_z / |v|.
-    Nodes on the z axis take phase 1 (a gauge choice; the holonomy product
-    is gauge invariant).
+    rxy is hypot(v_x, v_y) per node.  Nodes on the z axis take phase 1 (a
+    gauge choice; the holonomy product is gauge invariant).
     """
     pts = np.asarray(points, dtype=float)
     a = pts[:, 2]
-    rxy = np.hypot(pts[:, 0], pts[:, 1])
     eps = np.hypot(a, rxy)
     if np.min(eps) < 1e-15:
         raise PreconditionError(
@@ -388,10 +392,10 @@ def gp_discrete_holonomy(traj: BlochTrajectory) -> GpResult:
         raise PreconditionError(
             f"initial state not pure: |v(0)| = {eps0:.12f}"
         )
-    spinors = _branch_spinors(traj.points)
+    rxy = np.hypot(traj.points[:, 0], traj.points[:, 1])
+    spinors = _branch_spinors(traj.points, rxy)
     gamma, unwrapped, min_overlap = pancharatnam_phase(spinors)
     eps_end = float(np.linalg.norm(traj.points[-1]))
-    rxy = np.hypot(traj.points[:, 0], traj.points[:, 1])
     return GpResult(
         gamma=gamma,
         gamma_unwrapped=unwrapped,

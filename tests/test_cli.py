@@ -416,6 +416,18 @@ def test_gp_n48_output_bytes_ignore_blas_threads():
     assert one.stdout == two.stdout
 
 
+def test_gp_n100_output_bytes_ignore_blas_threads():
+    # 11273 nodes, past the 10^4 beyond which OpenBLAS splits a dot product
+    # over its threads (a BLAS dot in the phase quadrature changes the last
+    # digit here), and 1031 distinct Gamma, so the rotation map runs one
+    # (8, 2062) x (2062, 15) product per anchor block.
+    args = [a if a != "48" else "100" for a in GP_N48_ARGS]
+    one = _module_run(args, OPENBLAS_NUM_THREADS="1")
+    two = _module_run(args, OPENBLAS_NUM_THREADS="2")
+    assert one.returncode == 0 and two.returncode == 0
+    assert one.stdout == two.stdout
+
+
 def test_compare_output_bytes_ignore_blas_and_worker_threads():
     # Each sweep row is projected by one BLAS product of shape (6, 3) x
     # (3, 9n); 2001 steps put it past OpenBLAS's single-thread size limit,

@@ -8,7 +8,10 @@ Oracles used here, independent of the implementation under test:
   sums sector_rotation results with math.fsum weighting, also at the
   headline bath sizes N = 20 and 48;
 - the folded rotation map is property-tested against the unfolded
-  (S, 3, 3) full-sector formula, written out inside this file;
+  (S, 3, 3) full-sector formula, written out inside this file, on both of
+  its routes: arbitrary times (trig at every node) and uniform grids
+  (angle addition from anchors), the latter also against single-time calls
+  on a long grid;
 - the verbatim polarization transcription is cross-checked against the
   rotation-sum identity it must equal.
 """
@@ -18,7 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frustra_gp import (
@@ -28,6 +31,7 @@ from frustra_gp import (
     InitialStateAngles,
     SystemConfig,
     TimeGrid,
+    auto_time_grid,
     bloch_at,
     bloch_trajectory,
     gamma_freq,
@@ -38,6 +42,7 @@ from frustra_gp import (
     sector_rotation,
     sector_weights,
 )
+from frustra_gp import dynamics
 
 
 def _random_config(rng, n_max=6):
@@ -249,9 +254,76 @@ def test_folded_rotation_map_properties(omega, alpha1, alpha2, bath_size, times)
     assert np.max(np.abs(mats - _unfolded_rotation_matrices(cfg, times))) <= 1e-13
 
 
+_coupling_pairs = st.one_of(
+    st.floats(0.0, 3.0).map(lambda a: (a, a)),  # swapped sectors merge
+    st.tuples(st.floats(0.0, 3.0), st.just(0.0)),  # one ladder merges
+    st.tuples(st.just(0.0), st.floats(0.0, 3.0)),
+    st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    omega=st.floats(0.05, 5.0),
+    pair=_coupling_pairs,
+    bath_size=st.integers(1, 21),
+    t_start=st.one_of(st.just(0.0), st.floats(0.0, 50.0)),
+    span=st.floats(1e-3, 50.0),
+    n=st.integers(2, 3000),
+)
+# the largest Gamma t the draws reach: read at a + o without the residual
+# term, the map is 1.3e-13 off the reference here (5.7e-14 with it)
+@example(omega=5.0, pair=(0.0, 0.0), bath_size=21, t_start=50.0, span=50.0, n=3000)
+@example(omega=2.0, pair=(0.5, 0.5), bath_size=20, t_start=0.0, span=50.0, n=2999)
+def test_uniform_grid_rotation_map_properties(omega, pair, bath_size, t_start, span, n):
+    cfg = SystemConfig(omega=omega, alpha1=pair[0], alpha2=pair[1], bath_size=bath_size)
+    times = np.linspace(t_start, t_start + span, n)
+    s = dynamics._sector_tables(cfg)[1].size
+    # every grid of 4 or more nodes takes the anchored route here
+    assert (dynamics._offsets_per_anchor(times, s) >= 2) == (n >= 4)
+    mats = rotation_matrices(cfg, times)
+    for i, j in [(0, 2), (1, 2), (2, 0), (2, 1)]:
+        assert np.all(mats[:, i, j] == 0.0)
+    assert np.array_equal(mats[:, 0, 1], -mats[:, 1, 0])
+    if t_start == 0.0:
+        assert np.max(np.abs(mats[0] - np.eye(3))) <= 1e-15
+    assert np.linalg.norm(mats, ord=2, axis=(1, 2)).max() <= 1.0 + 1e-12
+    assert np.max(np.abs(mats - _unfolded_rotation_matrices(cfg, times))) <= 1e-13
+
+
+def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch):
+    # N = 200 with one bath on the auto grid to t = 50: 101 distinct Gamma,
+    # 31839 nodes, about 200 anchor blocks
+    cfg = SystemConfig(omega=2.0, alpha1=1.0, alpha2=0.0, bath_size=200)
+    times = auto_time_grid(cfg, 50.0).times()
+    assert times.size == 31839
+    blocks = []
+    anchored = dynamics._sums_by_anchors
+
+    def spy(gammas, table, t, k, out):
+        blocks.append(k)
+        anchored(gammas, table, t, k, out)
+
+    monkeypatch.setattr(dynamics, "_sums_by_anchors", spy)
+    mats = rotation_matrices(cfg, times)
+    assert len(blocks) == 1 and times.size // blocks[0] > 100
+    k = blocks[0]
+    # the last node of every block, farthest from its anchor, and the end
+    picks = list(range(k - 1, times.size, k)) + list(range(times.size - 4, times.size))
+    for j in picks:
+        single = rotation_matrices(cfg, times[j : j + 1])
+        assert np.max(np.abs(mats[j] - single[0])) <= 1e-13
+    # one node moved by one ulp: no longer a linspace, so trig at every node
+    nudged = times.copy()
+    nudged[times.size // 2] = np.nextafter(nudged[times.size // 2], np.inf)
+    per_node = rotation_matrices(cfg, nudged)
+    assert len(blocks) == 1
+    assert np.max(np.abs(per_node - mats)) <= 1e-13
+
+
 def test_rotation_matrices_peak_memory_is_bounded():
     # N = 48 to t = 50 on the auto grid: 5441 nodes against 625 folded
-    # sectors; the unfolded map peaked near 500 MB here
+    # sectors (273 distinct Gamma); the unfolded map peaked near 500 MB here
     cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48)
     times = np.linspace(0.0, 50.0, 5441)
     tracemalloc.start()
