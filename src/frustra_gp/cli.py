@@ -47,7 +47,6 @@ from .experiments import (
     verify_suite,
 )
 from .model import InitialStateAngles, SystemConfig, validate_config
-from .oracle import OracleLimits
 from .phase import (
     GpResult,
     gp_closed_form,
@@ -146,7 +145,6 @@ _CONVERTERS = {
     "method": _conv_choice(*_GP_METHODS),
     "metric": _conv_choice(*COMPARE_METRICS),
     "couplings": _conv_couplings,
-    "max-bath-size": _conv_pos_int,
     "seed": _conv_int,
     "out": _conv_str,
 }
@@ -209,7 +207,7 @@ _DEFAULTS: dict[str, dict[str, str | None]] = {
             ("out", "-"),
         )
     ),
-    "verify": {"max-bath-size": "4", "seed": "20260814", "out": "verify_report.json"},
+    "verify": {"seed": "20260814", "out": "verify_report.json"},
 }
 
 _FORMAT_CHOICES = {
@@ -359,7 +357,6 @@ _FLAG_HELP = {
     "method": "gp route: closed_form | south_pole | discrete_holonomy",
     "metric": "ranking metric: mean_dist_to_unitary | mean_abs_gp",
     "couplings": "semicolon-separated a1,a2 pairs to compare",
-    "max-bath-size": "oracle dimension cap (<= 6)",
     "seed": "seed for the randomized verification draws",
     "format": "output format",
     "out": "output path, '-' for stdout",
@@ -674,8 +671,7 @@ def _cmd_compare(p: dict, run_cfg: RunConfig) -> int:
 
 
 def _cmd_verify(p: dict, run_cfg: RunConfig) -> int:
-    limits = OracleLimits(max_bath_size=p["max_bath_size"])
-    report = verify_suite(limits, seed=p["seed"])
+    report = verify_suite(seed=p["seed"])
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
@@ -733,7 +729,7 @@ def run(argv=None) -> int:
         # The rotation map and the sweeps grow with the bath size; running
         # out of memory is a property of the request, reported like a
         # numerical limit rather than as a traceback.
-        size = params.get("bath_size", params.get("max_bath_size"))
+        size = params.get("bath_size")
         where = f" at bath size N = {size}" if size is not None else ""
         print(
             f"frustra-gp: numerical error: out of memory{where};"

@@ -358,12 +358,9 @@ def bloch_trajectory(
 
 
 def _sinc_factors(gammas: np.ndarray, t: float):
-    """sin(Gamma t)/Gamma and (1 - cos(Gamma t))/Gamma^2 with Gamma -> 0 limits."""
-    safe = np.where(gammas > 0.0, gammas, 1.0)
+    """sin(Gamma t)/Gamma and (1 - cos(Gamma t))/Gamma^2; Gamma >= omega > 0."""
     ang = gammas * t
-    s_over = np.where(gammas > 0.0, np.sin(ang) / safe, t)
-    c_over = np.where(gammas > 0.0, (1.0 - np.cos(ang)) / safe**2, t * t / 2.0)
-    return s_over, c_over
+    return np.sin(ang) / gammas, (1.0 - np.cos(ang)) / gammas**2
 
 
 def literal_points(

@@ -39,7 +39,7 @@ from .model import (
     sector_weights,
     validate_config,
 )
-from .oracle import OracleLimits, oracle_trajectory
+from .oracle import oracle_trajectory
 from .phase import (
     PolarTrack,
     angular_distance,
@@ -419,9 +419,7 @@ class VerifyReport:
         }
 
 
-def verify_suite(
-    limits: OracleLimits | None = None, seed: int = 20260814
-) -> VerifyReport:
+def verify_suite(seed: int = 20260814) -> VerifyReport:
     """Run the built-in cross-checks and report measured errors.
 
     Covers: sector sum vs dense evolution for N in {1, 2, 3}; the
@@ -431,7 +429,6 @@ def verify_suite(
     south-pole special case; and exact sector-weight normalization.
     Failures are recorded as entries, never raised.
     """
-    limits = limits or OracleLimits()
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     checks = []
@@ -451,7 +448,7 @@ def verify_suite(
                 phi=float(rng.uniform(0.0, 2.0 * math.pi)),
             )
             grid = TimeGrid(0.0, float(rng.uniform(2.0, 8.0)), 7)
-            exact = oracle_trajectory(cfg, ang, grid, limits)
+            exact = oracle_trajectory(cfg, ang, grid)
             approx = bloch_trajectory(cfg, ang, grid)
             worst = max(worst, float(np.max(np.abs(exact.points - approx.points))))
     checks.append(

@@ -76,6 +76,8 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     if isinstance(config.omega, (int, float)) and math.isfinite(config.omega):
         if config.omega <= 0.0:
             problems.append("omega must be positive")
+        elif config.omega * config.omega == 0.0:
+            problems.append("omega too small: omega^2 underflows to 0")
     for name in ("alpha1", "alpha2"):
         value = getattr(config, name)
         if isinstance(value, (int, float)) and math.isfinite(value) and value < 0.0:

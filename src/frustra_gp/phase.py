@@ -5,13 +5,13 @@ A trajectory v(t) is first reduced to polar-track series
     A = <sigma_z>,  R = (1/2) sqrt(<sigma_x>^2 + <sigma_y>^2),
     eps_plus = sqrt(A^2 + 4 R^2) = |v|,
     tan(chi) = <sigma_y> / <sigma_x>   (four-quadrant, unwrapped),
-    sin(theta_t / 2) = 2 R / sqrt(4 R^2 + (eps_plus - A)^2),
+    sin^2(theta_t / 2) = (1 + A / eps_plus) / 2,
 
-with theta_t in [0, pi] (equivalently sin^2(theta_t/2) = (1 + A/eps_plus)/2,
-the numerically stable form used here; it follows that
-cos(theta_t) = -A / eps_plus).  Nodes with R below R_TOL have an
-indeterminate azimuth; chi is propagated flat across them and they are
-flagged singular.
+with theta_t in [0, pi] and cos(theta_t) = -A / eps_plus.  The track stores
+sin^2(theta_t/2) (`sin2_half`), the only form in which the phase reads the
+polar angle; theta_t itself is derived from it on request.  Nodes with R
+below R_TOL have an indeterminate azimuth; chi is propagated flat across
+them and they are flagged singular.
 
 The geometric phase of the dominant spectral branch is then
 
@@ -20,9 +20,10 @@ The geometric phase of the dominant spectral branch is then
                      + e^{i dchi(tau)} sin(theta0/2) cos(theta_tau/2) )
                  * e^{-i integral_0^tau chi_dot cos^2(theta_t/2) dt} ],
 
-with cos(theta0/2) = sqrt((1 + <sigma_z(0)> / eps_plus(0)) / 2) taken from
-the normalized initial state and the connection integral evaluated by the
-trapezoid rule on chi increments.  sqrt(lambda_plus) is a positive scalar and cannot move the
+with cos(theta0/2) = sqrt(sin2_half(0)) taken from the normalized initial
+state, sin(theta_tau/2) = sqrt(sin2_half(tau)), cos^2(theta_t/2) =
+1 - sin2_half, and the connection integral evaluated by the trapezoid rule
+on chi increments.  sqrt(lambda_plus) is a positive scalar and cannot move the
 arg; it is reported as a diagnostic and never multiplied in, which makes the
 result bit-identical under any positive rescaling of that factor.
 
@@ -115,6 +116,7 @@ class PolarTrack:
     """Polar-decomposition series of a Bloch trajectory.
 
     chi is unwrapped (consecutive increments lie strictly inside (-pi, pi));
+    sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2, clipped to [0, 1];
     singular marks nodes whose azimuth was propagated from a neighbor.
     """
 
@@ -122,18 +124,23 @@ class PolarTrack:
     A: np.ndarray
     R: np.ndarray
     chi: np.ndarray
-    theta_t: np.ndarray
+    sin2_half: np.ndarray
     eps_plus: np.ndarray
     singular: np.ndarray
     unwrap_jumps: int
 
     def __post_init__(self) -> None:
-        for arr in (self.A, self.R, self.chi, self.theta_t, self.eps_plus, self.singular):
+        for arr in (self.A, self.R, self.chi, self.sin2_half, self.eps_plus, self.singular):
             np.asarray(arr).setflags(write=False)
 
     @property
     def n_steps(self) -> int:
         return self.A.size
+
+    @property
+    def theta_t(self) -> np.ndarray:
+        """Branch polar angle in [0, pi], 2 arcsin(sqrt(sin2_half))."""
+        return 2.0 * np.arcsin(np.sqrt(self.sin2_half))
 
     @classmethod
     def from_points(cls, points: np.ndarray, grid: TimeGrid) -> PolarTrack:
@@ -172,7 +179,8 @@ class PolarTrack:
             filled = raw[idx]
 
         d_raw = np.diff(filled)
-        d = d_raw - TWO_PI * np.floor((d_raw + math.pi) / TWO_PI)
+        turns = np.floor((d_raw + math.pi) / TWO_PI)
+        d = d_raw - TWO_PI * turns
         if d.size and np.max(np.abs(d)) >= _JUMP_LIMIT:
             worst = int(np.argmax(np.abs(d)))
             raise ResolutionError(
@@ -180,23 +188,20 @@ class PolarTrack:
                 f" {worst} -> {worst + 1} swings by {d[worst]:+.6f} rad;"
                 " refine the grid (smaller dt or larger sampling factor)"
             )
-        jumps = int(np.count_nonzero(np.abs(d_raw - d) > math.pi))
         chi = np.empty_like(filled)
         chi[0] = filled[0]
         np.cumsum(d, out=chi[1:])
         chi[1:] += filled[0]
 
-        sin2_half = np.clip((1.0 + ratio) / 2.0, 0.0, 1.0)
-        theta_t = 2.0 * np.arcsin(np.sqrt(sin2_half))
         return cls(
             grid=grid,
             A=a,
             R=r,
             chi=chi,
-            theta_t=theta_t,
+            sin2_half=np.clip((1.0 + ratio) / 2.0, 0.0, 1.0),
             eps_plus=eps,
             singular=singular,
-            unwrap_jumps=jumps,
+            unwrap_jumps=int(np.count_nonzero(turns)),
         )
 
 
@@ -237,12 +242,6 @@ def _trapezoid_on_chi(chi: np.ndarray, integrand: np.ndarray) -> float:
     return float(np.sum(d * ((integrand[:-1] + integrand[1:]) / 2.0)))
 
 
-def _pure_start_halves(a0: float) -> tuple[float, float]:
-    c0 = math.sqrt(min(max((1.0 + a0) / 2.0, 0.0), 1.0))
-    s0 = math.sqrt(min(max((1.0 - a0) / 2.0, 0.0), 1.0))
-    return c0, s0
-
-
 def _track_diagnostics(track: PolarTrack) -> GpDiagnostics:
     return GpDiagnostics(
         n_steps=track.n_steps,
@@ -279,14 +278,14 @@ def gp_closed_form(
         raise IndeterminatePhaseError(
             "initial polarization vanishes; dominant branch undefined at t = 0"
         )
-    # Branch direction, not raw <sigma_z>: keeps the arg exactly invariant
-    # under positive rescalings of the polarization.
-    c0, s0 = _pure_start_halves(a0 / eps0)
-    half_end = track.theta_t[-1] / 2.0
+    # sin2_half follows the branch direction A/eps, not raw <sigma_z>, which
+    # keeps the arg exactly invariant under positive rescalings of the
+    # polarization.
+    s = track.sin2_half
+    c0, s0 = math.sqrt(s[0]), math.sqrt(1.0 - s[0])
     dchi = float(track.chi[-1] - track.chi[0])
-    cos2_half = np.cos(track.theta_t / 2.0) ** 2
-    connection = _trapezoid_on_chi(track.chi, cos2_half)
-    bracket = c0 * math.sin(half_end) + np.exp(1.0j * dchi) * s0 * math.cos(half_end)
+    connection = _trapezoid_on_chi(track.chi, 1.0 - s)
+    bracket = c0 * math.sqrt(s[-1]) + np.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s[-1])
     if abs(bracket) < Z_TOL:
         raise IndeterminatePhaseError(
             f"indeterminate phase: |bracket| = {abs(bracket):.3e} < {Z_TOL:.3e}"
@@ -306,7 +305,7 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
 
     Requires the trajectory to start at the Bloch south pole (theta0 = pi,
     i.e. <sigma_z(0)> = -1); otherwise a PreconditionError is raised.  The
-    integrand (1 - cos theta_t)/2 equals sin^2(theta_t/2) and the quadrature
+    integrand (1 - cos theta_t)/2 is the track's sin2_half and the quadrature
     matches gp_closed_form's trapezoid on chi increments; the two methods
     agree exactly (mod 2*pi) at the pole.
     """
@@ -316,8 +315,7 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
             "south-pole form requires theta0 = pi (initial <sigma_z> = -1),"
             f" got <sigma_z(0)> = {a0:.12f}"
         )
-    sin2_half = np.sin(track.theta_t / 2.0) ** 2
-    unwrapped = _trapezoid_on_chi(track.chi, sin2_half)
+    unwrapped = _trapezoid_on_chi(track.chi, track.sin2_half)
     return GpResult(
         gamma=principal_value(unwrapped),
         gamma_unwrapped=unwrapped,

@@ -336,7 +336,8 @@ def test_criterion_8_invariant_bundle():
     gauge_ok = worst <= 1e-12
     details.append(f"gauge invariance {worst:.1e}")
 
-    # scale invariance of the closed form (bit-exact for power-of-two factors)
+    # scale invariance of the closed form (bit-exact for power-of-two
+    # factors), on hand-scaled tracks and on tracks of rescaled samples
     base = polar_track(trajectories[0])
     ref = gp_closed_form(base)
     scale_ok = True
@@ -346,13 +347,15 @@ def test_criterion_8_invariant_bundle():
             A=lam * base.A,
             R=lam * base.R,
             chi=np.array(base.chi),
-            theta_t=np.array(base.theta_t),
+            sin2_half=np.array(base.sin2_half),
             eps_plus=lam * base.eps_plus,
             singular=np.array(base.singular),
             unwrap_jumps=base.unwrap_jumps,
         )
-        res = gp_closed_form(scaled, require_pure=False)
-        scale_ok = scale_ok and res.gamma == ref.gamma
+        rebuilt = PolarTrack.from_points(lam * trajectories[0].points, base.grid)
+        for track in (scaled, rebuilt):
+            res = gp_closed_form(track, require_pure=False)
+            scale_ok = scale_ok and res.gamma == ref.gamma
     details.append(f"scale invariance bit-exact = {scale_ok}")
 
     # convexity: the reduced map never leaves the Bloch ball

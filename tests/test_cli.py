@@ -356,6 +356,12 @@ def test_verify_cli(tmp_path, capsys):
     assert len(payload["checks"]) == 6
 
 
+def test_verify_rejects_max_bath_size(capsys):
+    # the oracle checks use N <= 3, so verify has no bath-size cap to set
+    assert run(["verify", "--max-bath-size", "2", "--out", "-"]) == 1
+    assert "--max-bath-size" in capsys.readouterr().err
+
+
 def test_console_script_help_runs(tmp_path):
     # Install a copy of the project into a throwaway venv with the installed
     # setuptools' own `develop` route (no wheel, no pip build, no network),

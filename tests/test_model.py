@@ -53,6 +53,13 @@ def test_validate_config_rejects_non_finite():
         validate_config(SystemConfig(omega=1.0, alpha1=math.inf, alpha2=0.0, bath_size=1))
 
 
+def test_validate_config_rejects_underflowing_omega():
+    # omega^2 = 0 would make a sector's Gamma exactly 0
+    with pytest.raises(ConfigError, match="underflows"):
+        validate_config(SystemConfig(omega=1e-170, alpha1=0.5, alpha2=0.0, bath_size=2))
+    validate_config(SystemConfig(omega=1e-150, alpha1=0.0, alpha2=0.0, bath_size=2))
+
+
 def test_initial_angles_validation():
     with pytest.raises(ConfigError):
         InitialStateAngles(theta=-0.1)

@@ -209,6 +209,7 @@ def _reference_track_series(points):
         "A": a,
         "R": r,
         "chi": chi,
+        "sin2_half": sin2_half,
         "theta_t": 2.0 * np.arcsin(np.sqrt(sin2_half)),
         "eps_plus": eps,
         "singular": singular,
@@ -274,15 +275,13 @@ def test_from_points_matches_reference_route(pts):
     assert track.unwrap_jumps == want["unwrap_jumps"]
     for name in ("A", "R", "chi", "eps_plus"):
         np.testing.assert_allclose(getattr(track, name), want[name], rtol=0, atol=1e-15)
-    # theta_t = 2 arcsin(sqrt((1 + A/eps)/2)) turns a one-ulp change of eps
-    # into an error of order 1e-16 / sin(theta_t) near the poles, so theta_t
-    # is compared through the half-angle squares the phase routes consume,
-    # and bit for bit wherever eps came out identical.
-    for f in (np.cos, np.sin):
-        np.testing.assert_allclose(
-            f(track.theta_t / 2.0) ** 2, f(want["theta_t"] / 2.0) ** 2, rtol=0, atol=1e-15
-        )
+    # A one-ulp change of eps moves sin2_half = (1 + A/eps)/2 by about an
+    # ulp, so sin2_half is compared to 1e-15 everywhere and bit for bit
+    # wherever eps came out identical.  The derived theta_t magnifies that
+    # ulp by 1 / sin(theta_t) near the poles, so it is compared only there.
+    np.testing.assert_allclose(track.sin2_half, want["sin2_half"], rtol=0, atol=1e-15)
     same_eps = track.eps_plus == want["eps_plus"]
+    assert np.array_equal(track.sin2_half[same_eps], want["sin2_half"][same_eps])
     assert np.array_equal(track.theta_t[same_eps], want["theta_t"][same_eps])
 
 
@@ -360,7 +359,7 @@ def test_closed_form_purity_precondition():
         A=0.5 * base.A,
         R=0.5 * base.R,
         chi=np.array(base.chi),
-        theta_t=np.array(base.theta_t),
+        sin2_half=np.array(base.sin2_half),
         eps_plus=0.5 * base.eps_plus,
         singular=np.array(base.singular),
         unwrap_jumps=base.unwrap_jumps,
@@ -374,33 +373,39 @@ def test_closed_form_purity_precondition():
 def test_closed_form_scale_invariance():
     # the phase depends on branch direction only; power-of-two rescalings
     # of the polarization must reproduce it bit for bit
-    base = polar_track(
-        bloch_trajectory(
-            SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2),
-            InitialStateAngles(theta=1.1, phi=0.4),
-            TimeGrid(0.0, 5.0, 2001),
-        )
+    traj = bloch_trajectory(
+        SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2),
+        InitialStateAngles(theta=1.1, phi=0.4),
+        TimeGrid(0.0, 5.0, 2001),
     )
+    base = polar_track(traj)
     ref = gp_closed_form(base)
 
     def rescaled(lam):
+        # hand-built: A, R and eps_plus scale, sin2_half is copied as is
         return PolarTrack(
             grid=base.grid,
             A=lam * base.A,
             R=lam * base.R,
             chi=np.array(base.chi),
-            theta_t=np.array(base.theta_t),
+            sin2_half=np.array(base.sin2_half),
             eps_plus=lam * base.eps_plus,
             singular=np.array(base.singular),
             unwrap_jumps=base.unwrap_jumps,
         )
 
+    def rebuilt(lam):
+        # the track of the rescaled samples, normalization included
+        return PolarTrack.from_points(lam * traj.points, traj.grid)
+
     for lam in (0.5, 0.25, 8.0):
-        res = gp_closed_form(rescaled(lam), require_pure=False)
-        assert res.gamma == ref.gamma
-        assert res.gamma_unwrapped == ref.gamma_unwrapped
-    near = gp_closed_form(rescaled(0.7), require_pure=False)
-    assert angular_distance(near.gamma, ref.gamma) < 1e-12
+        for track in (rescaled(lam), rebuilt(lam)):
+            res = gp_closed_form(track, require_pure=False)
+            assert res.gamma == ref.gamma
+            assert res.gamma_unwrapped == ref.gamma_unwrapped
+    for track in (rescaled(0.7), rebuilt(0.7)):
+        near = gp_closed_form(track, require_pure=False)
+        assert angular_distance(near.gamma, ref.gamma) < 1e-12
 
 
 def test_closed_form_rejects_vanishing_polarization():
@@ -410,7 +415,7 @@ def test_closed_form_rejects_vanishing_polarization():
         A=np.zeros(3),
         R=np.zeros(3),
         chi=np.zeros(3),
-        theta_t=np.full(3, math.pi / 2.0),
+        sin2_half=np.full(3, 0.5),
         eps_plus=np.zeros(3),
         singular=np.ones(3, dtype=bool),
         unwrap_jumps=0,
