@@ -6,6 +6,20 @@ of initial states at a fixed evolution time, with the time grid chosen
 automatically from the fastest sector frequency: dt <= 2 pi / (s * Gamma_max)
 for sampling factor s (default 40) and Gamma_max = Gamma(N/2, N/2).
 
+A surface shares the work of each phi column across its theta rows.  The
+folded rotation map has M_xz = M_yz = M_zx = M_zy = 0 exactly, so the cell
+(theta, phi) has an in-plane series sin(theta) times a theta-free column
+series, and a polarization A = scale cos(theta) M_zz(t) shared by its row.
+The column's azimuth chi, its unwrap and the unwrap guard are therefore
+computed once per column (phase.unwrap_azimuth).  From the column norm
+rho a cell computes only R = sin(theta) rho / 2,
+eps_plus = sqrt((sin(theta) rho)^2 + A^2) and sin2_half.  A cell falls back to PolarTrack.from_points on its own projected points when
+sin(theta) min(rho) / 2 < 2 R_TOL (a node singular or close to it), when
+the squares of eps_plus could overflow, or when its column's azimuth step
+reaches the unwrap limit.  NaN cells, singular counts and the
+ResolutionError text are thus those of the per-cell route; values move
+from it by the rounding of the scaled series (about 1e-13 or less).
+
 `strategy_compare` contrasts coupling allocations (single bath vs split
 couplings) by two grid metrics: mean |gamma| and mean angular distance to
 the decoupled-limit reference gamma_u(theta) = -pi (1 - cos theta).  The
@@ -41,6 +55,7 @@ from .model import (
 )
 from .oracle import oracle_trajectory
 from .phase import (
+    R_TOL,
     PolarTrack,
     angular_distance,
     gp_closed_form,
@@ -48,6 +63,7 @@ from .phase import (
     gp_south_pole,
     gp_unitary_reference,
     polar_track,
+    unwrap_azimuth,
 )
 
 SURFACE_MODES = ("physical", "literal")
@@ -146,45 +162,111 @@ class GpSurface:
             raise ConfigError("gamma entries fall outside the principal range")
 
 
-def _surface_row(
-    theta: float,
-    phis: np.ndarray,
-    rot: np.ndarray,
-    mode: str,
-    grid: TimeGrid,
-):
-    """Evaluate one constant-theta row of a surface; returns three 1-d arrays."""
-    st, ct = math.sin(theta), math.cos(theta)
-    if mode == "physical":
-        starts = np.column_stack([-st * np.sin(phis), st * np.cos(phis), np.full_like(phis, ct)])
-        scale = 1.0
-    else:
-        # Literal series equals -1/2 times the same rotation sum applied to
-        # the reflected frame vector (sin t sin p, sin t cos p, cos t).
-        starts = np.column_stack([st * np.sin(phis), st * np.cos(phis), np.full_like(phis, ct)])
-        scale = -0.5
-    # Node k of cell j is rot[k] @ starts[j]: one (C, 3) x (3, 9n) product.  The
-    # folded map has 5 nonzero entries (M_xx, M_xy = -M_yx, M_yy, M_zz); its
-    # zero xz/yz/zx/zy entries add exact zeros.  scale is 1 or -1/2, so
-    # scaling the starts first is exact.
-    cells = ((scale * starts) @ rot.reshape(-1, 3).T).reshape(phis.size, -1, 3)
-    gam = np.empty(phis.size)
-    unw = np.empty(phis.size)
-    sing = np.empty(phis.size, dtype=int)
-    for j in range(phis.size):
-        try:
-            track = PolarTrack.from_points(cells[j], grid)
-            res = gp_closed_form(track, require_pure=(mode == "physical"))
-            gam[j] = res.gamma
-            unw[j] = res.gamma_unwrapped
-        except IndeterminatePhaseError:
-            gam[j] = unw[j] = math.nan
-        except ResolutionError as exc:
-            raise ResolutionError(
-                f"cell theta={theta:.6f}, phi={phis[j]:.6f}: {exc}"
-            ) from exc
-        sing[j] = int(track.singular.sum())
-    return gam, unw, sing
+class _ColumnSweep:
+    """Surface rows evaluated from data shared by each phi column.
+
+    Column j's series is scale * B(t) (ux[j], uy[j]) at theta = pi/2, with
+    B the in-plane block of the map (see the module docstring); rho[j] is
+    its norm, chi[j] its unwrapped azimuth and jumps[j] its unwrap_jumps,
+    None where the unwrap guard trips.
+    """
+
+    def __init__(self, rot: np.ndarray, phis: np.ndarray, mode: str, grid: TimeGrid):
+        if mode == "physical":
+            ux, uy, self.scale = -np.sin(phis), np.cos(phis), 1.0
+        else:
+            # Literal series equals -1/2 times the same rotation sum applied
+            # to the reflected frame vector (sin t sin p, sin t cos p, cos t).
+            ux, uy, self.scale = np.sin(phis), np.cos(phis), -0.5
+        # scale is 1 or -1/2, so scaling the directions first is exact.
+        self.ux, self.uy = self.scale * ux, self.scale * uy
+        self.phis = phis
+        self.grid = grid
+        self.pure = mode == "physical"
+        self.mxx, self.mxy, self.myx, self.myy, self.mzz = (
+            np.ascontiguousarray(rot[:, i, k])
+            for i, k in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+        )
+        self.regular = np.zeros(grid.n_steps, dtype=bool)
+        self.rho = np.empty((phis.size, grid.n_steps))
+        self.chi = np.empty_like(self.rho)
+        self.jumps = []
+        for j in range(phis.size):
+            x, y = self._in_plane(j, 1.0)
+            np.sqrt(x * x + y * y, out=self.rho[j])
+            try:
+                self.chi[j], jumps = unwrap_azimuth(np.arctan2(y, x))
+            except ResolutionError:
+                jumps = None
+            self.jumps.append(jumps)
+        self.rho_min = self.rho.min(axis=1).tolist()
+        self.rho_max = self.rho.max(axis=1).tolist()
+
+    def _in_plane(self, j: int, st: float) -> tuple[np.ndarray, np.ndarray]:
+        """x and y series of the start st * (ux[j], uy[j]) under the map."""
+        sx, sy = st * self.ux[j], st * self.uy[j]
+        return sx * self.mxx + sy * self.mxy, sx * self.myx + sy * self.myy
+
+    def _cell_track(self, j: int, st: float, a: np.ndarray, a2: np.ndarray) -> PolarTrack:
+        w = st * self.rho[j]
+        eps = w * w
+        eps += a2
+        np.sqrt(eps, out=eps)
+        # eps >= |A| in floats (the square root of a rounded square gives
+        # |A| back), so (1 + A/eps)/2 lies in [0, 1] without a clip.
+        s = a / eps
+        s += 1.0
+        s /= 2.0
+        w /= 2.0
+        return PolarTrack(
+            grid=self.grid,
+            A=a,
+            R=w,
+            chi=self.chi[j],
+            sin2_half=s,
+            eps_plus=eps,
+            singular=self.regular,
+            unwrap_jumps=self.jumps[j],
+        )
+
+    def row(self, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """gamma, gamma_unwrapped and singular_count of one constant-theta row."""
+        st, ct = math.sin(theta), math.cos(theta)
+        a = (self.scale * ct) * self.mzz
+        a2 = a * a
+        a2_max = float(a2.max())
+        gam = np.empty(self.phis.size)
+        unw = np.empty(self.phis.size)
+        sing = np.empty(self.phis.size, dtype=int)
+        for j in range(self.phis.size):
+            # Fall back to from_points where a node is singular or close to
+            # it, where the squares of eps could overflow, or where the
+            # column's unwrap guard tripped.  With R >= 2 R_TOL, eps is far
+            # above the range where its squares underflow.
+            w_max = st * self.rho_max[j]
+            factored = (
+                self.jumps[j] is not None
+                and st * self.rho_min[j] / 2.0 >= 2.0 * R_TOL
+                and w_max * w_max + a2_max < math.inf
+            )
+            try:
+                if factored:
+                    track = self._cell_track(j, st, a, a2)
+                else:
+                    x, y = self._in_plane(j, st)
+                    track = PolarTrack.from_points(np.column_stack([x, y, a]), self.grid)
+                res = gp_closed_form(track, require_pure=self.pure)
+                gam[j] = res.gamma
+                unw[j] = res.gamma_unwrapped
+                sing[j] = res.diagnostics.singular_nodes
+            except IndeterminatePhaseError:
+                gam[j] = unw[j] = math.nan
+                sing[j] = int(np.count_nonzero(track.singular))
+            except ResolutionError as exc:
+                raise ResolutionError(
+                    f"cell theta={theta:.6f}, phi={self.phis[j]:.6f}: {exc}"
+                ) from exc
+        return gam, unw, sing
 
 
 def gp_surface(
@@ -196,7 +278,15 @@ def gp_surface(
     sampling_factor: int = 40,
     threads: int = 1,
 ) -> GpSurface:
-    """Closed-form geometric phase over an angle grid (theta outer, phi inner)."""
+    """Closed-form geometric phase over an angle grid (theta outer, phi inner).
+
+    Each phi column's azimuth is unwrapped once and shared by its theta rows;
+    a cell with a node at R < 2 R_TOL, with eps_plus squares that could
+    overflow, or in a column whose azimuth step reaches the unwrap limit is
+    evaluated by PolarTrack.from_points on its own projected points instead
+    (see the module docstring).  Rows run on `threads` worker threads; the
+    result does not depend on their number.
+    """
     validate_config(config)
     if mode not in SURFACE_MODES:
         raise ConfigError(f"mode must be one of {SURFACE_MODES}")
@@ -207,17 +297,14 @@ def gp_surface(
     else:
         tg = auto_time_grid(config, t, sampling_factor)
     times = tg.times()
-    rot = rotation_matrices(config, times)
+    sweep = _ColumnSweep(rotation_matrices(config, times), grid.phis(), mode, tg)
     thetas = grid.thetas()
-    phis = grid.phis()
     gamma = np.empty((grid.n_theta, grid.n_phi))
     unwrapped = np.empty((grid.n_theta, grid.n_phi))
     singular = np.empty((grid.n_theta, grid.n_phi), dtype=int)
 
     def fill(i: int) -> None:
-        gamma[i], unwrapped[i], singular[i] = _surface_row(
-            float(thetas[i]), phis, rot, mode, tg
-        )
+        gamma[i], unwrapped[i], singular[i] = sweep.row(float(thetas[i]))
 
     if threads == 1:
         for i in range(grid.n_theta):

@@ -11,7 +11,9 @@ with theta_t in [0, pi] and cos(theta_t) = -A / eps_plus.  The track stores
 sin^2(theta_t/2) (`sin2_half`), the only form in which the phase reads the
 polar angle; theta_t itself is derived from it on request.  Nodes with R
 below R_TOL have an indeterminate azimuth; chi is propagated flat across
-them and they are flagged singular.
+them and they are flagged singular.  The unwrap and its guard are
+`unwrap_azimuth`, which the surface sweep also applies to its shared
+azimuth columns.
 
 The geometric phase of the dominant spectral branch is then
 
@@ -111,6 +113,31 @@ def angular_distance(a, b):
     return np.abs(d) if isinstance(d, np.ndarray) else abs(d)
 
 
+def unwrap_azimuth(azimuth: np.ndarray) -> tuple[np.ndarray, int]:
+    """Unwrap a sampled azimuth series; returns (chi, unwrap_jumps).
+
+    Each increment is reduced to [-pi, pi) and chi is their running sum from
+    azimuth[0]; unwrap_jumps counts the increments that needed a 2 pi turn.
+    A reduced increment of magnitude _JUMP_LIMIT or more cannot be told from
+    a turn the other way and raises ResolutionError.
+    """
+    d_raw = np.diff(azimuth)
+    turns = np.floor((d_raw + math.pi) / TWO_PI)
+    d = d_raw - TWO_PI * turns
+    if d.size and np.max(np.abs(d)) >= _JUMP_LIMIT:
+        worst = int(np.argmax(np.abs(d)))
+        raise ResolutionError(
+            "time grid too coarse to unwrap the azimuth: step"
+            f" {worst} -> {worst + 1} swings by {d[worst]:+.6f} rad;"
+            " refine the grid (smaller dt or larger sampling factor)"
+        )
+    chi = np.empty_like(azimuth)
+    chi[0] = azimuth[0]
+    np.cumsum(d, out=chi[1:])
+    chi[1:] += azimuth[0]
+    return chi, int(np.count_nonzero(turns))
+
+
 @dataclass(frozen=True)
 class PolarTrack:
     """Polar-decomposition series of a Bloch trajectory.
@@ -178,21 +205,7 @@ class PolarTrack:
             idx[idx < 0] = first_valid
             filled = raw[idx]
 
-        d_raw = np.diff(filled)
-        turns = np.floor((d_raw + math.pi) / TWO_PI)
-        d = d_raw - TWO_PI * turns
-        if d.size and np.max(np.abs(d)) >= _JUMP_LIMIT:
-            worst = int(np.argmax(np.abs(d)))
-            raise ResolutionError(
-                "time grid too coarse to unwrap the azimuth: step"
-                f" {worst} -> {worst + 1} swings by {d[worst]:+.6f} rad;"
-                " refine the grid (smaller dt or larger sampling factor)"
-            )
-        chi = np.empty_like(filled)
-        chi[0] = filled[0]
-        np.cumsum(d, out=chi[1:])
-        chi[1:] += filled[0]
-
+        chi, jumps = unwrap_azimuth(filled)
         return cls(
             grid=grid,
             A=a,
@@ -201,7 +214,7 @@ class PolarTrack:
             sin2_half=np.clip((1.0 + ratio) / 2.0, 0.0, 1.0),
             eps_plus=eps,
             singular=singular,
-            unwrap_jumps=int(np.count_nonzero(turns)),
+            unwrap_jumps=jumps,
         )
 
 
@@ -245,7 +258,7 @@ def _trapezoid_on_chi(chi: np.ndarray, integrand: np.ndarray) -> float:
 def _track_diagnostics(track: PolarTrack) -> GpDiagnostics:
     return GpDiagnostics(
         n_steps=track.n_steps,
-        singular_nodes=int(track.singular.sum()),
+        singular_nodes=int(np.count_nonzero(track.singular)),
         unwrap_jumps=track.unwrap_jumps,
         lambda_plus_end=(1.0 + float(track.eps_plus[-1])) / 2.0,
     )

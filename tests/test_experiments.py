@@ -9,7 +9,9 @@ from frustra_gp import (
     AngleGrid,
     ConfigError,
     GpSurface,
+    IndeterminatePhaseError,
     InitialStateAngles,
+    PolarTrack,
     ResolutionError,
     SystemConfig,
     TimeGrid,
@@ -19,11 +21,13 @@ from frustra_gp import (
     gp_closed_form,
     gp_surface,
     gp_unitary_reference,
+    literal_points,
     max_sector_freq,
     polar_track,
     strategy_compare,
     verify_suite,
 )
+from frustra_gp.phase import R_TOL
 
 UNITARY_CFG = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
 MIXED_CFG = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
@@ -111,8 +115,13 @@ def test_surface_deterministic_across_threads():
 
 
 def test_surface_resolution_error_names_cell():
-    with pytest.raises(ResolutionError, match="cell theta="):
+    theta, phi = float(SMALL_GRID.thetas()[0]), float(SMALL_GRID.phis()[0])
+    ang = InitialStateAngles(theta=theta, phi=phi)
+    with pytest.raises(ResolutionError) as cell:
+        polar_track(bloch_trajectory(UNITARY_CFG, ang, TimeGrid(0.0, math.pi, 3)))
+    with pytest.raises(ResolutionError) as sweep:
         gp_surface(UNITARY_CFG, SMALL_GRID, math.pi, time_steps=3)
+    assert str(sweep.value) == f"cell theta={theta:.6f}, phi={phi:.6f}: {cell.value}"
 
 
 def test_surface_indeterminate_cells_are_nan():
@@ -132,17 +141,68 @@ def test_surface_indeterminate_cells_are_nan():
     assert [e.missing_cells for e in report.entries] == [4, 4]
 
 
-def test_surface_cells_match_single_trajectory_route():
-    cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=3)
-    grid = AngleGrid(n_theta=5, n_phi=4, theta_min=0.3, theta_max=math.pi - 0.3)
-    surf = gp_surface(cfg, grid, 5.0, time_steps=501)
-    tg = TimeGrid(0.0, 5.0, 501)
-    for i, theta in enumerate(grid.thetas()):
-        for j, phi in enumerate(grid.phis()):
-            ang = InitialStateAngles(theta=float(theta), phi=float(phi))
-            res = gp_closed_form(polar_track(bloch_trajectory(cfg, ang, tg)))
-            assert abs(surf.gamma_unwrapped[i, j] - res.gamma_unwrapped) <= 1e-12
-            assert surf.singular_count[i, j] == res.diagnostics.singular_nodes
+def test_surface_cells_match_single_trajectory_route(monkeypatch):
+    # Every cell against its own trajectory (the literal transcription in
+    # literal mode).  The sweep shares each phi column's azimuth and calls
+    # PolarTrack.from_points only for cells with a node at R < 2 R_TOL.
+    interior = AngleGrid(n_theta=5, n_phi=4, theta_min=0.3, theta_max=math.pi - 0.3)
+    poles = AngleGrid(n_theta=5, n_phi=4, theta_min=0.0, theta_max=math.pi, include_poles=True)
+    near_pole = AngleGrid(
+        n_theta=4, n_phi=4, theta_min=0.0, theta_max=6.6e-12, include_poles=True
+    )
+    cases = [
+        (cfg, grid, mode, 5.0, steps)
+        for cfg, steps in (
+            (SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=3), 501),
+            (SystemConfig(omega=2.0, alpha1=0.4, alpha2=0.4, bath_size=3), 301),
+            (SystemConfig(omega=2.0, alpha1=0.7, alpha2=0.0, bath_size=3), 301),
+            (SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.7, bath_size=2), 301),
+        )
+        for grid in (interior, poles, near_pole)
+        for mode in ("physical", "literal")
+    ]
+    n20 = SystemConfig(omega=2.0, alpha1=0.25, alpha2=0.25, bath_size=20)
+    cases.append((n20, interior, "physical", 5.0, None))
+    from_points = PolarTrack.from_points
+    calls = []
+
+    def spy(cls, points, grid):
+        calls.append(1)
+        return from_points(points, grid)
+
+    margin_only = 0
+    for cfg, grid, mode, t, steps in cases:
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(PolarTrack, "from_points", classmethod(spy))
+            surf = gp_surface(cfg, grid, t, mode=mode, time_steps=steps)
+        tg = TimeGrid(0.0, t, surf.time_steps)
+        deferred = 0
+        for i, theta in enumerate(grid.thetas()):
+            for j, phi in enumerate(grid.phis()):
+                ang = InitialStateAngles(theta=float(theta), phi=float(phi))
+                if mode == "physical":
+                    track = polar_track(bloch_trajectory(cfg, ang, tg))
+                else:
+                    track = PolarTrack.from_points(literal_points(cfg, ang, tg.times()), tg)
+                deferred += track.R.min() < 2.0 * R_TOL
+                margin_only += track.R.min() < 2.0 * R_TOL and not track.singular.any()
+                try:
+                    res = gp_closed_form(track, require_pure=(mode == "physical"))
+                except IndeterminatePhaseError:
+                    assert np.isnan(surf.gamma[i, j]) and np.isnan(surf.gamma_unwrapped[i, j])
+                    singular = int(np.count_nonzero(track.singular))
+                else:
+                    assert abs(surf.gamma_unwrapped[i, j] - res.gamma_unwrapped) <= 1e-12
+                    singular = res.diagnostics.singular_nodes
+                assert surf.singular_count[i, j] == singular
+        assert len(calls) == deferred, (cfg, grid, mode)
+        if grid is interior:
+            assert deferred == 0
+        else:
+            assert deferred >= 2 * grid.n_phi
+    # Some near-pole cells defer on the 2 R_TOL margin alone.
+    assert margin_only > 0
 
 
 def test_gp_surface_validation():
