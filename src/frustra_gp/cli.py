@@ -637,10 +637,16 @@ def _cmd_surface(p: dict, run_cfg: RunConfig) -> int:
     return 0
 
 
+def _coupling_text(value: float) -> str:
+    """Shortest text that reads back as value, integral values without '.0'."""
+    text = repr(float(value))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def _cmd_compare(p: dict, run_cfg: RunConfig) -> int:
     pairs = []
     for a1, a2 in p["couplings"]:
-        label = f"alpha1={a1:g} alpha2={a2:g}"
+        label = f"alpha1={_coupling_text(a1)} alpha2={_coupling_text(a2)}"
         pairs.append(
             (
                 label,

@@ -29,14 +29,15 @@ its coefficient row, so folded sectors with exactly equal Gamma^2 are
 merged into one row (at N = 48 with alpha1 = alpha2 that takes 625 rows to
 273; with alpha2 = 0 only the m1 ladder is left).
 
-Two routes evaluate the sum.  On a uniform grid (times bit for bit equal to
-np.linspace of their ends, which every TimeGrid gives) cos and sin are taken
-only at anchors every K ~ sqrt(n) nodes and at the K offsets of one block,
-and angle addition turns them into every node with one small matrix product
-per anchor; a first-order term puts each node on its exact float time.  Any
-other times, a single time included, take cos and sin at every node.  Both
-work in chunks whose size is a fixed element budget, so temporary memory
-does not grow with the number of times.
+One route evaluates the sum: cos and sin are taken only at anchors every K
+nodes and at the K offsets of one block, and angle addition turns them into
+every node with one small matrix product per anchor; a first-order term
+puts each node on its exact float time.  On a uniform grid (times bit for
+bit equal to np.linspace of their ends, which every TimeGrid gives)
+K = floor(sqrt(n)); any other times, a single time included, take K = 1,
+where every node is its own anchor.  The sectors are summed in column
+chunks whose size is a fixed element budget, so K does not shrink as the
+sector count grows and temporary memory grows with neither S nor n.
 
 `literal_polarizations` additionally evaluates an alternate transcription of
 the same sector sum that carries a -1 / 2^(2N+1) prefactor and a reflected
@@ -147,12 +148,14 @@ def sector_rotation(
     return BlochVector.from_array(rotated)
 
 
-# Budget of (time rows x merged sectors) per chunk.  The phase block and
-# the [1 - cos | sin] block of one chunk take 3 * 8 * 2^15 B = 768 KiB,
-# which stays inside a per-core L2 cache.  While S <= 2^15 it also keeps
-# every matrix product at 8 * 2^15 = 2^18 multiply-adds or fewer, the most
-# OpenBLAS runs on one thread: a product it splits over threads rounds
-# differently with each thread count, and the output bytes would follow.
+# Budget of elements per chunk.  The sectors are taken in column chunks of
+# c <= _CHUNK_ELEMENTS // (2K), so the (2c, K) offset block of a chunk holds
+# at most _CHUNK_ELEMENTS elements and every (8, 2c) x (2c, K) product at
+# most 8 * _CHUNK_ELEMENTS = 2^18 multiply-adds, the most OpenBLAS runs on
+# one thread: a product it splits over threads rounds differently with each
+# thread count, and the output bytes would follow.  The anchors of a chunk
+# are taken in groups that keep the coefficient table near the same budget,
+# so no temporary grows with S K or S n.
 _CHUNK_ELEMENTS = 1 << 15
 
 
@@ -160,14 +163,14 @@ _CHUNK_ELEMENTS = 1 << 15
 def _sector_tables(config: SystemConfig):
     """Sector sum folded onto the m1, m2 >= 0 quadrant, equal Gamma merged.
 
-    Returns (total, gammas, table): total is the summed weight (1 up to
+    Returns (total, gammas, p, q, lift): total is the summed weight (1 up to
     rounding), gammas (S,) the distinct frequencies in ascending order, and
-    table (2S, 4) the coefficients that turn [1 - cos(Gamma t) | sin(Gamma t)]
-    rows into the four reductions rotation_matrices needs.  Each |m| > 0
-    stands for the pair +-m and carries twice its ladder weight.  The map
-    sees a sector only through Gamma and its table row, so the rows of
-    sectors whose Gamma^2 is exactly equal are summed into one: swapped
-    (m1, m2) when alpha1 = alpha2, every m2 when alpha2 = 0.
+    p, q (4, S) and lift (8,) the coefficients _sums_by_anchors applies to
+    1 - cos(Gamma t) and sin(Gamma t).  Each |m| > 0 stands for the pair +-m
+    and carries twice its ladder weight.  The map sees a sector only through
+    Gamma and its coefficients, so the rows of sectors whose Gamma^2 is
+    exactly equal are summed into one: swapped (m1, m2) when
+    alpha1 = alpha2, every m2 when alpha2 = 0.
     """
     ladder = [s for s in sector_weights(config.bath_size) if s.m >= 0.0]
     m = np.array([s.m for s in ladder])
@@ -177,8 +180,7 @@ def _sector_tables(config: SystemConfig):
     bz2 = config.omega**2
     gammas2 = bx2 + by2 + bz2
     weights = np.repeat(w, w.size) * np.tile(w, w.size)
-    # w (1 - n_i^2) for i = x, y, z against the 1 - cos block, then w n_z
-    # against the sin block.
+    # w (1 - n_i^2) for i = x, y, z against 1 - cos, then w n_z against sin.
     rows = np.column_stack([
         weights * ((by2 + bz2) / gammas2),
         weights * ((bx2 + bz2) / gammas2),
@@ -188,66 +190,8 @@ def _sector_tables(config: SystemConfig):
     distinct2, sector = np.unique(gammas2, return_inverse=True)
     merged = np.zeros((distinct2.size, 4))
     np.add.at(merged, sector, rows)
-    s = distinct2.size
     gammas = np.sqrt(distinct2)
-    table = np.zeros((2 * s, 4))
-    table[:s, :3] = merged[:, :3]
-    table[s:, 3] = merged[:, 3]
-    for arr in (gammas, table):
-        arr.setflags(write=False)
-    return float(weights.sum()), gammas, table
-
-
-def _sums_per_node(gammas, table, times, out) -> None:
-    """Fill out (n, 4) with [1 - cos | sin](Gamma t) @ table, trig at every node."""
-    s = gammas.size
-    rows = max(1, _CHUNK_ELEMENTS // s)
-    phases = np.empty((rows, s))
-    trig = np.empty((rows, 2 * s))
-    for lo in range(0, times.size, rows):
-        k = min(rows, times.size - lo)
-        ph, tr = phases[:k], trig[:k]
-        np.multiply.outer(times[lo : lo + k], gammas, out=ph)
-        np.cos(ph, out=tr[:, :s])
-        np.subtract(1.0, tr[:, :s], out=tr[:, :s])
-        np.sin(ph, out=tr[:, s:])
-        np.matmul(tr, table, out=out[lo : lo + k])
-
-
-def _offsets_per_anchor(times: np.ndarray, s: int) -> int:
-    """Block length K of the two-level route, or 0 where it does not apply.
-
-    The route needs times to be bit for bit np.linspace(times[0], times[-1],
-    n).  K is about sqrt(n), clamped so the (K, 2S) offset block stays
-    inside _CHUNK_ELEMENTS; at K = 1 every node would be an anchor, so the
-    per-node route is used instead.
-    """
-    k = min(math.isqrt(times.size), _CHUNK_ELEMENTS // (2 * s))
-    if k < 2 or not np.array_equal(
-        times, np.linspace(times[0], times[-1], times.size)
-    ):
-        return 0
-    return k
-
-
-def _sums_by_anchors(gammas, table, times, k, out) -> None:
-    """_sums_per_node on a uniform grid, by angle addition in blocks of k nodes.
-
-    Node j = lo + b is the anchor a = times[lo] plus the offset o = b dt plus
-    a residual r = times[j] - a - o of a few ulp.  With
-
-        1 - cos(a + o) = (1 - cos a) + cos a (1 - cos o) + sin a sin o
-        sin(a + o)     = sin a - sin a (1 - cos o) + cos a sin o
-
-    one [1 - cos | sin] block of the offsets, computed once, serves every
-    anchor through a coefficient table with the anchor's cos and sin folded
-    in.  The table has eight columns: the four sums at a + o and their time
-    derivatives, which move each node by r onto times[j].  Each block
-    restarts from the actual times[lo], so rounding does not build up from
-    block to block.
-    """
-    s = gammas.size
-    wc, wz = table[:s, :3], table[s:, 3]
+    wc, wz = merged[:, :3], merged[:, 3]
     # Coefficients against 1 - cos (p) and against sin (q).  Rows of p: the
     # x, y, z sums and d/dt of the xy sum; rows of q: the xy sum and d/dt of
     # the x, y, z sums.  d/dt [1 - cos | sin](Gamma t) = Gamma [sin | cos],
@@ -256,39 +200,89 @@ def _sums_by_anchors(gammas, table, times, k, out) -> None:
     q = np.column_stack([wz, gammas[:, None] * wc]).T
     lift = np.zeros(8)
     lift[3] = np.sum(gammas * wz)
-    dt = (times[-1] - times[0]) / (times.size - 1)
+    for arr in (gammas, p, q, lift):
+        arr.setflags(write=False)
+    return float(weights.sum()), gammas, p, q, lift
+
+
+def _offsets_per_anchor(times: np.ndarray) -> int:
+    """Block length K of _sums_by_anchors: floor(sqrt(n)) on a uniform grid.
+
+    Angle addition from anchors needs times to be bit for bit
+    np.linspace(times[0], times[-1], n).  Any other times, and fewer than 4
+    of them, take K = 1: every node is its own anchor.
+    """
+    if times.size >= 4 and np.array_equal(
+        times, np.linspace(times[0], times[-1], times.size)
+    ):
+        return math.isqrt(times.size)
+    return 1
+
+
+def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
+    """The x, y, z and xy sector sums at times, shape (4, n), in blocks of k nodes.
+
+    Node j = lo + b is the anchor a = times[lo] plus the offset o = b dt plus
+    a residual r = times[j] - a - o of a few ulp.  With
+
+        1 - cos(a + o) = (1 - cos a) + cos a (1 - cos o) + sin a sin o
+        sin(a + o)     = sin a - sin a (1 - cos o) + cos a sin o
+
+    one [1 - cos | sin] block of the offsets, computed once per sector
+    chunk, serves every anchor through a coefficient table with the
+    anchor's cos and sin folded in.  The table has eight columns: the four
+    sums at a + o and their time derivatives, which move each node by r
+    onto times[j].  Each block restarts from the actual times[lo], so
+    rounding does not build up from block to block.  At k = 1 the offset
+    block is all zeros and its products are skipped.
+    """
+    dt = (times[-1] - times[0]) / (times.size - 1) if k > 1 else 0.0
     offsets = np.arange(k) * dt
-    ph = np.multiply.outer(offsets, gammas)
-    block_t = np.concatenate([1.0 - np.cos(ph), np.sin(ph)], axis=1).T
     # Times padded to whole blocks; the padded nodes are computed and dropped.
-    padded = np.empty(-(-times.size // k) * k)
-    padded[: times.size] = times
-    padded[times.size :] = times[-1]
-    # Anchors per chunk: the (anchors, 8, 2S) table and the (anchors, 8, k)
-    # sums then hold at most _CHUNK_ELEMENTS / 2 elements together, unless
-    # one anchor alone needs more.
-    group = max(1, _CHUNK_ELEMENTS // (32 * (s + k)))
-    for lo in range(0, times.size, group * k):
-        seg = padded[lo : lo + group * k].reshape(-1, k)
-        g = seg.shape[0]
-        ph = np.multiply.outer(seg[:, 0], gammas)
-        c, sn = np.cos(ph)[:, None, :], np.sin(ph)[:, None, :]
-        coef = np.empty((g, 8, 2 * s))
-        np.multiply(p, c, out=coef[:, :4, :s])
-        np.multiply(p, sn, out=coef[:, :4, s:])
-        np.multiply(q, -sn, out=coef[:, 4:, :s])
-        np.multiply(q, c, out=coef[:, 4:, s:])
-        # One (8, 2S) x (2S, k) product per anchor, each small enough that
-        # OpenBLAS keeps it on one thread (see _CHUNK_ELEMENTS).
-        sums = np.matmul(coef, block_t)
-        # each anchor's own sums, the offset-0 row of the identity above
-        at_anchor = np.concatenate([(1.0 - c) @ p.T, sn @ q.T], axis=2)
-        sums += at_anchor.transpose(0, 2, 1) + lift[:, None]
-        # the x, y, z, xy sums moved by r along their derivatives
-        r = (seg - seg[:, :1]) - offsets
-        fixed = sums[:, [0, 1, 2, 4]] + r[:, None, :] * sums[:, [5, 6, 7, 3]]
-        rows = min(g * k, times.size - lo)
-        out[lo : lo + rows] = fixed.transpose(0, 2, 1).reshape(g * k, 4)[:rows]
+    seg = np.append(times, np.repeat(times[-1:], -times.size % k)).reshape(-1, k)
+    sums = np.empty((seg.shape[0], 8, k))
+    sums[...] = lift[:, None]
+    width = max(1, _CHUNK_ELEMENTS // (2 * k))
+    for lo in range(0, gammas.size, width):
+        gam = gammas[lo : lo + width]
+        pc, qc = p[:, lo : lo + width], q[:, lo : lo + width]
+        c = gam.size
+        if k > 1:
+            # [1 - cos | sin] of the offset phases, built in place
+            block = np.empty((k, 2 * c))
+            np.multiply.outer(offsets, gam, out=block[:, c:])
+            np.cos(block[:, c:], out=block[:, :c])
+            np.sin(block[:, c:], out=block[:, c:])
+            np.subtract(1.0, block[:, :c], out=block[:, :c])
+            block_t = block.T
+        # Anchors per group: the (anchors, 8, 2c) table and the (anchors, 8, k)
+        # sums then hold at most _CHUNK_ELEMENTS / 2 elements together, unless
+        # one anchor alone needs more.  At k = 1 there is no table, and the
+        # (anchors, c) phases, cos, sin and 1 - cos get the whole budget.
+        group = max(1, _CHUNK_ELEMENTS // (32 * (c + k) if k > 1 else 4 * c))
+        for a in range(0, seg.shape[0], group):
+            part = sums[a : a + group]
+            ph = np.multiply.outer(seg[a : a + group, 0], gam)
+            cs, sn = np.cos(ph)[:, None, :], np.sin(ph)[:, None, :]
+            # each anchor's own sums, the offset-0 row of the identity above
+            at_anchor = np.concatenate([(1.0 - cs) @ pc.T, sn @ qc.T], axis=2)
+            part += at_anchor.transpose(0, 2, 1)
+            if k > 1:
+                coef = np.empty((part.shape[0], 8, 2 * c))
+                np.multiply(pc, cs, out=coef[:, :4, :c])
+                np.multiply(pc, sn, out=coef[:, :4, c:])
+                np.multiply(qc, -sn, out=coef[:, 4:, :c])
+                np.multiply(qc, cs, out=coef[:, 4:, c:])
+                # One (8, 2c) x (2c, k) product per anchor, each small enough
+                # that OpenBLAS keeps it on one thread (see _CHUNK_ELEMENTS).
+                part += np.matmul(coef, block_t)
+    # the x, y, z, xy sums moved by r along their derivatives
+    r = (seg - seg[:, :1]) - offsets
+    xyz, xy = sums[:, :3], sums[:, 4]
+    xyz += r[:, None, :] * sums[:, 5:]
+    xy += r * sums[:, 3]
+    fixed = np.stack([sums[:, i] for i in (0, 1, 2, 4)])
+    return fixed.reshape(4, -1)[:, : times.size]
 
 
 def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
@@ -302,35 +296,26 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
         M_xy = -M_yx = -sum w s n_z
 
     The sums run over the S distinct frequencies of _sector_tables (folded
-    quadrant, equal Gamma merged).  Two routes evaluate them:
-
-    - times bit for bit equal to np.linspace(times[0], times[-1], n), as
-      every TimeGrid gives: angle addition from anchors every K ~ sqrt(n)
-      nodes, so cos and sin are taken at n/K anchors and K offsets instead
-      of at all n nodes (_sums_by_anchors);
-    - any other times, a single time included, or K < 2 because S is
-      large: cos and sin at every node, in chunks of _CHUNK_ELEMENTS // S
-      rows (_sums_per_node).
-
-    The routes agree to about the rounding of Gamma t (5.7e-14 at
-    Gamma t = 500).  Either way the temporaries stay near
-    24 * _CHUNK_ELEMENTS bytes (one row when S alone exceeds it), so memory
-    beyond the result is independent of the number of times.
+    quadrant, equal Gamma merged), by angle addition from anchors every K
+    nodes (_sums_by_anchors).  On times bit for bit equal to
+    np.linspace(times[0], times[-1], n), as every TimeGrid gives,
+    K = floor(sqrt(n)), so cos and sin are taken at n/K anchors and K
+    offsets instead of at all n nodes; any other times, a single time
+    included, take K = 1 and cos and sin at every node.  The two agree to
+    about the rounding of Gamma t (5.7e-14 at Gamma t = 500).  The sectors
+    are summed in column chunks, so memory beyond the (n, 8) sums is a few
+    times 8 * _CHUNK_ELEMENTS bytes at any S and n (more only when one
+    anchor alone needs more).
     """
     validate_config(config)
     times = np.asarray(times, dtype=float).reshape(-1)
-    total, gammas, table = _sector_tables(config)
-    sums = np.empty((times.size, 4))
-    k = _offsets_per_anchor(times, gammas.size)
-    if k:
-        _sums_by_anchors(gammas, table, times, k, sums)
-    else:
-        _sums_per_node(gammas, table, times, sums)
+    total, *tables = _sector_tables(config)
+    sums = _sums_by_anchors(times, _offsets_per_anchor(times), *tables)
     out = np.zeros((times.size, 3, 3))
     for i in range(3):
-        out[:, i, i] = total - sums[:, i]
-    out[:, 0, 1] = -sums[:, 3]
-    out[:, 1, 0] = sums[:, 3]
+        out[:, i, i] = total - sums[i]
+    out[:, 0, 1] = -sums[3]
+    out[:, 1, 0] = sums[3]
     return out
 
 

@@ -13,10 +13,12 @@ series, and a polarization A = scale cos(theta) M_zz(t) shared by its row.
 The column's azimuth chi, its unwrap and the unwrap guard are therefore
 computed once per column (phase.unwrap_azimuth).  From the column norm
 rho a cell computes only R = sin(theta) rho / 2,
-eps_plus = sqrt((sin(theta) rho)^2 + A^2) and sin2_half.  A cell falls back to PolarTrack.from_points on its own projected points when
-sin(theta) min(rho) / 2 < 2 R_TOL (a node singular or close to it), when
-the squares of eps_plus could overflow, or when its column's azimuth step
-reaches the unwrap limit.  NaN cells, singular counts and the
+eps_plus = sqrt((sin(theta) rho)^2 + A^2) and sin2_half.  A cell falls back
+to PolarTrack.from_points on its own projected points when
+sin(theta) min(rho) / 2 < 2 R_TOL (a node singular or close to it) or when
+its column's azimuth step reaches the unwrap limit.  The map is a
+contraction and |scale| <= 1, so rho and |A| are at most about 1 and the
+squares in eps_plus cannot overflow.  NaN cells, singular counts and the
 ResolutionError text are thus those of the per-cell route; values move
 from it by the rounding of the scaled series (about 1e-13 or less).
 
@@ -200,7 +202,6 @@ class _ColumnSweep:
                 jumps = None
             self.jumps.append(jumps)
         self.rho_min = self.rho.min(axis=1).tolist()
-        self.rho_max = self.rho.max(axis=1).tolist()
 
     def _in_plane(self, j: int, st: float) -> tuple[np.ndarray, np.ndarray]:
         """x and y series of the start st * (ux[j], uy[j]) under the map."""
@@ -234,20 +235,17 @@ class _ColumnSweep:
         st, ct = math.sin(theta), math.cos(theta)
         a = (self.scale * ct) * self.mzz
         a2 = a * a
-        a2_max = float(a2.max())
         gam = np.empty(self.phis.size)
         unw = np.empty(self.phis.size)
         sing = np.empty(self.phis.size, dtype=int)
         for j in range(self.phis.size):
             # Fall back to from_points where a node is singular or close to
-            # it, where the squares of eps could overflow, or where the
-            # column's unwrap guard tripped.  With R >= 2 R_TOL, eps is far
-            # above the range where its squares underflow.
-            w_max = st * self.rho_max[j]
+            # it, or where the column's unwrap guard tripped.  With
+            # R >= 2 R_TOL, eps is far above the range where its squares
+            # underflow.
             factored = (
                 self.jumps[j] is not None
                 and st * self.rho_min[j] / 2.0 >= 2.0 * R_TOL
-                and w_max * w_max + a2_max < math.inf
             )
             try:
                 if factored:
@@ -281,11 +279,10 @@ def gp_surface(
     """Closed-form geometric phase over an angle grid (theta outer, phi inner).
 
     Each phi column's azimuth is unwrapped once and shared by its theta rows;
-    a cell with a node at R < 2 R_TOL, with eps_plus squares that could
-    overflow, or in a column whose azimuth step reaches the unwrap limit is
-    evaluated by PolarTrack.from_points on its own projected points instead
-    (see the module docstring).  Rows run on `threads` worker threads; the
-    result does not depend on their number.
+    a cell with a node at R < 2 R_TOL, or in a column whose azimuth step
+    reaches the unwrap limit, is evaluated by PolarTrack.from_points on its
+    own projected points instead (see the module docstring).  Rows run on
+    `threads` worker threads; the result does not depend on their number.
     """
     validate_config(config)
     if mode not in SURFACE_MODES:

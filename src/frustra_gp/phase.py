@@ -143,7 +143,7 @@ class PolarTrack:
     """Polar-decomposition series of a Bloch trajectory.
 
     chi is unwrapped (consecutive increments lie strictly inside (-pi, pi));
-    sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2, clipped to [0, 1];
+    sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1];
     singular marks nodes whose azimuth was propagated from a neighbor.
     """
 

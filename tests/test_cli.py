@@ -339,6 +339,29 @@ def test_compare_json_report(tmp_path):
     assert payload["time_steps"] == [201, 201]
 
 
+def test_compare_labels_couplings_that_agree_to_six_digits(tmp_path):
+    # 0.1234567 and 0.1234568 share their first six significant digits;
+    # each label keeps the shortest text that reads back as its coupling
+    out = tmp_path / "report.json"
+    args = [
+        "compare",
+        "--bath-size", "2",
+        "--t-end", "2",
+        "--n-theta", "3",
+        "--n-phi", "3",
+        "--couplings", "0.1234567,0;0.1234568,0;1e-07,2.5",
+        "--format", "json",
+        "--out", str(out),
+    ]
+    assert run(args) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload["ranking"]) == {
+        "alpha1=0.1234567 alpha2=0",
+        "alpha1=0.1234568 alpha2=0",
+        "alpha1=1e-07 alpha2=2.5",
+    }
+
+
 def test_compare_rejects_single_coupling(capsys):
     assert run(["compare", "--bath-size", "1", "--couplings", "1,0"]) == 1
     assert "at least two" in capsys.readouterr().err
@@ -425,8 +448,9 @@ def test_gp_n48_output_bytes_ignore_blas_threads():
 def test_gp_n100_output_bytes_ignore_blas_threads():
     # 11273 nodes, past the 10^4 beyond which OpenBLAS splits a dot product
     # over its threads (a BLAS dot in the phase quadrature changes the last
-    # digit here), and 1031 distinct Gamma, so the rotation map runs one
-    # (8, 2062) x (2062, 15) product per anchor block.
+    # digit here), and 1031 distinct Gamma, so the rotation map runs blocks
+    # of K = 106 nodes over 7 sector chunks, each product at most
+    # (8, 308) x (308, 106).
     args = [a if a != "48" else "100" for a in GP_N48_ARGS]
     one = _module_run(args, OPENBLAS_NUM_THREADS="1")
     two = _module_run(args, OPENBLAS_NUM_THREADS="2")

@@ -8,10 +8,11 @@ Oracles used here, independent of the implementation under test:
   sums sector_rotation results with math.fsum weighting, also at the
   headline bath sizes N = 20 and 48;
 - the folded rotation map is property-tested against the unfolded
-  (S, 3, 3) full-sector formula, written out inside this file, on both of
-  its routes: arbitrary times (trig at every node) and uniform grids
-  (angle addition from anchors), the latter also against single-time calls
-  on a long grid;
+  (S, 3, 3) full-sector formula, written out inside this file, at both of
+  its block lengths: arbitrary times (K = 1, every node its own anchor)
+  and uniform grids (K ~ sqrt(n) nodes per anchor), the latter also against
+  single-time calls on long grids, one of them summed in many sector
+  chunks;
 - the verbatim polarization transcription is cross-checked against the
   rotation-sum identity it must equal.
 """
@@ -278,9 +279,8 @@ _coupling_pairs = st.one_of(
 def test_uniform_grid_rotation_map_properties(omega, pair, bath_size, t_start, span, n):
     cfg = SystemConfig(omega=omega, alpha1=pair[0], alpha2=pair[1], bath_size=bath_size)
     times = np.linspace(t_start, t_start + span, n)
-    s = dynamics._sector_tables(cfg)[1].size
-    # every grid of 4 or more nodes takes the anchored route here
-    assert (dynamics._offsets_per_anchor(times, s) >= 2) == (n >= 4)
+    # every grid of 4 or more nodes runs blocks of K >= 2 nodes per anchor
+    assert (dynamics._offsets_per_anchor(times) >= 2) == (n >= 4)
     mats = rotation_matrices(cfg, times)
     for i, j in [(0, 2), (1, 2), (2, 0), (2, 1)]:
         assert np.all(mats[:, i, j] == 0.0)
@@ -291,18 +291,27 @@ def test_uniform_grid_rotation_map_properties(omega, pair, bath_size, t_start, s
     assert np.max(np.abs(mats - _unfolded_rotation_matrices(cfg, times))) <= 1e-13
 
 
-def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch):
-    # N = 200 with one bath on the auto grid to t = 50: 101 distinct Gamma,
-    # 31839 nodes, about 200 anchor blocks
-    cfg = SystemConfig(omega=2.0, alpha1=1.0, alpha2=0.0, bath_size=200)
+@pytest.mark.parametrize(
+    "alpha1, alpha2, n_nodes",
+    [
+        # one bath: 101 distinct Gamma in one sector chunk, about 180 blocks
+        (1.0, 0.0, 31839),
+        # split budget: 3737 distinct Gamma in 25 sector chunks of 154
+        (0.25, 0.25, 11273),
+    ],
+    ids=["one-bath", "split"],
+)
+def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch, alpha1, alpha2, n_nodes):
+    # N = 200 on the auto grid to t = 50
+    cfg = SystemConfig(omega=2.0, alpha1=alpha1, alpha2=alpha2, bath_size=200)
     times = auto_time_grid(cfg, 50.0).times()
-    assert times.size == 31839
+    assert times.size == n_nodes
     blocks = []
     anchored = dynamics._sums_by_anchors
 
-    def spy(gammas, table, t, k, out):
+    def spy(t, k, *tables):
         blocks.append(k)
-        anchored(gammas, table, t, k, out)
+        return anchored(t, k, *tables)
 
     monkeypatch.setattr(dynamics, "_sums_by_anchors", spy)
     mats = rotation_matrices(cfg, times)
@@ -313,26 +322,38 @@ def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch):
     for j in picks:
         single = rotation_matrices(cfg, times[j : j + 1])
         assert np.max(np.abs(mats[j] - single[0])) <= 1e-13
-    # one node moved by one ulp: no longer a linspace, so trig at every node
+    # one node moved by one ulp: no longer a linspace, so every node is
+    # its own anchor
     nudged = times.copy()
     nudged[times.size // 2] = np.nextafter(nudged[times.size // 2], np.inf)
     per_node = rotation_matrices(cfg, nudged)
-    assert len(blocks) == 1
+    assert blocks[-1] == 1
     assert np.max(np.abs(per_node - mats)) <= 1e-13
 
 
-def test_rotation_matrices_peak_memory_is_bounded():
-    # N = 48 to t = 50 on the auto grid: 5441 nodes against 625 folded
-    # sectors (273 distinct Gamma); the unfolded map peaked near 500 MB here
-    cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48)
-    times = np.linspace(0.0, 50.0, 5441)
+@pytest.mark.parametrize(
+    "bath_size, alpha1, alpha2, t_end, n_nodes",
+    [
+        # the auto grid to t = 50: 5441 nodes against 625 folded sectors
+        # (273 distinct Gamma); the unfolded map peaked near 500 MB here
+        (48, 0.5, 0.5, 50.0, 5441),
+        # the auto grid to t = 5: blocks of 47 nodes against 34623 distinct
+        # Gamma in 100 sector chunks; building every chunk's offset block
+        # up front peaks near 28 MB here
+        (400, 0.3, 0.2, 5.0, 2298),
+    ],
+    ids=["n48", "n400"],
+)
+def test_rotation_matrices_peak_memory_is_bounded(bath_size, alpha1, alpha2, t_end, n_nodes):
+    cfg = SystemConfig(omega=2.0, alpha1=alpha1, alpha2=alpha2, bath_size=bath_size)
+    times = np.linspace(0.0, t_end, n_nodes)
     tracemalloc.start()
     try:
         mats = rotation_matrices(cfg, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mats.shape == (5441, 3, 3)
+    assert mats.shape == (n_nodes, 3, 3)
     assert peak < 16 * 2**20
 
 
