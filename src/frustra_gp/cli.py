@@ -10,7 +10,11 @@ File config: flat `key=value` lines, `#` comments, keys identical to the
 long flag names; explicit flags override file values which override
 defaults.  Reals serialize with 17 significant digits so parsing the output
 reproduces every double bit-exactly; CSV uses `\n` line endings and prints
-missing cells as `nan` (JSON mirrors the same rows with null).  Angle inputs
+missing cells as `nan`.  Every handler hands its result to one emit path
+(`_emit`): the CSV or text writer for `--out`, or, under `--format json`,
+the same rows as one JSON line.  All JSON output, the `verify` report
+included, is strict: a non-finite value (an indeterminate cell, an empty
+`compare` entry, an infinite check measure) is written as null.  Angle inputs
 are radians.  The env var FRUSTRA_GP_THREADS (positive integer) caps worker
 parallelism; output bytes never depend on the thread count.
 """
@@ -88,10 +92,6 @@ def _conv_pos_int(text: str) -> int:
     return value
 
 
-def _conv_int(text: str) -> int:
-    return int(text)
-
-
 def _conv_steps(text: str):
     if text == "auto":
         return None
@@ -123,10 +123,6 @@ def _conv_couplings(text: str) -> tuple:
     return tuple(pairs)
 
 
-def _conv_str(text: str) -> str:
-    return text
-
-
 _CONVERTERS = {
     "omega": _conv_float,
     "alpha1": _conv_float,
@@ -145,8 +141,8 @@ _CONVERTERS = {
     "method": _conv_choice(*_GP_METHODS),
     "metric": _conv_choice(*COMPARE_METRICS),
     "couplings": _conv_couplings,
-    "seed": _conv_int,
-    "out": _conv_str,
+    "seed": int,
+    "out": str,
 }
 
 # per-subcommand defaults; None marks a required key
@@ -210,19 +206,12 @@ _DEFAULTS: dict[str, dict[str, str | None]] = {
     "verify": {"seed": "20260814", "out": "verify_report.json"},
 }
 
-_FORMAT_CHOICES = {
-    "bloch": ("csv", "json"),
-    "gp": ("text", "json"),
-    "surface": ("csv", "json"),
-    "compare": ("csv", "json"),
-}
-
 SUBCOMMANDS = tuple(_DEFAULTS)
 
 
 def _converter_for(subcommand: str, key: str):
     if key == "format":
-        return _conv_choice(*_FORMAT_CHOICES[subcommand])
+        return _conv_choice(_DEFAULTS[subcommand]["format"], "json")
     return _CONVERTERS[key]
 
 
@@ -254,8 +243,14 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_config_text(text: str):
-    """Yield (lineno, key, value) triples; malformed lines raise ConfigError."""
+def _default_config(subcommand: str) -> RunConfig:
+    """The subcommand's defaults, each with provenance 'default'."""
+    values = dict(_DEFAULTS[subcommand])
+    return RunConfig(subcommand, values, {key: "default" for key in values})
+
+
+def _parse_config_text(text: str) -> list:
+    """Return (lineno, key, value) triples; malformed lines raise ConfigError."""
     triples = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -308,12 +303,11 @@ def load_config(path, subcommand: str | None = None) -> RunConfig:
             "config file does not declare a subcommand and none was supplied"
         )
 
-    values = dict(_DEFAULTS[sub])
-    provenance = {key: "default" for key in values}
+    cfg = _default_config(sub)
     for lineno, key, value in triples:
         if key == "subcommand":
             continue
-        if key not in values:
+        if key not in cfg.values:
             raise ConfigError(
                 f"line {lineno}: unknown key '{key}' for subcommand '{sub}'"
             )
@@ -323,9 +317,9 @@ def load_config(path, subcommand: str | None = None) -> RunConfig:
             raise ConfigError(
                 f"line {lineno}: invalid value for {key}: '{value}' ({exc})"
             ) from exc
-        values[key] = value
-        provenance[key] = "file"
-    return RunConfig(subcommand=sub, values=values, provenance=provenance)
+        cfg.values[key] = value
+        cfg.provenance[key] = "file"
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +397,7 @@ def _resolve(namespace: argparse.Namespace) -> RunConfig:
     if namespace.config is not None:
         cfg = load_config(namespace.config, subcommand=sub)
     else:
-        values = dict(_DEFAULTS[sub])
-        cfg = RunConfig(
-            subcommand=sub,
-            values=values,
-            provenance={key: "default" for key in values},
-        )
+        cfg = _default_config(sub)
     for key in _DEFAULTS[sub]:
         flag_value = getattr(namespace, key.replace("-", "_"))
         if flag_value is not None:
@@ -455,6 +444,22 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _strict(value):
+    """`value` with every non-finite float replaced by None (strict JSON)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
+def _json(payload, indent: int | None = None) -> str:
+    """The one JSON encoding of the CLI: strict JSON plus a newline."""
+    return json.dumps(_strict(payload), indent=indent, allow_nan=False) + "\n"
+
+
 def _write_lines(sink, header: str, rows) -> int:
     """Write `header`, then each row, to `sink`; returns the UTF-8 bytes written."""
     written = 0
@@ -464,45 +469,37 @@ def _write_lines(sink, header: str, rows) -> int:
     return written
 
 
+def _surface_rows(surface: GpSurface):
+    """(theta, phi, gamma, gamma_unwrapped, singular_count) per cell, theta outer."""
+    cells = itertools.product(surface.grid.thetas().tolist(), surface.grid.phis().tolist())
+    values = zip(
+        surface.gamma.ravel().tolist(),
+        surface.gamma_unwrapped.ravel().tolist(),
+        surface.singular_count.ravel().tolist(),
+    )
+    return (cell + value for cell, value in zip(cells, values))
+
+
 def write_surface_csv(surface: GpSurface, sink) -> int:
     """Emit the canonical CSV (theta outer, phi inner); returns bytes written."""
-    thetas = surface.grid.thetas()
-    phis = surface.grid.phis()
     rows = (
-        f"{_fmt(thetas[i])},{_fmt(phis[j])},{_fmt(surface.gamma[i, j])},"
-        f"{_fmt(surface.gamma_unwrapped[i, j])},"
-        f"{int(surface.singular_count[i, j])}\n"
-        for i in range(surface.grid.n_theta)
-        for j in range(surface.grid.n_phi)
+        f"{_fmt(theta)},{_fmt(phi)},{_fmt(gp)},{_fmt(unw)},{sing}\n"
+        for theta, phi, gp, unw, sing in _surface_rows(surface)
     )
     return _write_lines(sink, SURFACE_CSV_HEADER + "\n", rows)
 
 
 def surface_to_json(surface: GpSurface) -> dict:
     """Row-for-row JSON mirror of the CSV; missing cells become null."""
-    thetas = surface.grid.thetas()
-    phis = surface.grid.phis()
-    rows = []
-    for i in range(surface.grid.n_theta):
-        for j in range(surface.grid.n_phi):
-            gp = float(surface.gamma[i, j])
-            unw = float(surface.gamma_unwrapped[i, j])
-            rows.append(
-                [
-                    float(thetas[i]),
-                    float(phis[j]),
-                    None if math.isnan(gp) else gp,
-                    None if math.isnan(unw) else unw,
-                    int(surface.singular_count[i, j]),
-                ]
-            )
-    return {
-        "columns": SURFACE_CSV_HEADER.split(","),
-        "mode": surface.mode,
-        "t": surface.t,
-        "time_steps": surface.time_steps,
-        "rows": rows,
-    }
+    return _strict(
+        {
+            "columns": SURFACE_CSV_HEADER.split(","),
+            "mode": surface.mode,
+            "t": surface.t,
+            "time_steps": surface.time_steps,
+            "rows": list(_surface_rows(surface)),
+        }
+    )
 
 
 def write_bloch_csv(trajectory: BlochTrajectory, sink) -> int:
@@ -530,12 +527,17 @@ def write_compare_csv(report: StrategyReport, sink) -> int:
     return _write_lines(sink, header, rows)
 
 
-def _write_out(out: str, writer) -> None:
-    if out == "-":
+def _emit(p: dict, writer, payload) -> None:
+    """Write `--out` ('-' is stdout) through `writer(sink)`, or, under
+    `--format json`, write `payload()` as one strict JSON line."""
+    if p.get("format") == "json":
+        text = _json(payload())
+        writer = lambda sink: sink.write(text)
+    if p["out"] == "-":
         writer(sys.stdout)
         sys.stdout.flush()
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(p["out"], "w", encoding="utf-8", newline="") as fh:
             writer(fh)
 
 
@@ -560,21 +562,21 @@ def _time_grid(cfg: SystemConfig, p: dict, min_steps: int) -> TimeGrid:
     return TimeGrid(0.0, p["t_end"], p["steps"])
 
 
-def _cmd_bloch(p: dict, run_cfg: RunConfig) -> int:
+def _cmd_bloch(p: dict) -> int:
     cfg = _system_config(p)
     angles = InitialStateAngles(theta=p["theta"], phi=p["phi"])
     traj = bloch_trajectory(cfg, angles, _time_grid(cfg, p, min_steps=201))
-    if p["format"] == "csv":
-        _write_out(p["out"], lambda sink: write_bloch_csv(traj, sink))
-    else:
-        payload = {
+    _emit(
+        p,
+        lambda sink: write_bloch_csv(traj, sink),
+        lambda: {
             "columns": BLOCH_CSV_HEADER.split(","),
             "rows": [
                 [float(t), *map(float, point)]
                 for t, point in zip(traj.grid.times(), traj.points)
             ],
-        }
-        _write_out(p["out"], lambda sink: sink.write(json.dumps(payload) + "\n"))
+        },
+    )
     return 0
 
 
@@ -589,13 +591,13 @@ def _compute_gp(p: dict) -> GpResult:
     return gp_discrete_holonomy(traj)
 
 
-def _cmd_gp(p: dict, run_cfg: RunConfig) -> int:
+def _cmd_gp(p: dict) -> int:
     result = _compute_gp(p)
-    if p["format"] == "text":
-        _write_out(p["out"], lambda sink: sink.write(_fmt(result.gamma) + "\n"))
-    else:
-        d = result.diagnostics
-        payload = {
+    d = result.diagnostics
+    _emit(
+        p,
+        lambda sink: sink.write(_fmt(result.gamma) + "\n"),
+        lambda: {
             "gamma": result.gamma,
             "gamma_unwrapped": result.gamma_unwrapped,
             "method": result.method,
@@ -604,8 +606,8 @@ def _cmd_gp(p: dict, run_cfg: RunConfig) -> int:
             "unwrap_jumps": d.unwrap_jumps,
             "lambda_plus_end": d.lambda_plus_end,
             "min_step_overlap": d.min_step_overlap,
-        }
-        _write_out(p["out"], lambda sink: sink.write(json.dumps(payload) + "\n"))
+        },
+    )
     return 0
 
 
@@ -618,7 +620,7 @@ def _angle_grid(p: dict) -> AngleGrid:
     )
 
 
-def _cmd_surface(p: dict, run_cfg: RunConfig) -> int:
+def _cmd_surface(p: dict) -> int:
     cfg = _system_config(p)
     surface = gp_surface(
         cfg,
@@ -629,11 +631,9 @@ def _cmd_surface(p: dict, run_cfg: RunConfig) -> int:
         sampling_factor=p["sampling_factor"],
         threads=_thread_count(),
     )
-    if p["format"] == "csv":
-        _write_out(p["out"], lambda sink: write_surface_csv(surface, sink))
-    else:
-        payload = surface_to_json(surface)
-        _write_out(p["out"], lambda sink: sink.write(json.dumps(payload) + "\n"))
+    _emit(
+        p, lambda sink: write_surface_csv(surface, sink), lambda: surface_to_json(surface)
+    )
     return 0
 
 
@@ -643,20 +643,15 @@ def _coupling_text(value: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _cmd_compare(p: dict, run_cfg: RunConfig) -> int:
-    pairs = []
-    for a1, a2 in p["couplings"]:
-        label = f"alpha1={_coupling_text(a1)} alpha2={_coupling_text(a2)}"
-        pairs.append(
-            (
-                label,
-                SystemConfig(
-                    omega=p["omega"], alpha1=a1, alpha2=a2, bath_size=p["bath_size"]
-                ),
-            )
+def _cmd_compare(p: dict) -> int:
+    pairs = [
+        (
+            f"alpha1={_coupling_text(a1)} alpha2={_coupling_text(a2)}",
+            SystemConfig(omega=p["omega"], alpha1=a1, alpha2=a2, bath_size=p["bath_size"]),
         )
-    progress = sys.stderr.isatty()
-    if progress:
+        for a1, a2 in p["couplings"]
+    ]
+    if sys.stderr.isatty():
         print(f"comparing {len(pairs)} strategies...", file=sys.stderr)
     report = strategy_compare(
         pairs,
@@ -667,16 +662,11 @@ def _cmd_compare(p: dict, run_cfg: RunConfig) -> int:
         sampling_factor=p["sampling_factor"],
         threads=_thread_count(),
     )
-    if p["format"] == "csv":
-        _write_out(p["out"], lambda sink: write_compare_csv(report, sink))
-    else:
-        _write_out(
-            p["out"], lambda sink: sink.write(json.dumps(report.to_dict()) + "\n")
-        )
+    _emit(p, lambda sink: write_compare_csv(report, sink), report.to_dict)
     return 0
 
 
-def _cmd_verify(p: dict, run_cfg: RunConfig) -> int:
+def _cmd_verify(p: dict) -> int:
     report = verify_suite(seed=p["seed"])
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -684,10 +674,8 @@ def _cmd_verify(p: dict, run_cfg: RunConfig) -> int:
             f"{status} {check.name}: measured={check.measured:.3e}"
             f" tolerance={check.tolerance:.1e} ({check.detail})"
         )
-    _write_out(
-        p["out"],
-        lambda sink: sink.write(json.dumps(report.to_dict(), indent=2) + "\n"),
-    )
+    # verify has no --format: its report is always indented JSON
+    _emit(p, lambda sink: sink.write(_json(report.to_dict(), indent=2)), None)
     if p["out"] != "-":
         print(f"report written to {p['out']}")
     return 0 if report.all_passed else 2
@@ -718,7 +706,7 @@ def run(argv=None) -> int:
             return int(exc.code or 0)
         run_cfg = _resolve(namespace)
         params = _materialize(run_cfg)
-        return _HANDLERS[run_cfg.subcommand](params, run_cfg)
+        return _HANDLERS[run_cfg.subcommand](params)
     except (UsageError, ConfigError) as exc:
         print(f"frustra-gp: error: {exc}", file=sys.stderr)
         return 1

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -357,22 +357,14 @@ class StrategyReport:
             "time_steps": list(self.time_steps),
             "n_theta": self.grid.n_theta,
             "n_phi": self.grid.n_phi,
-            "entries": [
-                {
-                    "label": e.label,
-                    "omega": e.config.omega,
-                    "alpha1": e.config.alpha1,
-                    "alpha2": e.config.alpha2,
-                    "bath_size": e.config.bath_size,
-                    "mean_abs_gp": e.mean_abs_gp,
-                    "mean_dist_to_unitary": e.mean_dist_to_unitary,
-                    "min_gp": e.min_gp,
-                    "max_gp": e.max_gp,
-                    "missing_cells": e.missing_cells,
-                }
-                for e in self.entries
-            ],
+            "entries": [_flat_summary(e) for e in self.entries],
         }
+
+
+def _flat_summary(summary: StrategySummary) -> dict:
+    """The summary's fields with its config's fields spliced in after the label."""
+    fields = asdict(summary)
+    return {"label": fields.pop("label"), **fields.pop("config"), **fields}
 
 
 def _summarize(label: str, surface: GpSurface) -> StrategySummary:
@@ -490,16 +482,7 @@ class VerifyReport:
         return {
             "all_passed": self.all_passed,
             "runtime_s": self.runtime_s,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "measured": c.measured,
-                    "tolerance": c.tolerance,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -516,6 +499,11 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     checks = []
+
+    def record(name, worst, tolerance, detail, measured=None):
+        """Append one check; it passes when `worst` is within `tolerance`."""
+        measured = worst if measured is None else measured
+        checks.append(VerifyCheck(name, worst <= tolerance, measured, tolerance, detail))
 
     # Sector sum against the dense reference.
     worst = 0.0
@@ -535,14 +523,8 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
             exact = oracle_trajectory(cfg, ang, grid)
             approx = bloch_trajectory(cfg, ang, grid)
             worst = max(worst, float(np.max(np.abs(exact.points - approx.points))))
-    checks.append(
-        VerifyCheck(
-            name="oracle_vs_analytic",
-            passed=worst <= 1e-10,
-            measured=worst,
-            tolerance=1e-10,
-            detail="max Bloch-component deviation, N in {1, 2, 3}",
-        )
+    record(
+        "oracle_vs_analytic", worst, 1e-10, "max Bloch-component deviation, N in {1, 2, 3}"
     )
 
     # Decoupled limit against the closed-form reference value.
@@ -553,14 +535,11 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
         tg = TimeGrid(0.0, math.pi, 4001)
         res = gp_closed_form(polar_track(bloch_trajectory(cfg, ang, tg)), ang)
         worst = max(worst, angular_distance(res.gamma, gp_unitary_reference(theta0)))
-    checks.append(
-        VerifyCheck(
-            name="unitary_limit_gp",
-            passed=worst <= 1e-4,
-            measured=worst,
-            tolerance=1e-4,
-            detail="max |gamma - gamma_u(theta0)| mod 2pi at 4001 steps",
-        )
+    record(
+        "unitary_limit_gp",
+        worst,
+        1e-4,
+        "max |gamma - gamma_u(theta0)| mod 2pi at 4001 steps",
     )
 
     # Closed form against the discrete holonomy product.
@@ -581,14 +560,11 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
         cf = gp_closed_form(polar_track(traj), ang)
         dh = gp_discrete_holonomy(traj)
         worst = max(worst, angular_distance(cf.gamma, dh.gamma))
-    checks.append(
-        VerifyCheck(
-            name="closed_form_vs_holonomy",
-            passed=worst <= 1e-3,
-            measured=worst,
-            tolerance=1e-3,
-            detail="max cross-method deviation mod 2pi at 10^4 steps, tau = 5",
-        )
+    record(
+        "closed_form_vs_holonomy",
+        worst,
+        1e-3,
+        "max cross-method deviation mod 2pi at 10^4 steps, tau = 5",
     )
 
     # Documented discrepancy of the literal polarization series.
@@ -604,15 +580,13 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
         phys = initial_bloch(ang).as_array()
         ratio = float(np.linalg.norm(lit) / np.linalg.norm(phys))
         worst = max(worst, abs(ratio - 0.5))
-    checks.append(
-        VerifyCheck(
-            name="literal_norm_ratio",
-            passed=worst <= 1e-12,
-            measured=ratio,
-            tolerance=1e-12,
-            detail="literal series norm at t = 0 is half the physical norm"
-            " (documented, intentionally unpatched)",
-        )
+    record(
+        "literal_norm_ratio",
+        worst,
+        1e-12,
+        "literal series norm at t = 0 is half the physical norm"
+        " (documented, intentionally unpatched)",
+        measured=ratio,
     )
 
     # South-pole special case against the closed form.
@@ -630,14 +604,8 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
         sp = gp_south_pole(track)
         cf = gp_closed_form(track, ang)
         worst = max(worst, angular_distance(sp.gamma, cf.gamma))
-    checks.append(
-        VerifyCheck(
-            name="south_pole_consistency",
-            passed=worst <= 1e-6,
-            measured=worst,
-            tolerance=1e-6,
-            detail="pole form vs closed form at theta0 = pi",
-        )
+    record(
+        "south_pole_consistency", worst, 1e-6, "pole form vs closed form at theta0 = pi"
     )
 
     # Exact combinatorial weights.
@@ -647,14 +615,11 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
         if sum(s.zeta for s in ladder) != 2**n:
             worst = math.inf
         worst = max(worst, abs(math.fsum(s.w for s in ladder) - 1.0))
-    checks.append(
-        VerifyCheck(
-            name="sector_weight_normalization",
-            passed=worst <= 1e-12,
-            measured=worst,
-            tolerance=1e-12,
-            detail="exact zeta totals and unit weight sums up to N = 501",
-        )
+    record(
+        "sector_weight_normalization",
+        worst,
+        1e-12,
+        "exact zeta totals and unit weight sums up to N = 501",
     )
 
     return VerifyReport(

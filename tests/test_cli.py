@@ -33,7 +33,7 @@ from frustra_gp.cli import (
     write_surface_csv,
 )
 from frustra_gp.errors import ConfigError
-from frustra_gp.experiments import AngleGrid
+from frustra_gp.experiments import AngleGrid, VerifyCheck, VerifyReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 GP_N48_ARGS = [
@@ -180,20 +180,92 @@ def test_write_surface_csv_returns_byte_count():
     assert sink.getvalue().endswith("\n")
 
 
-def test_surface_json_mirrors_csv(tmp_path):
+BLOCH_ARGS = ["bloch", "--bath-size", "2", "--alpha2", "0.3", "--t-end", "2", "--steps", "11"]
+# Started on the equator, the decoupled qubit (alpha = 0) reaches the antipode
+# at t = pi/2, where its phase is indeterminate; that entry has no determinate
+# cell, so its four grid means are missing (nan in the CSV).
+COMPARE_MISSING_ARGS = [
+    "compare",
+    "--bath-size", "1",
+    "--omega", "2",
+    "--t-end", "1.5707963267948966",
+    "--steps", "301",
+    "--n-theta", "2",
+    "--n-phi", "3",
+    "--theta-min", "1.5707963267948966",
+    "--theta-max", "1.5707963267948968",
+    "--couplings", "0,0;1,0",
+]
+
+
+def _strict_json(text: str):
+    """json.loads that rejects the NaN and Infinity tokens strict JSON lacks."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _compare_rows(payload: dict, header: list) -> list:
+    by_label = {entry["label"]: entry for entry in payload["entries"]}
+    return [[by_label[label][key] for key in header] for label in payload["ranking"]]
+
+
+MIRROR_CASES = {
+    "surface": (SURFACE_ARGS, lambda payload, header: payload["rows"]),
+    "bloch": (BLOCH_ARGS, lambda payload, header: payload["rows"]),
+    "compare": (COMPARE_MISSING_ARGS, _compare_rows),
+}
+
+
+@pytest.mark.parametrize("case", list(MIRROR_CASES))
+def test_surface_json_mirrors_csv(tmp_path, case):
+    args, json_rows_of = MIRROR_CASES[case]
     csv_path = tmp_path / "s.csv"
     json_path = tmp_path / "s.json"
-    assert run(SURFACE_ARGS + ["--out", str(csv_path)]) == 0
-    assert run(SURFACE_ARGS + ["--format", "json", "--out", str(json_path)]) == 0
-    payload = json.loads(json_path.read_text())
-    assert payload["columns"] == SURFACE_CSV_HEADER.split(",")
-    assert payload["time_steps"] == 301
-    csv_rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
-    assert len(payload["rows"]) == len(csv_rows)
-    for json_row, csv_row in zip(payload["rows"], csv_rows):
-        assert json_row[0] == float(csv_row[0])
-        assert json_row[2] == float(csv_row[2])
-        assert json_row[4] == int(csv_row[4])
+    assert run(args + ["--out", str(csv_path)]) == 0
+    assert run(args + ["--format", "json", "--out", str(json_path)]) == 0
+    payload = _strict_json(json_path.read_text())
+    lines = [ln for ln in csv_path.read_text().splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    if case == "surface":
+        assert header == SURFACE_CSV_HEADER.split(",")
+        assert payload["time_steps"] == 301
+    if "columns" in payload:
+        assert payload["columns"] == header
+    csv_rows = [line.split(",") for line in lines[1:]]
+    json_rows = json_rows_of(payload, header)
+    assert len(json_rows) == len(csv_rows)
+    for json_row, csv_row in zip(json_rows, csv_rows):
+        assert len(json_row) == len(csv_row)
+        for value, text in zip(json_row, csv_row):
+            if value is None:
+                assert text == "nan"
+            else:
+                assert value == type(value)(text), (value, text)
+    if case == "compare":
+        assert json_rows[-1][5:9] == [None] * 4
+
+
+def test_verify_report_writes_non_finite_measures_as_null(tmp_path, monkeypatch):
+    # A failed sector_weight_normalization records an infinite measure.
+    check = VerifyCheck("sector_weight_normalization", False, math.inf, 1e-12, "zeta")
+    report = VerifyReport(checks=(check,), runtime_s=0.0)
+    monkeypatch.setattr("frustra_gp.cli.verify_suite", lambda seed: report)
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--out", str(out)]) == 2
+    payload = _strict_json(out.read_text())
+    assert payload["all_passed"] is False
+    assert payload["checks"] == [
+        {
+            "name": "sector_weight_normalization",
+            "passed": False,
+            "measured": None,
+            "tolerance": 1e-12,
+            "detail": "zeta",
+        }
+    ]
 
 
 def test_config_file_reproduces_flag_run(tmp_path):

@@ -1,6 +1,7 @@
-"""Guard: no module of the package reaches into another module's private names.
+"""Guards on the package source: no module reaches into another module's
+private names, and no function takes a parameter that its body never reads.
 
-Each source file is parsed with ast, so the check needs no import side
+Each source file is parsed with ast, so the checks need no import side
 effects.  A private name is one with a single leading underscore; dunder
 names such as __version__ are public.
 """
@@ -82,4 +83,70 @@ def test_guard_flags_private_imports_and_attribute_reads():
         "line 1: from phase import _JUMP_LIMIT",
         "line 2: from dynamics import _sector_tables",
         "line 4: dyn._CHUNK_ELEMENTS",
+    ]
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """Parameters that their function's body (nested scopes included) never reads.
+
+    `self` and `cls` are exempt, and so are dunder methods, whose signatures
+    are fixed by the protocol they implement (an immutability guard's
+    `__setattr__` reads none of its arguments).
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set()
+        for inner in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(inner, ast.Name) and not isinstance(inner.ctx, ast.Store):
+                read.add(inner.id)
+            elif isinstance(inner, ast.AugAssign) and isinstance(inner.target, ast.Name):
+                read.add(inner.target.id)
+        found += [
+            f"line {node.lineno}: {name}({param.arg})"
+            for param in params
+            if param.arg not in read and param.arg not in ("self", "cls")
+        ]
+    return found
+
+
+def test_no_unread_parameters():
+    offenders = {
+        path.name: unread
+        for path in SOURCES
+        if (unread := _unread_parameters(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert offenders == {}
+
+
+def test_guard_flags_unread_parameters():
+    source = (
+        "def handler(p, run_cfg):\n"
+        "    return p['out']\n"
+        "def closure(a, b, *rest, c, **extra):\n"
+        "    def inner():\n"
+        "        return a + len(rest) + len(extra)\n"
+        "    b += 1\n"
+        "    return inner\n"
+        "class Frozen:\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError\n"
+        "    def method(self, unused):\n"
+        "        return 0\n"
+        "shadowed = lambda x, y: (y := 1)\n"
+    )
+    assert _unread_parameters(ast.parse(source)) == [
+        "line 1: handler(run_cfg)",
+        "line 3: closure(c)",
+        "line 11: method(unused)",
+        "line 13: <lambda>(x)",
+        "line 13: <lambda>(y)",
     ]
