@@ -30,15 +30,19 @@ from frustra_gp import (
     BlochVector,
     ConfigError,
     InitialStateAngles,
+    PolarTrack,
     SystemConfig,
     TimeGrid,
+    angular_distance,
     auto_time_grid,
     bloch_at,
     bloch_trajectory,
     gamma_freq,
+    gp_closed_form,
     initial_bloch,
     literal_points,
     literal_polarizations,
+    polar_track,
     rotation_matrices,
     sector_rotation,
     sector_weights,
@@ -380,6 +384,27 @@ def test_literal_points_match_rotation_identity():
         u0 = np.array([st * math.sin(ang.phi), st * math.cos(ang.phi), ct])
         expected = -0.5 * np.einsum("nij,j->ni", rotation_matrices(cfg, times), u0)
         assert np.max(np.abs(lit - expected)) < 1e-12
+
+
+def test_literal_series_is_half_the_physical_map_at_reflected_angles():
+    # The start (pi - theta, pi - phi) has Bloch vector -u0 of the test above,
+    # so the literal series is 1/2 of a physical trajectory, and the phase,
+    # invariant under positive rescaling, is the physical phase there.
+    rng = np.random.default_rng(89)
+    grid = TimeGrid(0.0, 9.0, 2001)
+    for _ in range(8):
+        cfg = _random_config(rng)
+        ang = InitialStateAngles(
+            theta=float(rng.uniform(0.2, math.pi - 0.2)),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        lit = literal_points(cfg, ang, grid.times())
+        reflected = InitialStateAngles(theta=math.pi - ang.theta, phi=math.pi - ang.phi)
+        phys = bloch_trajectory(cfg, reflected, grid)
+        assert np.max(np.abs(lit - 0.5 * phys.points)) < 1e-12
+        lit_gp = gp_closed_form(PolarTrack.from_points(lit, grid), require_pure=False)
+        phys_gp = gp_closed_form(polar_track(phys), reflected)
+        assert angular_distance(lit_gp.gamma, phys_gp.gamma) < 1e-12
 
 
 def test_literal_initial_norm_is_half():
