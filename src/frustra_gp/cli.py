@@ -22,6 +22,7 @@ parallelism; output bytes never depend on the thread count.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .experiments import (
     COMPARE_METRICS,
-    SURFACE_MODES,
     AngleGrid,
     GpSurface,
     StrategyReport,
@@ -137,7 +137,6 @@ _CONVERTERS = {
     "n-phi": _conv_pos_int,
     "theta-min": _conv_float,
     "theta-max": _conv_float,
-    "mode": _conv_choice(*SURFACE_MODES),
     "method": _conv_choice(*_GP_METHODS),
     "metric": _conv_choice(*COMPARE_METRICS),
     "couplings": _conv_couplings,
@@ -185,7 +184,6 @@ _DEFAULTS: dict[str, dict[str, str | None]] = {
             ("t-end", _PI),
             ("steps", "auto"),
             ("sampling-factor", "40"),
-            ("mode", "physical"),
             ("format", "csv"),
             ("out", "-"),
         )
@@ -347,7 +345,6 @@ _FLAG_HELP = {
     "n-phi": "grid nodes along phi ([0, 2pi), endpoint excluded)",
     "theta-min": "smallest grid theta (strictly inside (0, pi))",
     "theta-max": "largest grid theta (strictly inside (0, pi))",
-    "mode": "polarization source: physical | literal",
     "method": "gp route: closed_form | south_pole | discrete_holonomy",
     "metric": "ranking metric: mean_dist_to_unitary | mean_abs_gp",
     "couplings": "semicolon-separated a1,a2 pairs to compare",
@@ -389,6 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
             help="key=value config file; explicit flags override it",
         )
     return top
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `run` reuses: build_parser() once per process."""
+    return build_parser()
 
 
 def _resolve(namespace: argparse.Namespace) -> RunConfig:
@@ -494,7 +497,6 @@ def surface_to_json(surface: GpSurface) -> dict:
     return _strict(
         {
             "columns": SURFACE_CSV_HEADER.split(","),
-            "mode": surface.mode,
             "t": surface.t,
             "time_steps": surface.time_steps,
             "rows": list(_surface_rows(surface)),
@@ -626,7 +628,6 @@ def _cmd_surface(p: dict) -> int:
         cfg,
         _angle_grid(p),
         p["t_end"],
-        mode=p["mode"],
         time_steps=p["steps"],
         sampling_factor=p["sampling_factor"],
         threads=_thread_count(),
@@ -668,11 +669,15 @@ def _cmd_compare(p: dict) -> int:
 
 def _cmd_verify(p: dict) -> int:
     report = verify_suite(seed=p["seed"])
+    # with the report on stdout, the summary goes to stderr so that stdout
+    # stays one JSON document
+    summary = sys.stderr if p["out"] == "-" else sys.stdout
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(
             f"{status} {check.name}: measured={check.measured:.3e}"
-            f" tolerance={check.tolerance:.1e} ({check.detail})"
+            f" tolerance={check.tolerance:.1e} ({check.detail})",
+            file=summary,
         )
     # verify has no --format: its report is always indented JSON
     _emit(p, lambda sink: sink.write(_json(report.to_dict(), indent=2)), None)
@@ -701,7 +706,7 @@ def run(argv=None) -> int:
     params = {}
     try:
         try:
-            namespace = build_parser().parse_args(argv)
+            namespace = _shared_parser().parse_args(argv)
         except SystemExit as exc:  # --help exits argparse directly
             return int(exc.code or 0)
         run_cfg = _resolve(namespace)

@@ -43,7 +43,9 @@ sector count grows and temporary memory grows with neither S nor n.
 the same sector sum that carries a -1 / 2^(2N+1) prefactor and a reflected
 x axis in its initial frame.  It is kept, unpatched, to document its
 normalization discrepancy: at t = 0 it yields a Bloch norm of 1/2 for pure
-initial states where `bloch_at` yields 1.
+initial states where `bloch_at` yields 1.  The series is exactly 1/2 times
+the physical trajectory started from (pi - theta, pi - phi), so its phase is
+the physical phase at those angles.
 """
 
 from __future__ import annotations

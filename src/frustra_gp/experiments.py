@@ -9,7 +9,7 @@ for sampling factor s (default 40) and Gamma_max = Gamma(N/2, N/2).
 A surface shares the work of each phi column across its theta rows.  The
 folded rotation map has M_xz = M_yz = M_zx = M_zy = 0 exactly, so the cell
 (theta, phi) has an in-plane series sin(theta) times a theta-free column
-series, and a polarization A = scale cos(theta) M_zz(t) shared by its row.
+series, and a polarization A = cos(theta) M_zz(t) shared by its row.
 The column's azimuth chi, its unwrap and the unwrap guard are therefore
 computed once per column (phase.unwrap_azimuth).  From the column norm
 rho a cell computes only R = sin(theta) rho / 2,
@@ -17,10 +17,10 @@ eps_plus = sqrt((sin(theta) rho)^2 + A^2) and sin2_half.  A cell falls back
 to PolarTrack.from_points on its own projected points when
 sin(theta) min(rho) / 2 < 2 R_TOL (a node singular or close to it) or when
 its column's azimuth step reaches the unwrap limit.  The map is a
-contraction and |scale| <= 1, so rho and |A| are at most about 1 and the
-squares in eps_plus cannot overflow.  NaN cells, singular counts and the
+contraction, so rho and |A| are at most about 1 and the squares in
+eps_plus cannot overflow.  NaN cells, singular counts and the
 ResolutionError text are thus those of the per-cell route; values move
-from it by the rounding of the scaled series (about 1e-13 or less).
+from it by the rounding of the factored series (about 1e-13 or less).
 
 `strategy_compare` contrasts coupling allocations (single bath vs split
 couplings) by two grid metrics: mean |gamma| and mean angular distance to
@@ -68,7 +68,6 @@ from .phase import (
     unwrap_azimuth,
 )
 
-SURFACE_MODES = ("physical", "literal")
 COMPARE_METRICS = ("mean_dist_to_unitary", "mean_abs_gp")
 
 
@@ -146,7 +145,6 @@ class GpSurface:
     grid: AngleGrid
     config: SystemConfig
     t: float
-    mode: str
     time_steps: int
     gamma: np.ndarray
     gamma_unwrapped: np.ndarray
@@ -167,24 +165,17 @@ class GpSurface:
 class _ColumnSweep:
     """Surface rows evaluated from data shared by each phi column.
 
-    Column j's series is scale * B(t) (ux[j], uy[j]) at theta = pi/2, with
-    B the in-plane block of the map (see the module docstring); rho[j] is
+    Column j's series is B(t) (ux[j], uy[j]) at theta = pi/2, with B the
+    in-plane block of the map and (ux, uy) = (-sin phi, cos phi) the
+    in-plane start (see the module docstring); rho[j] is
     its norm, chi[j] its unwrapped azimuth and jumps[j] its unwrap_jumps,
     None where the unwrap guard trips.
     """
 
-    def __init__(self, rot: np.ndarray, phis: np.ndarray, mode: str, grid: TimeGrid):
-        if mode == "physical":
-            ux, uy, self.scale = -np.sin(phis), np.cos(phis), 1.0
-        else:
-            # Literal series equals -1/2 times the same rotation sum applied
-            # to the reflected frame vector (sin t sin p, sin t cos p, cos t).
-            ux, uy, self.scale = np.sin(phis), np.cos(phis), -0.5
-        # scale is 1 or -1/2, so scaling the directions first is exact.
-        self.ux, self.uy = self.scale * ux, self.scale * uy
+    def __init__(self, rot: np.ndarray, phis: np.ndarray, grid: TimeGrid):
+        self.ux, self.uy = -np.sin(phis), np.cos(phis)
         self.phis = phis
         self.grid = grid
-        self.pure = mode == "physical"
         self.mxx, self.mxy, self.myx, self.myy, self.mzz = (
             np.ascontiguousarray(rot[:, i, k])
             for i, k in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
@@ -233,7 +224,7 @@ class _ColumnSweep:
     def row(self, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """gamma, gamma_unwrapped and singular_count of one constant-theta row."""
         st, ct = math.sin(theta), math.cos(theta)
-        a = (self.scale * ct) * self.mzz
+        a = ct * self.mzz
         a2 = a * a
         gam = np.empty(self.phis.size)
         unw = np.empty(self.phis.size)
@@ -253,7 +244,7 @@ class _ColumnSweep:
                 else:
                     x, y = self._in_plane(j, st)
                     track = PolarTrack.from_points(np.column_stack([x, y, a]), self.grid)
-                res = gp_closed_form(track, require_pure=self.pure)
+                res = gp_closed_form(track)
                 gam[j] = res.gamma
                 unw[j] = res.gamma_unwrapped
                 sing[j] = res.diagnostics.singular_nodes
@@ -271,7 +262,6 @@ def gp_surface(
     config: SystemConfig,
     grid: AngleGrid,
     t: float,
-    mode: str = "physical",
     time_steps: int | None = None,
     sampling_factor: int = 40,
     threads: int = 1,
@@ -285,8 +275,6 @@ def gp_surface(
     `threads` worker threads; the result does not depend on their number.
     """
     validate_config(config)
-    if mode not in SURFACE_MODES:
-        raise ConfigError(f"mode must be one of {SURFACE_MODES}")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     if time_steps is not None:
@@ -294,7 +282,7 @@ def gp_surface(
     else:
         tg = auto_time_grid(config, t, sampling_factor)
     times = tg.times()
-    sweep = _ColumnSweep(rotation_matrices(config, times), grid.phis(), mode, tg)
+    sweep = _ColumnSweep(rotation_matrices(config, times), grid.phis(), tg)
     thetas = grid.thetas()
     gamma = np.empty((grid.n_theta, grid.n_phi))
     unwrapped = np.empty((grid.n_theta, grid.n_phi))
@@ -313,7 +301,6 @@ def gp_surface(
         grid=grid,
         config=config,
         t=float(t),
-        mode=mode,
         time_steps=tg.n_steps,
         gamma=gamma,
         gamma_unwrapped=unwrapped,
@@ -344,7 +331,6 @@ class StrategyReport:
     winner: str
     grid: AngleGrid
     t: float
-    mode: str
     time_steps: tuple[int, ...]
 
     def to_dict(self) -> dict:
@@ -353,7 +339,6 @@ class StrategyReport:
             "ranking": list(self.ranking),
             "winner": self.winner,
             "t": self.t,
-            "mode": self.mode,
             "time_steps": list(self.time_steps),
             "n_theta": self.grid.n_theta,
             "n_phi": self.grid.n_phi,
@@ -395,7 +380,6 @@ def strategy_compare(
     grid: AngleGrid,
     t: float,
     metric: str = "mean_dist_to_unitary",
-    mode: str = "physical",
     time_steps: int | None = None,
     sampling_factor: int = 40,
     threads: int = 1,
@@ -430,7 +414,6 @@ def strategy_compare(
             cfg,
             grid,
             t,
-            mode=mode,
             time_steps=time_steps,
             sampling_factor=sampling_factor,
             threads=threads,
@@ -453,7 +436,6 @@ def strategy_compare(
         winner=by_dist[0].label,
         grid=grid,
         t=float(t),
-        mode=mode,
         time_steps=tuple(steps),
     )
 

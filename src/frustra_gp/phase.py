@@ -272,8 +272,9 @@ def gp_closed_form(
     """Geometric phase of the dominant branch from the closed-form expression.
 
     `angles`, when given, is cross-checked against the track's initial node.
-    `require_pure=False` admits sub-unit starting vectors (used for the
-    literal-normalization mode); the same formulas are applied unchanged.
+    `require_pure=False` admits sub-unit starting vectors (such as the
+    literal series, whose norm at t = 0 is 1/2); the same formulas are
+    applied unchanged.
     """
     a0 = float(track.A[0])
     eps0 = float(track.eps_plus[0])

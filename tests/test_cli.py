@@ -248,6 +248,24 @@ def test_surface_json_mirrors_csv(tmp_path, case):
         assert json_rows[-1][5:9] == [None] * 4
 
 
+def test_surface_has_no_mode_knob(tmp_path, capsys):
+    # the literal surface is the physical one at (pi - theta, pi - phi)
+    assert run(SURFACE_ARGS + ["--mode", "literal"]) == 1
+    err = capsys.readouterr().err
+    assert "frustra-gp: error: unrecognized arguments: --mode literal" in err
+    assert "Traceback" not in err
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("subcommand=surface\nbath-size=2\nmode=physical\n")
+    with pytest.raises(ConfigError, match=r"line 3: unknown key 'mode'"):
+        load_config(cfg_path)
+    assert run(["surface", "--config", str(cfg_path)]) == 1
+    assert "unknown key 'mode'" in capsys.readouterr().err
+    for args in (SURFACE_ARGS, COMPARE_MISSING_ARGS):
+        out = tmp_path / "payload.json"
+        assert run(args + ["--format", "json", "--out", str(out)]) == 0
+        assert "mode" not in _strict_json(out.read_text())
+
+
 def test_verify_report_writes_non_finite_measures_as_null(tmp_path, monkeypatch):
     # A failed sector_weight_normalization records an infinite measure.
     check = VerifyCheck("sector_weight_normalization", False, math.inf, 1e-12, "zeta")
@@ -449,6 +467,15 @@ def test_verify_cli(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["all_passed"] is True
     assert len(payload["checks"]) == 6
+
+
+def test_verify_report_on_stdout_is_one_json_document(capsys):
+    assert run(["verify", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["all_passed"] is True
+    assert captured.err.count("PASS") == 6
+    assert "report written" not in captured.err + captured.out
 
 
 def test_verify_rejects_max_bath_size(capsys):

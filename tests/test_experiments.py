@@ -21,7 +21,6 @@ from frustra_gp import (
     gp_closed_form,
     gp_surface,
     gp_unitary_reference,
-    literal_points,
     max_sector_freq,
     polar_track,
     strategy_compare,
@@ -93,15 +92,7 @@ def test_surface_shape_and_principal_range():
     assert not surf.gamma.flags.writeable
 
 
-def test_surface_literal_mode_runs():
-    surf = gp_surface(MIXED_CFG, SMALL_GRID, 5.0, mode="literal", time_steps=501)
-    assert np.all(np.isfinite(surf.gamma))
-    assert surf.mode == "literal"
-
-
 def test_surface_rejects_bad_arguments():
-    with pytest.raises(ConfigError):
-        gp_surface(MIXED_CFG, SMALL_GRID, 5.0, mode="sideways")
     with pytest.raises(ConfigError):
         gp_surface(MIXED_CFG, SMALL_GRID, 5.0, threads=0)
 
@@ -142,16 +133,16 @@ def test_surface_indeterminate_cells_are_nan():
 
 
 def test_surface_cells_match_single_trajectory_route(monkeypatch):
-    # Every cell against its own trajectory (the literal transcription in
-    # literal mode).  The sweep shares each phi column's azimuth and calls
-    # PolarTrack.from_points only for cells with a node at R < 2 R_TOL.
+    # Every cell against its own trajectory.  The sweep shares each phi
+    # column's azimuth and calls PolarTrack.from_points only for cells with
+    # a node at R < 2 R_TOL.
     interior = AngleGrid(n_theta=5, n_phi=4, theta_min=0.3, theta_max=math.pi - 0.3)
     poles = AngleGrid(n_theta=5, n_phi=4, theta_min=0.0, theta_max=math.pi, include_poles=True)
     near_pole = AngleGrid(
         n_theta=4, n_phi=4, theta_min=0.0, theta_max=6.6e-12, include_poles=True
     )
     cases = [
-        (cfg, grid, mode, 5.0, steps)
+        (cfg, grid, 5.0, steps)
         for cfg, steps in (
             (SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=3), 501),
             (SystemConfig(omega=2.0, alpha1=0.4, alpha2=0.4, bath_size=3), 301),
@@ -159,10 +150,9 @@ def test_surface_cells_match_single_trajectory_route(monkeypatch):
             (SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.7, bath_size=2), 301),
         )
         for grid in (interior, poles, near_pole)
-        for mode in ("physical", "literal")
     ]
     n20 = SystemConfig(omega=2.0, alpha1=0.25, alpha2=0.25, bath_size=20)
-    cases.append((n20, interior, "physical", 5.0, None))
+    cases.append((n20, interior, 5.0, None))
     from_points = PolarTrack.from_points
     calls = []
 
@@ -171,24 +161,21 @@ def test_surface_cells_match_single_trajectory_route(monkeypatch):
         return from_points(points, grid)
 
     margin_only = 0
-    for cfg, grid, mode, t, steps in cases:
+    for cfg, grid, t, steps in cases:
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(PolarTrack, "from_points", classmethod(spy))
-            surf = gp_surface(cfg, grid, t, mode=mode, time_steps=steps)
+            surf = gp_surface(cfg, grid, t, time_steps=steps)
         tg = TimeGrid(0.0, t, surf.time_steps)
         deferred = 0
         for i, theta in enumerate(grid.thetas()):
             for j, phi in enumerate(grid.phis()):
                 ang = InitialStateAngles(theta=float(theta), phi=float(phi))
-                if mode == "physical":
-                    track = polar_track(bloch_trajectory(cfg, ang, tg))
-                else:
-                    track = PolarTrack.from_points(literal_points(cfg, ang, tg.times()), tg)
+                track = polar_track(bloch_trajectory(cfg, ang, tg))
                 deferred += track.R.min() < 2.0 * R_TOL
                 margin_only += track.R.min() < 2.0 * R_TOL and not track.singular.any()
                 try:
-                    res = gp_closed_form(track, require_pure=(mode == "physical"))
+                    res = gp_closed_form(track)
                 except IndeterminatePhaseError:
                     assert np.isnan(surf.gamma[i, j]) and np.isnan(surf.gamma_unwrapped[i, j])
                     singular = int(np.count_nonzero(track.singular))
@@ -196,7 +183,7 @@ def test_surface_cells_match_single_trajectory_route(monkeypatch):
                     assert abs(surf.gamma_unwrapped[i, j] - res.gamma_unwrapped) <= 1e-12
                     singular = res.diagnostics.singular_nodes
                 assert surf.singular_count[i, j] == singular
-        assert len(calls) == deferred, (cfg, grid, mode)
+        assert len(calls) == deferred, (cfg, grid)
         if grid is interior:
             assert deferred == 0
         else:
@@ -212,7 +199,6 @@ def test_gp_surface_validation():
             grid=SMALL_GRID,
             config=MIXED_CFG,
             t=1.0,
-            mode="physical",
             time_steps=10,
             gamma=np.zeros((3, 3)),
             gamma_unwrapped=ok,
@@ -223,7 +209,6 @@ def test_gp_surface_validation():
             grid=SMALL_GRID,
             config=MIXED_CFG,
             t=1.0,
-            mode="physical",
             time_steps=10,
             gamma=np.full((9, 8), 4.0),  # outside [-pi, pi)
             gamma_unwrapped=ok.copy(),
