@@ -10,7 +10,7 @@ A surface shares the work of each phi column across its theta rows.  The
 folded rotation map has M_xz = M_yz = M_zx = M_zy = 0 exactly, so the cell
 (theta, phi) has an in-plane series sin(theta) times a theta-free column
 series, and a polarization A = cos(theta) M_zz(t) shared by its row.
-The column's azimuth chi, its unwrap and the unwrap guard are therefore
+The column's azimuth increments and the unwrap guard are therefore
 computed once per column (phase.unwrap_azimuth).  From the column norm
 rho a cell computes only R = sin(theta) rho / 2,
 eps_plus = sqrt((sin(theta) rho)^2 + A^2) and sin2_half.  A cell falls back
@@ -168,7 +168,7 @@ class _ColumnSweep:
     Column j's series is B(t) (ux[j], uy[j]) at theta = pi/2, with B the
     in-plane block of the map and (ux, uy) = (-sin phi, cos phi) the
     in-plane start (see the module docstring); rho[j] is
-    its norm, chi[j] its unwrapped azimuth and jumps[j] its unwrap_jumps,
+    its norm, dchi[j] its azimuth increments and jumps[j] its unwrap_jumps,
     None where the unwrap guard trips.
     """
 
@@ -176,28 +176,28 @@ class _ColumnSweep:
         self.ux, self.uy = -np.sin(phis), np.cos(phis)
         self.phis = phis
         self.grid = grid
-        self.mxx, self.mxy, self.myx, self.myy, self.mzz = (
+        self.mxx, self.mxy, self.myy, self.mzz = (
             np.ascontiguousarray(rot[:, i, k])
-            for i, k in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
+            for i, k in ((0, 0), (0, 1), (1, 1), (2, 2))
         )
         self.regular = np.zeros(grid.n_steps, dtype=bool)
         self.rho = np.empty((phis.size, grid.n_steps))
-        self.chi = np.empty_like(self.rho)
+        self.dchi = np.empty((phis.size, grid.n_steps - 1))
         self.jumps = []
         for j in range(phis.size):
             x, y = self._in_plane(j, 1.0)
             np.sqrt(x * x + y * y, out=self.rho[j])
             try:
-                self.chi[j], jumps = unwrap_azimuth(np.arctan2(y, x))
+                self.dchi[j], jumps = unwrap_azimuth(np.arctan2(y, x))
             except ResolutionError:
                 jumps = None
             self.jumps.append(jumps)
         self.rho_min = self.rho.min(axis=1).tolist()
 
     def _in_plane(self, j: int, st: float) -> tuple[np.ndarray, np.ndarray]:
-        """x and y series of the start st * (ux[j], uy[j]) under the map."""
+        """x, y of the start st * (ux[j], uy[j]) under the map, whose M_yx = -M_xy."""
         sx, sy = st * self.ux[j], st * self.uy[j]
-        return sx * self.mxx + sy * self.mxy, sx * self.myx + sy * self.myy
+        return sx * self.mxx + sy * self.mxy, sy * self.myy - sx * self.mxy
 
     def _cell_track(self, j: int, st: float, a: np.ndarray, a2: np.ndarray) -> PolarTrack:
         w = st * self.rho[j]
@@ -214,7 +214,7 @@ class _ColumnSweep:
             grid=self.grid,
             A=a,
             R=w,
-            chi=self.chi[j],
+            dchi=self.dchi[j],
             sin2_half=s,
             eps_plus=eps,
             singular=self.regular,
@@ -268,8 +268,8 @@ def gp_surface(
 ) -> GpSurface:
     """Closed-form geometric phase over an angle grid (theta outer, phi inner).
 
-    Each phi column's azimuth is unwrapped once and shared by its theta rows;
-    a cell with a node at R < 2 R_TOL, or in a column whose azimuth step
+    Each phi column's azimuth increments are shared by its theta rows; a
+    cell with a node at R < 2 R_TOL, or in a column whose azimuth step
     reaches the unwrap limit, is evaluated by PolarTrack.from_points on its
     own projected points instead (see the module docstring).  Rows run on
     `threads` worker threads; the result does not depend on their number.

@@ -4,16 +4,16 @@ A trajectory v(t) is first reduced to polar-track series
 
     A = <sigma_z>,  R = (1/2) sqrt(<sigma_x>^2 + <sigma_y>^2),
     eps_plus = sqrt(A^2 + 4 R^2) = |v|,
-    tan(chi) = <sigma_y> / <sigma_x>   (four-quadrant, unwrapped),
+    tan(chi) = <sigma_y> / <sigma_x>   (four-quadrant),
     sin^2(theta_t / 2) = (1 + A / eps_plus) / 2,
 
 with theta_t in [0, pi] and cos(theta_t) = -A / eps_plus.  The track stores
 sin^2(theta_t/2) (`sin2_half`), the only form in which the phase reads the
-polar angle; theta_t itself is derived from it on request.  Nodes with R
-below R_TOL have an indeterminate azimuth; chi is propagated flat across
-them and they are flagged singular.  The unwrap and its guard are
-`unwrap_azimuth`, which the surface sweep also applies to its shared
-azimuth columns.
+polar angle, and the increments of chi (`dchi`, each reduced to [-pi, pi)),
+the only form in which it reads the azimuth.  Nodes with R below R_TOL have
+an indeterminate azimuth; chi is propagated flat (zero increments) across
+them and they are flagged singular.  The increments and their guard are
+`unwrap_azimuth`, which the surface sweep also applies to its azimuth columns.
 
 The geometric phase of the dominant spectral branch is then
 
@@ -25,7 +25,7 @@ The geometric phase of the dominant spectral branch is then
 with cos(theta0/2) = sqrt(sin2_half(0)) taken from the normalized initial
 state, sin(theta_tau/2) = sqrt(sin2_half(tau)), cos^2(theta_t/2) =
 1 - sin2_half, and the connection integral evaluated by the trapezoid rule
-on chi increments.  sqrt(lambda_plus) is a positive scalar and cannot move the
+on the chi increments.  sqrt(lambda_plus) is a positive scalar and cannot move the
 arg; it is reported as a diagnostic and never multiplied in, which makes the
 result bit-identical under any positive rescaling of that factor.
 
@@ -114,12 +114,12 @@ def angular_distance(a, b):
 
 
 def unwrap_azimuth(azimuth: np.ndarray) -> tuple[np.ndarray, int]:
-    """Unwrap a sampled azimuth series; returns (chi, unwrap_jumps).
+    """Increments of a sampled azimuth series; returns (dchi, unwrap_jumps).
 
-    Each increment is reduced to [-pi, pi) and chi is their running sum from
-    azimuth[0]; unwrap_jumps counts the increments that needed a 2 pi turn.
-    A reduced increment of magnitude _JUMP_LIMIT or more cannot be told from
-    a turn the other way and raises ResolutionError.
+    dchi holds the n - 1 increments, each reduced to [-pi, pi);
+    unwrap_jumps counts the increments that needed a 2 pi turn.  A reduced
+    increment of magnitude _JUMP_LIMIT or more cannot be told from a turn
+    the other way and raises ResolutionError.
     """
     d_raw = np.diff(azimuth)
     turns = np.floor((d_raw + math.pi) / TWO_PI)
@@ -131,18 +131,14 @@ def unwrap_azimuth(azimuth: np.ndarray) -> tuple[np.ndarray, int]:
             f" {worst} -> {worst + 1} swings by {d[worst]:+.6f} rad;"
             " refine the grid (smaller dt or larger sampling factor)"
         )
-    chi = np.empty_like(azimuth)
-    chi[0] = azimuth[0]
-    np.cumsum(d, out=chi[1:])
-    chi[1:] += azimuth[0]
-    return chi, int(np.count_nonzero(turns))
+    return d, int(np.count_nonzero(turns))
 
 
 @dataclass(frozen=True)
 class PolarTrack:
     """Polar-decomposition series of a Bloch trajectory.
 
-    chi is unwrapped (consecutive increments lie strictly inside (-pi, pi));
+    dchi holds the n - 1 increments chi_{i+1} - chi_i, each inside (-pi, pi);
     sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1];
     singular marks nodes whose azimuth was propagated from a neighbor.
     """
@@ -150,14 +146,16 @@ class PolarTrack:
     grid: TimeGrid
     A: np.ndarray
     R: np.ndarray
-    chi: np.ndarray
+    dchi: np.ndarray
     sin2_half: np.ndarray
     eps_plus: np.ndarray
     singular: np.ndarray
     unwrap_jumps: int
 
     def __post_init__(self) -> None:
-        for arr in (self.A, self.R, self.chi, self.sin2_half, self.eps_plus, self.singular):
+        if np.shape(self.dchi) != (self.n_steps - 1,):
+            raise ConfigError(f"dchi must have shape ({self.n_steps - 1},), one per step")
+        for arr in (self.A, self.R, self.dchi, self.sin2_half, self.eps_plus, self.singular):
             np.asarray(arr).setflags(write=False)
 
     @property
@@ -173,6 +171,8 @@ class PolarTrack:
     def from_points(cls, points: np.ndarray, grid: TimeGrid) -> PolarTrack:
         """Polar-track series of raw (n, 3) Bloch samples taken on `grid`."""
         pts = np.asarray(points, dtype=float)
+        if pts.shape != (grid.n_steps, 3) or not np.isfinite(pts).all():
+            raise ConfigError(f"points must be finite, of shape ({grid.n_steps}, 3)")
         x, y = pts[:, 0], pts[:, 1]
         a = pts[:, 2].copy()
         rxy2 = x * x + y * y
@@ -205,12 +205,12 @@ class PolarTrack:
             idx[idx < 0] = first_valid
             filled = raw[idx]
 
-        chi, jumps = unwrap_azimuth(filled)
+        dchi, jumps = unwrap_azimuth(filled)
         return cls(
             grid=grid,
             A=a,
             R=r,
-            chi=chi,
+            dchi=dchi,
             sin2_half=np.clip((1.0 + ratio) / 2.0, 0.0, 1.0),
             eps_plus=eps,
             singular=singular,
@@ -244,15 +244,14 @@ def polar_track(traj: BlochTrajectory) -> PolarTrack:
     return PolarTrack.from_points(traj.points, traj.grid)
 
 
-def _trapezoid_on_chi(chi: np.ndarray, integrand: np.ndarray) -> float:
-    """sum_i dchi_i * (f_i + f_{i+1}) / 2 for f sampled on the same nodes.
+def _trapezoid_on_chi(dchi: np.ndarray, integrand: np.ndarray) -> float:
+    """sum_i dchi_i * (f_i + f_{i+1}) / 2 for f on the n nodes bounding dchi.
 
     np.sum, not np.dot: OpenBLAS splits a dot product of more than 10^4
     nodes over its threads, and the partial sums then round differently
     with each thread count.
     """
-    d = np.diff(chi)
-    return float(np.sum(d * ((integrand[:-1] + integrand[1:]) / 2.0)))
+    return float(np.sum(dchi * ((integrand[:-1] + integrand[1:]) / 2.0)))
 
 
 def _track_diagnostics(track: PolarTrack) -> GpDiagnostics:
@@ -297,8 +296,8 @@ def gp_closed_form(
     # polarization.
     s = track.sin2_half
     c0, s0 = math.sqrt(s[0]), math.sqrt(1.0 - s[0])
-    dchi = float(track.chi[-1] - track.chi[0])
-    connection = _trapezoid_on_chi(track.chi, 1.0 - s)
+    dchi = float(np.sum(track.dchi))
+    connection = _trapezoid_on_chi(track.dchi, 1.0 - s)
     bracket = c0 * math.sqrt(s[-1]) + np.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s[-1])
     if abs(bracket) < Z_TOL:
         raise IndeterminatePhaseError(
@@ -329,7 +328,7 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
             "south-pole form requires theta0 = pi (initial <sigma_z> = -1),"
             f" got <sigma_z(0)> = {a0:.12f}"
         )
-    unwrapped = _trapezoid_on_chi(track.chi, track.sin2_half)
+    unwrapped = _trapezoid_on_chi(track.dchi, track.sin2_half)
     return GpResult(
         gamma=principal_value(unwrapped),
         gamma_unwrapped=unwrapped,

@@ -346,7 +346,7 @@ def test_criterion_8_invariant_bundle():
             grid=base.grid,
             A=lam * base.A,
             R=lam * base.R,
-            chi=np.array(base.chi),
+            dchi=np.array(base.dchi),
             sin2_half=np.array(base.sin2_half),
             eps_plus=lam * base.eps_plus,
             singular=np.array(base.singular),

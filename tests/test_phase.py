@@ -12,6 +12,7 @@ routes must land on it, and the general closed form must sit exactly
 2*pi below the pole form in unreduced value there.
 """
 
+import dataclasses
 import inspect
 import json
 import math
@@ -119,8 +120,11 @@ def test_polar_track_precession_frozen():
     assert np.max(np.abs(track.A - math.cos(1.2))) < 1e-13
     assert np.max(np.abs(track.eps_plus - 1.0)) < 1e-13
     assert np.max(np.abs(track.theta_t - (math.pi - 1.2))) < 1e-12
-    assert track.chi[0] == pytest.approx(0.5 + math.pi / 2.0, abs=1e-12)
-    assert track.chi[-1] - track.chi[0] == pytest.approx(2.0 * math.pi, abs=1e-10)
+    # the track keeps increments only; the start azimuth is read off the points
+    x0, y0 = traj.points[0, :2]
+    assert math.atan2(y0, x0) == pytest.approx(0.5 + math.pi / 2.0, abs=1e-12)
+    assert np.max(np.abs(track.dchi - 2.0 * np.diff(traj.grid.times()))) < 1e-12
+    assert float(np.sum(track.dchi)) == pytest.approx(2.0 * math.pi, abs=1e-10)
     assert not track.singular.any()
 
 
@@ -129,8 +133,10 @@ def test_polar_track_unwrap_recovers_linear_azimuth():
         UNITARY_CFG, InitialStateAngles(theta=0.8, phi=0.3), TimeGrid(0.0, 3.0 * math.pi, 3001)
     )
     track = polar_track(traj)
-    expected = (0.3 + math.pi / 2.0) + 2.0 * traj.grid.times()
-    assert np.max(np.abs(track.chi - expected)) < 1e-9
+    times = traj.grid.times()
+    assert np.max(np.abs(track.dchi - 2.0 * np.diff(times))) < 1e-9
+    # the running sum of the increments is the linear azimuth from its start
+    assert np.max(np.abs(np.cumsum(track.dchi) - 2.0 * (times[1:] - times[0]))) < 1e-9
     assert track.unwrap_jumps >= 2
 
 
@@ -164,17 +170,47 @@ def test_polar_track_rejects_coarse_grid():
         polar_track(traj)
 
 
+def _arc_points(n):
+    """n unit Bloch vectors on the equator, 0.1 rad apart."""
+    chi = 0.1 * np.arange(n)
+    return np.column_stack([np.cos(chi), np.sin(chi), np.zeros(n)])
+
+
+def test_from_points_rejects_non_finite_and_miscounted_points():
+    grid = TimeGrid(0.0, 1.0, 5)
+    pts = _arc_points(5)
+    assert PolarTrack.from_points(pts, grid).n_steps == 5
+    for bad in (math.nan, math.inf, -math.inf):
+        broken = pts.copy()
+        broken[2, 1] = bad
+        with pytest.raises(ConfigError):
+            PolarTrack.from_points(broken, grid)
+    for wrong in (pts[:2], pts[:, :2], np.vstack([pts, pts[:1]])):
+        with pytest.raises(ConfigError):
+            PolarTrack.from_points(wrong, grid)
+
+
+def test_polar_track_rejects_misshapen_dchi():
+    for n in (2, 5):
+        base = PolarTrack.from_points(_arc_points(n), TimeGrid(0.0, 1.0, n))
+        # n entries is the old absolute-azimuth length, one too many
+        for dchi in (np.zeros(n), np.zeros(n - 2), np.zeros((n - 1, 1)), np.zeros((1, n - 1))):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(base, dchi=dchi)
+        assert dataclasses.replace(base, dchi=np.zeros(n - 1)).dchi.shape == (n - 1,)
+
+
 def test_polar_track_singular_prefix_back_fills_azimuth():
     track = polar_track(_spiral_trajectory(n_steps=801))
     assert track.singular[0]
     assert not track.singular[1:].any()
-    assert track.chi[0] == track.chi[1]
+    assert track.dchi[0] == 0.0
 
 
 def _reference_track_series(points):
     """Reference route for PolarTrack.from_points: two hypot calls, the
     flat-continuation fill on every track and a masked divide; returns the
-    series as a dict."""
+    series, with the azimuth as its increments dchi, as a dict."""
     pts = np.asarray(points, dtype=float)
     a = pts[:, 2].copy()
     rxy = np.hypot(pts[:, 0], pts[:, 1])
@@ -199,16 +235,12 @@ def _reference_track_series(points):
             f" {worst} -> {worst + 1} swings by {d[worst]:+.6f} rad;"
             " refine the grid (smaller dt or larger sampling factor)"
         )
-    chi = np.empty_like(filled)
-    chi[0] = filled[0]
-    np.cumsum(d, out=chi[1:])
-    chi[1:] += filled[0]
     ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
     sin2_half = np.clip((1.0 + ratio) / 2.0, 0.0, 1.0)
     return {
         "A": a,
         "R": r,
-        "chi": chi,
+        "dchi": d,
         "sin2_half": sin2_half,
         "theta_t": 2.0 * np.arcsin(np.sqrt(sin2_half)),
         "eps_plus": eps,
@@ -273,8 +305,9 @@ def test_from_points_matches_reference_route(pts):
     track = PolarTrack.from_points(pts, grid)
     assert np.array_equal(track.singular, want["singular"])
     assert track.unwrap_jumps == want["unwrap_jumps"]
-    for name in ("A", "R", "chi", "eps_plus"):
+    for name in ("A", "R", "eps_plus"):
         np.testing.assert_allclose(getattr(track, name), want[name], rtol=0, atol=1e-15)
+    assert np.array_equal(track.dchi, want["dchi"])
     # A one-ulp change of eps moves sin2_half = (1 + A/eps)/2 by about an
     # ulp, so sin2_half is compared to 1e-15 everywhere and bit for bit
     # wherever eps came out identical.  The derived theta_t magnifies that
@@ -358,7 +391,7 @@ def test_closed_form_purity_precondition():
         grid=base.grid,
         A=0.5 * base.A,
         R=0.5 * base.R,
-        chi=np.array(base.chi),
+        dchi=np.array(base.dchi),
         sin2_half=np.array(base.sin2_half),
         eps_plus=0.5 * base.eps_plus,
         singular=np.array(base.singular),
@@ -387,7 +420,7 @@ def test_closed_form_scale_invariance():
             grid=base.grid,
             A=lam * base.A,
             R=lam * base.R,
-            chi=np.array(base.chi),
+            dchi=np.array(base.dchi),
             sin2_half=np.array(base.sin2_half),
             eps_plus=lam * base.eps_plus,
             singular=np.array(base.singular),
@@ -414,7 +447,7 @@ def test_closed_form_rejects_vanishing_polarization():
         grid=grid,
         A=np.zeros(3),
         R=np.zeros(3),
-        chi=np.zeros(3),
+        dchi=np.zeros(2),
         sin2_half=np.full(3, 0.5),
         eps_plus=np.zeros(3),
         singular=np.ones(3, dtype=bool),
