@@ -220,15 +220,17 @@ def sector_weights(bath_size: int) -> list[SectorWeight]:
     """Eigenvalue ladder of a collective bath component for N spin-1/2.
 
     m = k - N/2 for k = 0..N (integers for even N, half-integers for odd N),
-    zeta = C(N, k) computed exactly in integer arithmetic (no overflow for
-    any practical N; verified well past N = 1000), w = zeta / 2^N.
+    zeta = C(N, k) by the exact integer recurrence
+    C(N, k + 1) = C(N, k) (N - k) // (k + 1) (no overflow for any practical
+    N; verified well past N = 1000), w = zeta / 2^N.
     """
     if not isinstance(bath_size, int) or isinstance(bath_size, bool) or bath_size < 1:
         raise ConfigError("bath_size must be an integer >= 1")
     n = bath_size
     denom = 1 << n
     out = []
+    zeta = 1
     for k in range(n + 1):
-        zeta = math.comb(n, k)
         out.append(SectorWeight(m=k - n / 2.0, zeta=zeta, w=zeta / denom))
+        zeta = zeta * (n - k) // (k + 1)
     return out

@@ -1,14 +1,27 @@
 """Exact dense evolution on the full qubit + bath + bath Hilbert space.
 
-Ground truth for the sector-sum dynamics: build the full Hamiltonian on
-dimension D = 2 * 2^N * 2^N in the ordering qubit (x) bath1 (x) bath2,
-diagonalize it once with a dense Hermitian eigensolver, evolve
+Ground truth for the sector-sum dynamics, independent of the sector
+formula: the full Hamiltonian on dimension D = 2 * 2^N * 2^N in the
+ordering qubit (x) bath1 (x) bath2, numerical eigenvectors, and a literal
+partial trace of
 
-    rho(0) = rho_S(0) (x) 1/2^N (x) 1/2^N,
+    rho(0) = rho_S(0) (x) 1/2^N (x) 1/2^N
 
-and partial-trace both baths.  Memory scales as D^2, so builds are refused
-above a configurable bath-size cap (default N = 4, i.e. D = 512; N = 6 with
-D = 8192 is reachable only by explicitly raising the cap).
+over both baths.  H is real in this sigma_z (x) J_z product basis
+(sigma_y (x) J_y is a product of two imaginary matrices), so:
+
+* per config, one real eigh, H = V diag(E) V^T, with V = [V_0; V_1] split
+  by the qubit index; only E and the Gram blocks K_ab = V_a^T V_b (K_00,
+  K_01, K_11, with K_10 = K_01^T) are kept.  O(D^3), cached;
+* per trajectory, rho0_eig = V^T rho(0) V = 4^-N sum_ab rho_S(0)[a, b] K_ab.
+  O(D^2);
+* per time node, rho_S(t)[a, b] = sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t}
+  K_ab[k, l], the bath trace of V e^{-iEt} rho0_eig e^{iEt} V^T.  O(D^2),
+  nodes taken in chunks of at most D so no temporary exceeds D^2 elements.
+
+Memory scales as D^2, so builds are refused above a configurable bath-size
+cap (default N = 4, i.e. D = 512; N = 6 with D = 8192 is reachable only by
+explicitly raising the cap).
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from .model import (
 
 # Build refusal beyond this is a hard non-goal, not a tunable.
 _ABSOLUTE_MAX_BATH = 6
+_PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 @dataclass(frozen=True)
@@ -114,39 +128,49 @@ def build_hamiltonian(
 
 @lru_cache(maxsize=8)
 def _diagonalized(config: SystemConfig, max_bath_size: int):
-    """One shared eigendecomposition per config (energies, vectors)."""
+    """Per config: energies and the qubit-block Gram matrices of one real eigh.
+
+    With V = [V_0; V_1] split by the qubit index, returns E and
+    (K_00, K_01, K_11) with K_ab = V_a^T V_b; V itself is dropped.
+    """
     ham = build_hamiltonian(config, OracleLimits(max_bath_size=max_bath_size))
+    if np.any(ham.matrix.imag):
+        raise OracleError("Hamiltonian is not real in the product basis")
     try:
-        energies, vectors = np.linalg.eigh(ham.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - nump rarely fails
+        energies, vectors = np.linalg.eigh(ham.matrix.real)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
         raise OracleError(f"dense eigensolver failed: {exc}") from exc
-    energies.setflags(write=False)
-    vectors.setflags(write=False)
-    return energies, vectors
-
-
-def _reduced_at(
-    energies: np.ndarray,
-    vectors: np.ndarray,
-    rho0_eig: np.ndarray,
-    bath_dim: int,
-    t: float,
-) -> np.ndarray:
-    """Partial trace of V e^{-iEt} rho0_eig e^{+iEt} V^dag over both baths."""
-    phase = np.exp(-1.0j * energies * t)
-    evolved_eig = (phase[:, None] * rho0_eig) * phase.conj()[None, :]
-    rho_t = vectors @ evolved_eig @ vectors.conj().T
-    full = rho_t.reshape(2, bath_dim, bath_dim, 2, bath_dim, bath_dim)
-    return np.einsum("aijbij->ab", full)
+    v0, v1 = np.split(vectors, 2)
+    gram = (v0.T @ v0, v0.T @ v1, v1.T @ v1)
+    for array in (energies, *gram):
+        array.setflags(write=False)
+    return energies, gram
 
 
 def _prepared(config: SystemConfig, angles: InitialStateAngles, limits: OracleLimits):
-    energies, vectors = _diagonalized(config, limits.max_bath_size)
-    bath_dim = 2**config.bath_size
-    eye_mixed = np.eye(bath_dim, dtype=complex) / bath_dim
-    rho0 = np.kron(initial_density(angles).matrix, np.kron(eye_mixed, eye_mixed))
-    rho0_eig = vectors.conj().T @ rho0 @ vectors
-    return energies, vectors, rho0_eig, bath_dim
+    """Per trajectory: E, the four K_ab in the order 00, 01, 10, 11, and rho0_eig."""
+    energies, (k00, k01, k11) = _diagonalized(config, limits.max_bath_size)
+    blocks = (k00, k01, k01.T, k11)
+    rho_s = initial_density(angles).matrix
+    rho0_eig = sum(r * k for r, k in zip(rho_s.flat, blocks)) / (energies.size // 2)
+    return energies, blocks, rho0_eig
+
+
+def _reduced_series(energies, blocks, rho0_eig, times: np.ndarray) -> np.ndarray:
+    """Reduced qubit states at `times`, shape (n, 2, 2).
+
+    rho_S(t)[a, b] = sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t} K_ab[k, l],
+    as ((P @ W_ab) * conj(P)).sum(1) with P = e^{-iEt} and W_ab = rho0_eig o K_ab.
+    Nodes go in chunks of at most D, so no temporary exceeds D^2 elements.
+    """
+    dim = energies.size
+    out = np.empty((times.size, 4), dtype=complex)
+    for start in range(0, times.size, dim):
+        phase = np.exp(-1.0j * np.outer(times[start : start + dim], energies))
+        back = phase.conj()
+        for i, k in enumerate(blocks):
+            out[start : start + dim, i] = ((phase @ (rho0_eig * k)) * back).sum(1)
+    return out.reshape(-1, 2, 2)
 
 
 def evolve_reduced(
@@ -159,8 +183,8 @@ def evolve_reduced(
     if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
         raise ConfigError("t must be finite and >= 0")
     limits = limits or OracleLimits()
-    energies, vectors, rho0_eig, bath_dim = _prepared(config, angles, limits)
-    reduced = _reduced_at(energies, vectors, rho0_eig, bath_dim, float(t))
+    prepared = _prepared(config, angles, limits)
+    reduced = _reduced_series(*prepared, np.array([float(t)]))[0]
     # Symmetrize away eigensolver round-off before validation.
     reduced = (reduced + reduced.conj().T) / 2.0
     return QubitDensity(reduced)
@@ -174,14 +198,8 @@ def oracle_trajectory(
 ) -> BlochTrajectory:
     """Exact reduced Bloch trajectory, reusing one eigendecomposition."""
     limits = limits or OracleLimits()
-    energies, vectors, rho0_eig, bath_dim = _prepared(config, angles, limits)
-    times = grid.times()
-    pts = np.empty((times.size, 3))
-    for i, t in enumerate(times):
-        reduced = _reduced_at(energies, vectors, rho0_eig, bath_dim, float(t))
-        pts[i, 0] = np.trace(reduced @ SIGMA_X).real
-        pts[i, 1] = np.trace(reduced @ SIGMA_Y).real
-        pts[i, 2] = np.trace(reduced @ SIGMA_Z).real
+    reduced = _reduced_series(*_prepared(config, angles, limits), grid.times())
+    pts = np.einsum("nab,iba->ni", reduced, _PAULI).real
     return BlochTrajectory(grid=grid, points=pts, config=config, initial=angles)
 
 

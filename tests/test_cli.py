@@ -544,6 +544,19 @@ def test_gp_n48_output_bytes_ignore_blas_threads():
     assert one.stdout == two.stdout
 
 
+def test_verify_report_bytes_ignore_blas_threads():
+    # The report's own wall time is the one line allowed to differ.
+    def report(threads):
+        proc = _module_run(["verify", "--out", "-"], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0
+        lines = proc.stdout.splitlines(keepends=True)
+        kept = [line for line in lines if not line.lstrip().startswith('"runtime_s":')]
+        assert len(kept) == len(lines) - 1
+        return "".join(kept)
+
+    assert report("1") == report("2")
+
+
 def test_gp_n100_output_bytes_ignore_blas_threads():
     # 11273 nodes, past the 10^4 beyond which OpenBLAS splits a dot product
     # over its threads (a BLAS dot in the phase quadrature changes the last

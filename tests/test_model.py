@@ -151,6 +151,13 @@ def test_sector_weights_exact_normalization():
         assert abs(math.fsum(s.w for s in ladder) - 1.0) < 1e-15
 
 
+def test_sector_weights_match_math_comb_bit_for_bit():
+    for n in [*range(1, 301), 501, 1000, 2001]:
+        ladder = sector_weights(n)
+        assert [s.zeta for s in ladder] == [math.comb(n, k) for k in range(n + 1)]
+        assert [s.w for s in ladder] == [math.comb(n, k) / 2**n for k in range(n + 1)]
+
+
 def test_sector_weights_symmetric():
     for n in (3, 8, 21):
         ladder = sector_weights(n)

@@ -26,6 +26,7 @@ from frustra_gp import (
     initial_density,
     oracle_trajectory,
 )
+from frustra_gp.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def test_limits_default_cap():
@@ -127,12 +128,62 @@ def test_evolve_reduced_matches_sector_sum():
 
 
 def test_oracle_trajectory_matches_sector_sum():
-    cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
     ang = InitialStateAngles(theta=1.1, phi=0.4)
     grid = TimeGrid(0.0, 5.0, 41)
-    exact = oracle_trajectory(cfg, ang, grid)
-    fast = bloch_trajectory(cfg, ang, grid)
-    assert np.max(np.abs(exact.points - fast.points)) < 1e-12
+    for n in (2, 4):  # D = 32 (the 41 nodes take two chunks) and D = 512
+        cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=n)
+        exact = oracle_trajectory(cfg, ang, grid)
+        fast = bloch_trajectory(cfg, ang, grid)
+        assert np.max(np.abs(exact.points - fast.points)) < 1e-12
+
+
+def _literal_reduced(cfg, ang, t):
+    """V e^{-iEt} V^dag rho(0) V e^{iEt} V^dag from a complex eigh, bath-traced."""
+    energies, vectors = np.linalg.eigh(build_hamiltonian(cfg).matrix)
+    bath_dim = 2**cfg.bath_size
+    eye_mixed = np.eye(bath_dim) / bath_dim
+    rho0 = np.kron(initial_density(ang).matrix, np.kron(eye_mixed, eye_mixed))
+    u = (vectors * np.exp(-1.0j * energies * t)) @ vectors.conj().T
+    full = (u @ rho0 @ u.conj().T).reshape(2, bath_dim, bath_dim, 2, bath_dim, bath_dim)
+    return np.einsum("aijbij->ab", full)
+
+
+def test_projected_series_matches_literal_partial_trace():
+    rng = np.random.default_rng(113)
+    grid = TimeGrid(0.0, 19.0, 6)
+    for n in (1, 2):
+        cfg = SystemConfig(
+            omega=float(rng.uniform(0.3, 2.0)),
+            alpha1=float(rng.uniform(0.0, 1.5)),
+            alpha2=float(rng.uniform(0.0, 1.5)),
+            bath_size=n,
+        )
+        ang = InitialStateAngles(
+            theta=float(rng.uniform(0.0, math.pi)),
+            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        points = oracle_trajectory(cfg, ang, grid).points
+        for t, point in zip(grid.times(), points):
+            literal = _literal_reduced(cfg, ang, t)
+            projected = evolve_reduced(cfg, ang, float(t)).matrix
+            assert np.max(np.abs(projected - literal)) < 1e-13
+            expected = [np.trace(literal @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+            assert np.max(np.abs(point - expected)) < 1e-13
+
+
+def test_hamiltonian_is_real_in_product_basis():
+    # sigma_y (x) J_y is a product of two imaginary matrices, so H is exactly
+    # real and the oracle diagonalizes it with a real eigensolver.
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            cfg = SystemConfig(
+                omega=float(rng.uniform(0.1, 3.0)),
+                alpha1=float(rng.uniform(0.0, 2.0)),
+                alpha2=float(rng.uniform(0.0, 2.0)),
+                bath_size=n,
+            )
+            assert not np.any(build_hamiltonian(cfg).matrix.imag)
 
 
 def test_reduced_state_stays_physical():
