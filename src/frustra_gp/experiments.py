@@ -12,8 +12,8 @@ folded rotation map has M_xz = M_yz = M_zx = M_zy = 0 exactly, so the cell
 series, and a polarization A = cos(theta) M_zz(t) shared by its row.
 The column's azimuth increments and the unwrap guard are therefore
 computed once per column (phase.unwrap_azimuth).  From the column norm
-rho a cell computes only R = sin(theta) rho / 2,
-eps_plus = sqrt((sin(theta) rho)^2 + A^2) and sin2_half.  A cell falls back
+rho and its square rho2 a cell computes only R = sin(theta) rho / 2,
+eps_plus = sqrt(sin^2(theta) rho2 + A^2) and sin2_half.  A cell falls back
 to PolarTrack.from_points on its own projected points when
 sin(theta) min(rho) / 2 < 2 R_TOL (a node singular or close to it) or when
 its column's azimuth step reaches the unwrap limit.  The map is a
@@ -167,9 +167,14 @@ class _ColumnSweep:
 
     Column j's series is B(t) (ux[j], uy[j]) at theta = pi/2, with B the
     in-plane block of the map and (ux, uy) = (-sin phi, cos phi) the
-    in-plane start (see the module docstring); rho[j] is
-    its norm, dchi[j] its azimuth increments and jumps[j] its unwrap_jumps,
-    None where the unwrap guard trips.
+    in-plane start (see the module docstring); rho2[j] is its squared norm
+    and rho[j] its norm, dchi[j] its azimuth increments and jumps[j] its
+    unwrap_jumps, None where the unwrap guard trips.
+
+    A factored cell makes six elementwise passes over its n nodes
+    (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps, + 1/2, and R), and
+    gp_closed_form five more (1 - sin2_half, pair sums, products with dchi,
+    and two sums): eleven in all.  A, A/2 and A^2 are formed once per row.
     """
 
     def __init__(self, rot: np.ndarray, phis: np.ndarray, grid: TimeGrid):
@@ -181,12 +186,14 @@ class _ColumnSweep:
             for i, k in ((0, 0), (0, 1), (1, 1), (2, 2))
         )
         self.regular = np.zeros(grid.n_steps, dtype=bool)
+        self.rho2 = np.empty((phis.size, grid.n_steps))
         self.rho = np.empty((phis.size, grid.n_steps))
         self.dchi = np.empty((phis.size, grid.n_steps - 1))
         self.jumps = []
         for j in range(phis.size):
             x, y = self._in_plane(j, 1.0)
-            np.sqrt(x * x + y * y, out=self.rho[j])
+            np.add(x * x, y * y, out=self.rho2[j])
+            np.sqrt(self.rho2[j], out=self.rho[j])
             try:
                 self.dchi[j], jumps = unwrap_azimuth(np.arctan2(y, x))
             except ResolutionError:
@@ -199,21 +206,21 @@ class _ColumnSweep:
         sx, sy = st * self.ux[j], st * self.uy[j]
         return sx * self.mxx + sy * self.mxy, sy * self.myy - sx * self.mxy
 
-    def _cell_track(self, j: int, st: float, a: np.ndarray, a2: np.ndarray) -> PolarTrack:
-        w = st * self.rho[j]
-        eps = w * w
+    def _cell_track(
+        self, j: int, st: float, a: np.ndarray, a_half: np.ndarray, a2: np.ndarray
+    ) -> PolarTrack:
+        eps = (st * st) * self.rho2[j]
         eps += a2
         np.sqrt(eps, out=eps)
         # eps >= |A| in floats (the square root of a rounded square gives
-        # |A| back), so (1 + A/eps)/2 lies in [0, 1] without a clip.
-        s = a / eps
-        s += 1.0
-        s /= 2.0
-        w /= 2.0
+        # |A| back), so (A/2)/eps + 1/2 lies in [0, 1] without a clip.  It is
+        # bit for bit (1 + A/eps)/2, since halving is exact.
+        s = a_half / eps
+        s += 0.5
         return PolarTrack(
             grid=self.grid,
             A=a,
-            R=w,
+            R=(st / 2.0) * self.rho[j],
             dchi=self.dchi[j],
             sin2_half=s,
             eps_plus=eps,
@@ -225,6 +232,7 @@ class _ColumnSweep:
         """gamma, gamma_unwrapped and singular_count of one constant-theta row."""
         st, ct = math.sin(theta), math.cos(theta)
         a = ct * self.mzz
+        a_half = a / 2.0
         a2 = a * a
         gam = np.empty(self.phis.size)
         unw = np.empty(self.phis.size)
@@ -240,7 +248,7 @@ class _ColumnSweep:
             )
             try:
                 if factored:
-                    track = self._cell_track(j, st, a, a2)
+                    track = self._cell_track(j, st, a, a_half, a2)
                 else:
                     x, y = self._in_plane(j, st)
                     track = PolarTrack.from_points(np.column_stack([x, y, a]), self.grid)

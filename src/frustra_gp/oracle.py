@@ -10,6 +10,9 @@ partial trace of
 over both baths.  H is real in this sigma_z (x) J_z product basis
 (sigma_y (x) J_y is a product of two imaginary matrices), so:
 
+* per bath size, the real operators sigma_z, sigma_x (x) J_x and
+  sigma_y (x) J_y = -(i sigma_y) (x) (i J_y), cached; per config, H is
+  their real linear combination;
 * per config, one real eigh, H = V diag(E) V^T, with V = [V_0; V_1] split
   by the qubit index; only E and the Gram blocks K_ab = V_a^T V_b (K_00,
   K_01, K_11, with K_10 = K_01^T) are kept.  O(D^3), cached;
@@ -48,6 +51,9 @@ from .model import (
 # Build refusal beyond this is a hard non-goal, not a tunable.
 _ABSOLUTE_MAX_BATH = 6
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+_SIGMA_X_REAL = SIGMA_X.real
+# i sigma_y, real: sigma_y = -i (i sigma_y).
+_I_SIGMA_Y = (1.0j * SIGMA_Y).real
 
 
 @dataclass(frozen=True)
@@ -99,31 +105,51 @@ class HermitianOperator:
 def _collective(single: np.ndarray, n_spins: int) -> np.ndarray:
     """sum_k 1 (x) ... (x) single_k (x) ... (x) 1 over n_spins sites."""
     dim = 2**n_spins
-    total = np.zeros((dim, dim), dtype=complex)
+    total = np.zeros((dim, dim))
     for k in range(n_spins):
-        op = np.eye(2**k, dtype=complex)
-        op = np.kron(op, single)
-        op = np.kron(op, np.eye(2 ** (n_spins - k - 1), dtype=complex))
-        total += op
+        total += np.kron(np.kron(np.eye(2**k), single), np.eye(2 ** (n_spins - k - 1)))
     return total
+
+
+@lru_cache(maxsize=_ABSOLUTE_MAX_BATH)
+def _coupling_operators(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The config-independent real parts of H at bath size n_spins.
+
+    Returns the diagonal of sigma_z (x) 1 (x) 1, then sigma_x (x) J_x (x) 1
+    and sigma_y (x) 1 (x) J_y, the last written as -(i sigma_y) (x) 1 (x)
+    (i J_y): i sigma_y and i J_y are real matrices.  The cache holds two
+    dense D x D arrays per bath size (4 MB at N = 4).
+    """
+    eye = np.eye(2**n_spins)
+    z = np.repeat([1.0, -1.0], 4**n_spins)
+    x = np.kron(_SIGMA_X_REAL, np.kron(_collective(_SIGMA_X_REAL / 2.0, n_spins), eye))
+    y = -np.kron(_I_SIGMA_Y, np.kron(eye, _collective(_I_SIGMA_Y / 2.0, n_spins)))
+    for op in (z, x, y):
+        op.setflags(write=False)
+    return z, x, y
+
+
+def _real_hamiltonian(config: SystemConfig, limits: OracleLimits) -> np.ndarray:
+    """H as a real dense matrix: (omega/2) Z + (alpha1/2) X + (alpha2/2) Y.
+
+    Each entry of H comes from one of the three operators alone, so the sum
+    has the bits of the complex kron construction's real part.
+    """
+    validate_config(config)
+    limits.check(config.bath_size)
+    z, x, y = _coupling_operators(config.bath_size)
+    h = np.diag((config.omega / 2.0) * z)
+    h += (config.alpha1 / 2.0) * x
+    h += (config.alpha2 / 2.0) * y
+    return h
 
 
 def build_hamiltonian(
     config: SystemConfig, limits: OracleLimits | None = None
 ) -> HermitianOperator:
     """Assemble the full Hamiltonian as a dense Hermitian matrix."""
-    validate_config(config)
-    limits = limits or OracleLimits()
-    limits.check(config.bath_size)
-    n = config.bath_size
-    bath_dim = 2**n
-    eye_bath = np.eye(bath_dim, dtype=complex)
-    coll_x = _collective(SIGMA_X / 2.0, n)
-    coll_y = _collective(SIGMA_Y / 2.0, n)
-    h = (config.omega / 2.0) * np.kron(SIGMA_Z, np.kron(eye_bath, eye_bath))
-    h += (config.alpha1 / 2.0) * np.kron(SIGMA_X, np.kron(coll_x, eye_bath))
-    h += (config.alpha2 / 2.0) * np.kron(SIGMA_Y, np.kron(eye_bath, coll_y))
-    return HermitianOperator(matrix=h, bath_size=n)
+    h = _real_hamiltonian(config, limits or OracleLimits())
+    return HermitianOperator(matrix=h.astype(complex), bath_size=config.bath_size)
 
 
 @lru_cache(maxsize=8)
@@ -133,11 +159,9 @@ def _diagonalized(config: SystemConfig, max_bath_size: int):
     With V = [V_0; V_1] split by the qubit index, returns E and
     (K_00, K_01, K_11) with K_ab = V_a^T V_b; V itself is dropped.
     """
-    ham = build_hamiltonian(config, OracleLimits(max_bath_size=max_bath_size))
-    if np.any(ham.matrix.imag):
-        raise OracleError("Hamiltonian is not real in the product basis")
+    h = _real_hamiltonian(config, OracleLimits(max_bath_size=max_bath_size))
     try:
-        energies, vectors = np.linalg.eigh(ham.matrix.real)
+        energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
         raise OracleError(f"dense eigensolver failed: {exc}") from exc
     v0, v1 = np.split(vectors, 2)

@@ -49,6 +49,7 @@ indeterminate phase raises IndeterminatePhaseError.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -247,11 +248,19 @@ def polar_track(traj: BlochTrajectory) -> PolarTrack:
 def _trapezoid_on_chi(dchi: np.ndarray, integrand: np.ndarray) -> float:
     """sum_i dchi_i * (f_i + f_{i+1}) / 2 for f on the n nodes bounding dchi.
 
-    np.sum, not np.dot: OpenBLAS splits a dot product of more than 10^4
-    nodes over its threads, and the partial sums then round differently
-    with each thread count.
+    Three passes: the pair sums f_i + f_{i+1}, their products with dchi (in
+    place), and np.sum, halved once at the end (halving is exact, so this is
+    bit for bit the sum of dchi_i * ((f_i + f_{i+1}) / 2)).  np.sum adds
+    pairwise, so its rounding stays at a few ulp of the total.  Not
+    np.einsum("i,i->"): its fused loop accumulates in a single vector
+    register, and over 3 x 10^3 nodes with a total near 100 rad it lands up
+    to 3e-13 from the pairwise sum.  Not np.dot: OpenBLAS splits a dot
+    product of more than 10^4 nodes over its threads, and the partial sums
+    then round differently with each thread count.
     """
-    return float(np.sum(dchi * ((integrand[:-1] + integrand[1:]) / 2.0)))
+    pair = integrand[:-1] + integrand[1:]
+    pair *= dchi
+    return float(pair.sum()) / 2.0
 
 
 def _track_diagnostics(track: PolarTrack) -> GpDiagnostics:
@@ -294,11 +303,14 @@ def gp_closed_form(
     # sin2_half follows the branch direction A/eps, not raw <sigma_z>, which
     # keeps the arg exactly invariant under positive rescalings of the
     # polarization.
-    s = track.sin2_half
-    c0, s0 = math.sqrt(s[0]), math.sqrt(1.0 - s[0])
-    dchi = float(np.sum(track.dchi))
-    connection = _trapezoid_on_chi(track.dchi, 1.0 - s)
-    bracket = c0 * math.sqrt(s[-1]) + np.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s[-1])
+    s_start, s_end = float(track.sin2_half[0]), float(track.sin2_half[-1])
+    c0, s0 = math.sqrt(s_start), math.sqrt(1.0 - s_start)
+    dchi = float(track.dchi.sum())
+    # The integrand cos^2(theta_t/2) is taken as 1 - sin2_half node by node.
+    # dchi - _trapezoid_on_chi(dchi, sin2_half) saves that pass but rounds
+    # the sum differently, which moves phases that sit on the +-pi cut.
+    connection = _trapezoid_on_chi(track.dchi, 1.0 - track.sin2_half)
+    bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
     if abs(bracket) < Z_TOL:
         raise IndeterminatePhaseError(
             f"indeterminate phase: |bracket| = {abs(bracket):.3e} < {Z_TOL:.3e}"
@@ -318,9 +330,13 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
 
     Requires the trajectory to start at the Bloch south pole (theta0 = pi,
     i.e. <sigma_z(0)> = -1); otherwise a PreconditionError is raised.  The
-    integrand (1 - cos theta_t)/2 is the track's sin2_half and the quadrature
-    matches gp_closed_form's trapezoid on chi increments; the two methods
-    agree exactly (mod 2*pi) at the pole.
+    integrand (1 - cos theta_t)/2 is the track's sin2_half, summed by the
+    same helper (_trapezoid_on_chi) that gp_closed_form applies to
+    1 - sin2_half.  At the pole sin2_half(0) = 0, so the closed form's phase
+    is arg(e^{i dchi_total}) minus the trapezoid of 1 - sin2_half, which is
+    dchi_total minus this one: the two methods agree exactly in exact
+    arithmetic and, in floats, to the rounding of that exp/atan2 round trip
+    and of the two sums (a few ulp of |dchi_total|), mod 2*pi.
     """
     a0 = float(track.A[0])
     if abs(a0 + 1.0) > 1e-12:

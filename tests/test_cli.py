@@ -571,9 +571,12 @@ def test_gp_n100_output_bytes_ignore_blas_threads():
 
 
 def test_compare_output_bytes_ignore_blas_and_worker_threads():
-    # Each sweep row is projected by one BLAS product of shape (6, 3) x
-    # (3, 9n); 2001 steps put it past OpenBLAS's single-thread size limit,
-    # so OPENBLAS_NUM_THREADS=2 really splits it.
+    # The only BLAS products on this path are the rotation map's chunked
+    # matrix products, each small enough for one OpenBLAS thread; the
+    # sweep projects cells by elementwise products and its quadrature sums
+    # with np.sum.  OPENBLAS_NUM_THREADS=2 checks that no product of the
+    # 2001-step run is split over threads, and FRUSTRA_GP_THREADS=2 that
+    # the row pool does not reach the bytes.
     args = ["compare", "--bath-size", "4", "--n-theta", "5", "--n-phi", "6",
             "--steps", "2001"]
     runs = [

@@ -186,6 +186,41 @@ def test_hamiltonian_is_real_in_product_basis():
             assert not np.any(build_hamiltonian(cfg).matrix.imag)
 
 
+def _kron_hamiltonian(cfg):
+    """H from complex kron chains, one collective spin operator per bath."""
+    n = cfg.bath_size
+    eye = np.eye(2**n, dtype=complex)
+
+    def collective(single):
+        total = np.zeros((2**n, 2**n), dtype=complex)
+        for k in range(n):
+            op = np.kron(np.eye(2**k, dtype=complex), single)
+            total += np.kron(op, np.eye(2 ** (n - k - 1), dtype=complex))
+        return total
+
+    h = (cfg.omega / 2.0) * np.kron(SIGMA_Z, np.kron(eye, eye))
+    h += (cfg.alpha1 / 2.0) * np.kron(SIGMA_X, np.kron(collective(SIGMA_X / 2.0), eye))
+    h += (cfg.alpha2 / 2.0) * np.kron(SIGMA_Y, np.kron(eye, collective(SIGMA_Y / 2.0)))
+    return h
+
+
+def test_hamiltonian_bytes_match_kron_construction():
+    # H is assembled from cached real operators; every entry comes from one
+    # term alone, so the bytes equal those of the complex kron chains.
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4):
+        couplings = [(0.0, 0.0), (0.8, 0.0), (0.0, 0.8)]
+        couplings += [tuple(rng.uniform(0.0, 2.0, 2)) for _ in range(2)]
+        for a1, a2 in couplings:
+            cfg = SystemConfig(
+                omega=float(rng.uniform(0.1, 3.0)),
+                alpha1=float(a1),
+                alpha2=float(a2),
+                bath_size=n,
+            )
+            assert build_hamiltonian(cfg).matrix.tobytes() == _kron_hamiltonian(cfg).tobytes()
+
+
 def test_reduced_state_stays_physical():
     cfg = SystemConfig(omega=1.1, alpha1=1.0, alpha2=0.7, bath_size=2)
     ang = InitialStateAngles(theta=2.2, phi=5.0)

@@ -352,6 +352,68 @@ def test_three_routes_agree_on_spiral():
     assert dh.diagnostics.min_step_overlap > 0.999
 
 
+@st.composite
+def _pure_start_tracks(draw):
+    """Tracks from a pure start: sin2_half in {0} u [1e-6, 1] and increments
+    in {0} u +-[1e-6, 3.1], so no product or partial sum is subnormal."""
+    n = draw(st.integers(2, 60))
+    unit = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    s = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    steps = st.one_of(st.just(0.0), st.floats(1e-6, 3.1), st.floats(-3.1, -1e-6))
+    dchi = np.array(draw(st.lists(steps, min_size=n - 1, max_size=n - 1)))
+    a = 2.0 * s - 1.0
+    return PolarTrack(
+        grid=TimeGrid(0.0, 1.0, n),
+        A=a,
+        R=np.sqrt(np.maximum(1.0 - a * a, 0.0)) / 2.0,
+        dchi=dchi,
+        sin2_half=s,
+        eps_plus=np.ones(n),
+        singular=np.zeros(n, dtype=bool),
+        unwrap_jumps=0,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(track=_pure_start_tracks())
+def test_closed_form_quadrature_is_the_literal_trapezoid(track):
+    # The literal trapezoid sum_i dchi_i (f_i + f_{i+1}) / 2 on
+    # f = 1 - sin2_half, and the bracket exactly as the formula reads; the
+    # closed form only regroups exact halvings, so it must match bit for bit.
+    s, dchi = track.sin2_half, track.dchi
+    f = 1.0 - s
+    connection = float(np.sum(dchi * ((f[:-1] + f[1:]) / 2.0)))
+    total = float(np.sum(dchi))
+    bracket = complex(
+        math.sqrt(s[0]) * math.sqrt(s[-1])
+        + np.exp(1.0j * total) * math.sqrt(1.0 - s[0]) * math.sqrt(1.0 - s[-1])
+    )
+    if abs(bracket) < phase.Z_TOL:
+        with pytest.raises(IndeterminatePhaseError):
+            gp_closed_form(track)
+        return
+    want = math.atan2(bracket.imag, bracket.real) - connection
+    assert gp_closed_form(track).gamma_unwrapped == want
+
+
+def test_closed_form_and_south_pole_share_one_quadrature(monkeypatch):
+    track = polar_track(_spiral_trajectory(n_steps=2001))
+    quadrature = phase._trapezoid_on_chi
+    integrands = []
+
+    def spy(dchi, integrand):
+        assert dchi is track.dchi
+        integrands.append(integrand)
+        return quadrature(dchi, integrand)
+
+    monkeypatch.setattr(phase, "_trapezoid_on_chi", spy)
+    gp_south_pole(track)
+    gp_closed_form(track)
+    assert len(integrands) == 2
+    assert np.array_equal(integrands[0], track.sin2_half)
+    assert np.array_equal(integrands[1], 1.0 - track.sin2_half)
+
+
 def test_closed_form_matches_unitary_reference():
     # constant integrand makes the trapezoid exact up to round-off
     for theta in (0.3, 0.9, 2.5):
