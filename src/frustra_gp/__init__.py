@@ -57,8 +57,6 @@ from .model import (
     validate_config,
 )
 from .oracle import (
-    HermitianOperator,
-    OracleLimits,
     build_hamiltonian,
     evolve_reduced,
     oracle_trajectory,
@@ -89,11 +87,9 @@ __all__ = [
     "GpDiagnostics",
     "GpResult",
     "GpSurface",
-    "HermitianOperator",
     "IndeterminatePhaseError",
     "InitialStateAngles",
     "OracleError",
-    "OracleLimits",
     "PolarTrack",
     "PreconditionError",
     "QubitDensity",

@@ -92,6 +92,13 @@ def _conv_pos_int(text: str) -> int:
     return value
 
 
+def _conv_seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be a non-negative integer")
+    return value
+
+
 def _conv_steps(text: str):
     if text == "auto":
         return None
@@ -140,7 +147,7 @@ _CONVERTERS = {
     "method": _conv_choice(*_GP_METHODS),
     "metric": _conv_choice(*COMPARE_METRICS),
     "couplings": _conv_couplings,
-    "seed": int,
+    "seed": _conv_seed,
     "out": str,
 }
 
@@ -232,12 +239,19 @@ class RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Textual form accepted by load_config; keys sorted, Nones omitted."""
+    """Textual form accepted by load_config; keys sorted, Nones omitted.
+
+    A value that load_config would read back changed (one holding a '#' or
+    a line break, or with leading or trailing whitespace) raises ConfigError.
+    """
     lines = [f"subcommand={cfg.subcommand}"]
     for key in sorted(cfg.values):
         value = cfg.values[key]
-        if value is not None:
-            lines.append(f"{key}={value}")
+        if value is None:
+            continue
+        if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+            raise ConfigError(f"{key}: value {value!r} cannot be written to a config file")
+        lines.append(f"{key}={value}")
     return "\n".join(lines) + "\n"
 
 

@@ -66,6 +66,10 @@ from .model import (
     validate_config,
 )
 
+# numpy allocates no array of more bytes than intp holds, so a grid with more
+# float64 nodes than this cannot be sampled at all.
+_MAX_NODES = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -84,6 +88,8 @@ class TimeGrid:
             raise ConfigError("t_end must exceed t_start")
         if not isinstance(self.n_steps, int) or self.n_steps < 2:
             raise ConfigError("n_steps must be an integer >= 2")
+        if self.n_steps > _MAX_NODES:
+            raise MemoryError(f"{self.n_steps} time nodes exceed the largest numpy array")
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps)

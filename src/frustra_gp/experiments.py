@@ -129,8 +129,10 @@ def auto_time_grid(
         raise ConfigError("t_end must be positive and finite")
     if sampling_factor < 1:
         raise ConfigError("sampling_factor must be >= 1")
-    needed = math.ceil(t_end * sampling_factor * max_sector_freq(config) / (2.0 * math.pi))
-    return TimeGrid(0.0, float(t_end), max(min_steps, needed + 1))
+    cycles = t_end * sampling_factor * max_sector_freq(config) / (2.0 * math.pi)
+    if math.isinf(cycles):
+        raise MemoryError(f"t_end = {t_end} needs more time nodes than a float counts")
+    return TimeGrid(0.0, float(t_end), max(min_steps, math.ceil(cycles) + 1))
 
 
 @dataclass(frozen=True)
@@ -484,8 +486,11 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     discrete holonomy on randomized decohering configs; the documented
     normalization discrepancy of the literal polarization series; the
     south-pole special case; and exact sector-weight normalization.
-    Failures are recorded as entries, never raised.
+    Failures are recorded as entries, never raised; a negative seed raises
+    ConfigError.
     """
+    if seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     checks = []

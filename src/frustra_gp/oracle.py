@@ -22,15 +22,13 @@ over both baths.  H is real in this sigma_z (x) J_z product basis
   K_ab[k, l], the bath trace of V e^{-iEt} rho0_eig e^{iEt} V^T.  O(D^2),
   nodes taken in chunks of at most D so no temporary exceeds D^2 elements.
 
-Memory scales as D^2, so builds are refused above a configurable bath-size
-cap (default N = 4, i.e. D = 512; N = 6 with D = 8192 is reachable only by
-explicitly raising the cap).
+Memory scales as D^2, so builds are refused above MAX_BATH_SIZE = 4
+(D = 512).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,58 +46,12 @@ from .model import (
     validate_config,
 )
 
-# Build refusal beyond this is a hard non-goal, not a tunable.
-_ABSOLUTE_MAX_BATH = 6
+# Largest bath size the dense builder accepts: D = 2 * 4^4 = 512.
+MAX_BATH_SIZE = 4
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _SIGMA_X_REAL = SIGMA_X.real
 # i sigma_y, real: sigma_y = -i (i sigma_y).
 _I_SIGMA_Y = (1.0j * SIGMA_Y).real
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    """Cap on the per-bath spin count accepted by the dense builder."""
-
-    max_bath_size: int = 4
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.max_bath_size, int) or self.max_bath_size < 1:
-            raise ConfigError("max_bath_size must be an integer >= 1")
-        if self.max_bath_size > _ABSOLUTE_MAX_BATH:
-            raise ConfigError(
-                f"max_bath_size may not exceed {_ABSOLUTE_MAX_BATH}"
-            )
-
-    def check(self, bath_size: int) -> None:
-        if bath_size > self.max_bath_size:
-            dim = 2 * 4**bath_size
-            raise DimensionCapError(
-                f"bath_size {bath_size} exceeds cap {self.max_bath_size}"
-                f" (full dimension would be {dim}); raise max_bath_size"
-                " explicitly to override"
-            )
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Dense Hermitian matrix on the qubit (x) bath1 (x) bath2 ordering."""
-
-    matrix: np.ndarray
-    bath_size: int
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        dim = 2 * 4**self.bath_size
-        if m.shape != (dim, dim):
-            raise ConfigError(f"operator must have shape ({dim}, {dim})")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ConfigError("operator not Hermitian within 1e-10")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _collective(single: np.ndarray, n_spins: int) -> np.ndarray:
@@ -111,7 +63,7 @@ def _collective(single: np.ndarray, n_spins: int) -> np.ndarray:
     return total
 
 
-@lru_cache(maxsize=_ABSOLUTE_MAX_BATH)
+@lru_cache(maxsize=MAX_BATH_SIZE)
 def _coupling_operators(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The config-independent real parts of H at bath size n_spins.
 
@@ -129,14 +81,19 @@ def _coupling_operators(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return z, x, y
 
 
-def _real_hamiltonian(config: SystemConfig, limits: OracleLimits) -> np.ndarray:
+def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     """H as a real dense matrix: (omega/2) Z + (alpha1/2) X + (alpha2/2) Y.
 
     Each entry of H comes from one of the three operators alone, so the sum
-    has the bits of the complex kron construction's real part.
+    has the bits of the complex kron construction's real part (its
+    imaginary part is zero).  Refused above MAX_BATH_SIZE.
     """
     validate_config(config)
-    limits.check(config.bath_size)
+    if config.bath_size > MAX_BATH_SIZE:
+        raise DimensionCapError(
+            f"bath_size {config.bath_size} exceeds cap {MAX_BATH_SIZE}"
+            f" (full dimension would be {2 * 4**config.bath_size})"
+        )
     z, x, y = _coupling_operators(config.bath_size)
     h = np.diag((config.omega / 2.0) * z)
     h += (config.alpha1 / 2.0) * x
@@ -144,24 +101,15 @@ def _real_hamiltonian(config: SystemConfig, limits: OracleLimits) -> np.ndarray:
     return h
 
 
-def build_hamiltonian(
-    config: SystemConfig, limits: OracleLimits | None = None
-) -> HermitianOperator:
-    """Assemble the full Hamiltonian as a dense Hermitian matrix."""
-    h = _real_hamiltonian(config, limits or OracleLimits())
-    return HermitianOperator(matrix=h.astype(complex), bath_size=config.bath_size)
-
-
 @lru_cache(maxsize=8)
-def _diagonalized(config: SystemConfig, max_bath_size: int):
+def _diagonalized(config: SystemConfig):
     """Per config: energies and the qubit-block Gram matrices of one real eigh.
 
     With V = [V_0; V_1] split by the qubit index, returns E and
     (K_00, K_01, K_11) with K_ab = V_a^T V_b; V itself is dropped.
     """
-    h = _real_hamiltonian(config, OracleLimits(max_bath_size=max_bath_size))
     try:
-        energies, vectors = np.linalg.eigh(h)
+        energies, vectors = np.linalg.eigh(build_hamiltonian(config))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
         raise OracleError(f"dense eigensolver failed: {exc}") from exc
     v0, v1 = np.split(vectors, 2)
@@ -171,9 +119,9 @@ def _diagonalized(config: SystemConfig, max_bath_size: int):
     return energies, gram
 
 
-def _prepared(config: SystemConfig, angles: InitialStateAngles, limits: OracleLimits):
+def _prepared(config: SystemConfig, angles: InitialStateAngles):
     """Per trajectory: E, the four K_ab in the order 00, 01, 10, 11, and rho0_eig."""
-    energies, (k00, k01, k11) = _diagonalized(config, limits.max_bath_size)
+    energies, (k00, k01, k11) = _diagonalized(config)
     blocks = (k00, k01, k01.T, k11)
     rho_s = initial_density(angles).matrix
     rho0_eig = sum(r * k for r, k in zip(rho_s.flat, blocks)) / (energies.size // 2)
@@ -198,38 +146,27 @@ def _reduced_series(energies, blocks, rho0_eig, times: np.ndarray) -> np.ndarray
 
 
 def evolve_reduced(
-    config: SystemConfig,
-    angles: InitialStateAngles,
-    t: float,
-    limits: OracleLimits | None = None,
+    config: SystemConfig, angles: InitialStateAngles, t: float
 ) -> QubitDensity:
     """Exact reduced qubit density matrix at time t >= 0."""
     if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
         raise ConfigError("t must be finite and >= 0")
-    limits = limits or OracleLimits()
-    prepared = _prepared(config, angles, limits)
-    reduced = _reduced_series(*prepared, np.array([float(t)]))[0]
+    reduced = _reduced_series(*_prepared(config, angles), np.array([float(t)]))[0]
     # Symmetrize away eigensolver round-off before validation.
     reduced = (reduced + reduced.conj().T) / 2.0
     return QubitDensity(reduced)
 
 
 def oracle_trajectory(
-    config: SystemConfig,
-    angles: InitialStateAngles,
-    grid: TimeGrid,
-    limits: OracleLimits | None = None,
+    config: SystemConfig, angles: InitialStateAngles, grid: TimeGrid
 ) -> BlochTrajectory:
     """Exact reduced Bloch trajectory, reusing one eigendecomposition."""
-    limits = limits or OracleLimits()
-    reduced = _reduced_series(*_prepared(config, angles, limits), grid.times())
+    reduced = _reduced_series(*_prepared(config, angles), grid.times())
     pts = np.einsum("nab,iba->ni", reduced, _PAULI).real
     return BlochTrajectory(grid=grid, points=pts, config=config, initial=angles)
 
 
 __all__ = [
-    "HermitianOperator",
-    "OracleLimits",
     "build_hamiltonian",
     "evolve_reduced",
     "oracle_trajectory",

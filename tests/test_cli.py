@@ -364,6 +364,27 @@ def test_run_config_round_trip(tmp_path):
     assert isinstance(cfg, RunConfig)
 
 
+@pytest.mark.parametrize("out", ["res#1.txt", " padded.txt ", "padded.txt\t", "two\nlines"])
+def test_serialize_config_refuses_values_that_reload_changed(out):
+    # load_config cuts a '#' comment, splits at line breaks and strips each
+    # value, so writing such a value would reload as a different one.
+    cfg = RunConfig("gp", {"bath-size": "3", "out": out})
+    with pytest.raises(ConfigError, match="^out: "):
+        serialize_config(cfg)
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("frustra-gp: error:") and "seed" in err
+    assert not out.exists()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("subcommand=verify\nseed=-3\n")
+    with pytest.raises(ConfigError, match="line 2: invalid value for seed"):
+        load_config(cfg_path)
+
+
 def test_threads_env_rejected_when_invalid(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "0")
     assert run(SURFACE_ARGS + ["--out", str(tmp_path / "x.csv")]) == 1
@@ -608,3 +629,20 @@ def test_memory_error_is_numerical_error(monkeypatch, capsys, argv, callee):
     assert err.startswith("frustra-gp: numerical error: out of memory")
     assert "bath size N = 400" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--t-end", "1e308"],  # the auto grid's node count overflows a float
+        ["--t-end", "1e300"],  # past numpy's largest array
+        ["--steps", "100000000000000000000"],
+    ],
+)
+def test_oversized_time_grid_is_out_of_memory(capsys, extra):
+    assert run(["gp", "--bath-size", "3", *extra]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "frustra-gp: numerical error: out of memory at bath size N = 3;"
+        " lower the bath size, the evolution time or the grid\n"
+    )

@@ -276,6 +276,11 @@ def test_strategy_compare_metrics_and_winner():
     assert d["entries"][0]["missing_cells"] == 0
 
 
+def test_verify_suite_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        verify_suite(seed=-1)
+
+
 def test_verify_suite_passes():
     report = verify_suite()
     names = [c.name for c in report.checks]

@@ -1,5 +1,6 @@
 """Guards on the package source: no module reaches into another module's
-private names, and no function takes a parameter that its body never reads.
+private names, no function takes a parameter that its body never reads, and
+the package re-exports exactly the public names its modules declare.
 
 Each source file is parsed with ast, so the checks need no import side
 effects.  A private name is one with a single leading underscore; dunder
@@ -7,6 +8,7 @@ names such as __version__ are public.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import frustra_gp
@@ -69,6 +71,31 @@ def test_no_private_imports_across_modules():
         if (uses := _private_uses(ast.parse(path.read_text(), filename=str(path))))
     }
     assert offenders == {}
+
+
+def test_package_all_matches_module_all():
+    # A public name leaves the package and its module together: a name that
+    # a module's __all__ declares is re-exported, and a re-exported name
+    # defined in a module with an __all__ is declared there.  cli keeps its
+    # own surface, and __main__ runs the program when imported.
+    unresolved = [name for name in frustra_gp.__all__ if not hasattr(frustra_gp, name)]
+    assert unresolved == []
+    exported = set(frustra_gp.__all__)
+    declared = {}
+    for path in SOURCES:
+        if path.stem not in {"__init__", "__main__", "cli"}:
+            module = importlib.import_module(f"{frustra_gp.__name__}.{path.stem}")
+            declared[module.__name__] = set(getattr(module, "__all__", ()))
+    not_reexported = {
+        module: sorted(names - exported) for module, names in declared.items() if names - exported
+    }
+    assert not_reexported == {}
+    undeclared = []
+    for name in frustra_gp.__all__:
+        home = getattr(getattr(frustra_gp, name), "__module__", None)
+        if declared.get(home) and name not in declared[home]:
+            undeclared.append(name)
+    assert undeclared == []
 
 
 def test_guard_flags_private_imports_and_attribute_reads():

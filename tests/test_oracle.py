@@ -14,9 +14,7 @@ import pytest
 from frustra_gp import (
     ConfigError,
     DimensionCapError,
-    HermitianOperator,
     InitialStateAngles,
-    OracleLimits,
     SystemConfig,
     TimeGrid,
     bloch_at,
@@ -27,22 +25,7 @@ from frustra_gp import (
     oracle_trajectory,
 )
 from frustra_gp.model import SIGMA_X, SIGMA_Y, SIGMA_Z
-
-
-def test_limits_default_cap():
-    limits = OracleLimits()
-    assert limits.max_bath_size == 4
-    limits.check(4)
-    with pytest.raises(DimensionCapError):
-        limits.check(5)
-
-
-def test_limits_validation():
-    OracleLimits(max_bath_size=6)
-    with pytest.raises(ConfigError):
-        OracleLimits(max_bath_size=7)
-    with pytest.raises(ConfigError):
-        OracleLimits(max_bath_size=0)
+from frustra_gp.oracle import MAX_BATH_SIZE
 
 
 def test_build_refused_above_cap():
@@ -51,26 +34,36 @@ def test_build_refused_above_cap():
         build_hamiltonian(cfg)
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cfg, ang: evolve_reduced(cfg, ang, 1.0),
+        lambda cfg, ang: oracle_trajectory(cfg, ang, TimeGrid(0.0, 1.0, 3)),
+    ],
+    ids=["evolve_reduced", "oracle_trajectory"],
+)
+def test_evolution_refused_above_cap_before_allocating(run, monkeypatch):
+    def no_allocation(*args):
+        raise AssertionError("operators built above the cap")
+
+    monkeypatch.setattr("frustra_gp.oracle._coupling_operators", no_allocation)
+    cfg = SystemConfig(omega=1.0, alpha1=0.5, alpha2=0.5, bath_size=MAX_BATH_SIZE + 1)
+    with pytest.raises(DimensionCapError):
+        run(cfg, InitialStateAngles(theta=1.0))
+
+
 def test_hamiltonian_shape_and_hermiticity():
     cfg = SystemConfig(omega=2.0, alpha1=0.7, alpha2=0.3, bath_size=2)
     ham = build_hamiltonian(cfg)
-    assert ham.dim == 2 * 4**2
-    assert np.max(np.abs(ham.matrix - ham.matrix.conj().T)) < 1e-14
-
-
-def test_hermitian_operator_validation():
-    bad = np.zeros((32, 32), dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ConfigError):
-        HermitianOperator(matrix=bad, bath_size=2)
-    with pytest.raises(ConfigError):
-        HermitianOperator(matrix=np.eye(4, dtype=complex), bath_size=2)
+    assert ham.shape == (2 * 4**2, 2 * 4**2)
+    assert ham.dtype == np.float64
+    assert np.array_equal(ham, ham.T)
 
 
 def test_free_qubit_spectrum_frozen():
     # omega=2, no coupling, N=1: energies +/-1, each 4-fold (bath dim 4)
     cfg = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
-    energies = np.linalg.eigh(build_hamiltonian(cfg).matrix)[0]
+    energies = np.linalg.eigh(build_hamiltonian(cfg))[0]
     assert np.allclose(np.sort(energies), [-1.0] * 4 + [1.0] * 4, atol=1e-14)
 
 
@@ -97,7 +90,7 @@ def test_spectrum_matches_sector_frequencies():
                 )
                 expected.extend([-gamma / 2.0] * (zeta1 * zeta2))
                 expected.extend([+gamma / 2.0] * (zeta1 * zeta2))
-        energies = np.linalg.eigh(build_hamiltonian(cfg).matrix)[0]
+        energies = np.linalg.eigh(build_hamiltonian(cfg))[0]
         assert np.max(np.abs(np.sort(energies) - np.sort(expected))) < 1e-12
 
 
@@ -139,7 +132,7 @@ def test_oracle_trajectory_matches_sector_sum():
 
 def _literal_reduced(cfg, ang, t):
     """V e^{-iEt} V^dag rho(0) V e^{iEt} V^dag from a complex eigh, bath-traced."""
-    energies, vectors = np.linalg.eigh(build_hamiltonian(cfg).matrix)
+    energies, vectors = np.linalg.eigh(_kron_hamiltonian(cfg))
     bath_dim = 2**cfg.bath_size
     eye_mixed = np.eye(bath_dim) / bath_dim
     rho0 = np.kron(initial_density(ang).matrix, np.kron(eye_mixed, eye_mixed))
@@ -173,7 +166,8 @@ def test_projected_series_matches_literal_partial_trace():
 
 def test_hamiltonian_is_real_in_product_basis():
     # sigma_y (x) J_y is a product of two imaginary matrices, so H is exactly
-    # real and the oracle diagonalizes it with a real eigensolver.
+    # real and the oracle diagonalizes it with a real eigensolver.  Checked
+    # on the complex kron construction, independent of the real builder.
     rng = np.random.default_rng(29)
     for n in (1, 2, 3):
         for _ in range(3):
@@ -183,7 +177,7 @@ def test_hamiltonian_is_real_in_product_basis():
                 alpha2=float(rng.uniform(0.0, 2.0)),
                 bath_size=n,
             )
-            assert not np.any(build_hamiltonian(cfg).matrix.imag)
+            assert not np.any(_kron_hamiltonian(cfg).imag)
 
 
 def _kron_hamiltonian(cfg):
@@ -206,7 +200,8 @@ def _kron_hamiltonian(cfg):
 
 def test_hamiltonian_bytes_match_kron_construction():
     # H is assembled from cached real operators; every entry comes from one
-    # term alone, so the bytes equal those of the complex kron chains.
+    # term alone, so the bytes equal those of the complex kron chains' real
+    # part, which is all of them (test_hamiltonian_is_real_in_product_basis).
     rng = np.random.default_rng(31)
     for n in (1, 2, 3, 4):
         couplings = [(0.0, 0.0), (0.8, 0.0), (0.0, 0.8)]
@@ -218,7 +213,9 @@ def test_hamiltonian_bytes_match_kron_construction():
                 alpha2=float(a2),
                 bath_size=n,
             )
-            assert build_hamiltonian(cfg).matrix.tobytes() == _kron_hamiltonian(cfg).tobytes()
+            ham = build_hamiltonian(cfg)
+            assert ham.dtype == np.float64
+            assert ham.tobytes() == _kron_hamiltonian(cfg).real.tobytes()
 
 
 def test_reduced_state_stays_physical():
