@@ -31,13 +31,15 @@ merged into one row (at N = 48 with alpha1 = alpha2 that takes 625 rows to
 
 One route evaluates the sum: cos and sin are taken only at anchors every K
 nodes and at the K offsets of one block, and angle addition turns them into
-every node with one small matrix product per anchor; a first-order term
-puts each node on its exact float time.  On a uniform grid (times bit for
-bit equal to np.linspace of their ends, which every TimeGrid gives)
-K = floor(sqrt(n)); any other times, a single time included, take K = 1,
-where every node is its own anchor.  The sectors are summed in column
-chunks whose size is a fixed element budget, so K does not shrink as the
-sector count grows and temporary memory grows with neither S nor n.
+every node; a first-order term puts each node on its exact float time.  On
+a uniform grid (times bit for bit equal to np.linspace of their ends, which
+every TimeGrid gives) K = floor(sqrt(n)); any other times, a single time
+included, take K = 1, where every node is its own anchor.  The sectors are
+summed in chunks, each one matrix product: the anchors' [cos | sin] block
+times a table of the chunk's coefficients against the offsets' cos and sin.
+Both operands are held to a fixed element budget, so K does not shrink as
+the sector count grows and temporary memory beyond a few arrays of n rows
+grows with neither S nor n.
 
 `literal_polarizations` additionally evaluates an alternate transcription of
 the same sector sum that carries a -1 / 2^(2N+1) prefactor and a reflected
@@ -156,15 +158,18 @@ def sector_rotation(
     return BlochVector.from_array(rotated)
 
 
-# Budget of elements per chunk.  The sectors are taken in column chunks of
-# c <= _CHUNK_ELEMENTS // (2K), so the (2c, K) offset block of a chunk holds
-# at most _CHUNK_ELEMENTS elements and every (8, 2c) x (2c, K) product at
-# most 8 * _CHUNK_ELEMENTS = 2^18 multiply-adds, the most OpenBLAS runs on
-# one thread: a product it splits over threads rounds differently with each
-# thread count, and the output bytes would follow.  The anchors of a chunk
-# are taken in groups that keep the coefficient table near the same budget,
-# so no temporary grows with S K or S n.
-_CHUNK_ELEMENTS = 1 << 15
+# Elements in each operand of a sector chunk's product (512 KB of float64):
+# the (2c, 8K) offset table and the (2c, anchors) block, so no buffer but
+# the (anchors, 8K) sums and product grows with S or n (the block holds two
+# rows of anchors when one sector alone overfills it, past 32768 anchors).
+# The product is one GEMM, which OpenBLAS may split over its threads.  The
+# byte tests find the map's bytes the same at 1 and 2 threads, up to 398
+# chunks at N = 400 (tests/test_dynamics.py) and through gp, verify and
+# compare (tests/test_cli.py): the split divides the output, not the sum
+# over sectors, so every entry is summed in one order.
+_CHUNK_ELEMENTS = 1 << 16
+# sin, cos and -sin of a zero offset, broadcast over a chunk's sectors
+_AT_ZERO_OFFSET = np.array([0.0, 1.0, -0.0])[None, :, None]
 
 
 @lru_cache(maxsize=64)
@@ -174,10 +179,10 @@ def _sector_tables(config: SystemConfig):
     Returns (total, gammas, p, q, lift): total is the summed weight (1 up to
     rounding), gammas (S,) the distinct frequencies in ascending order, and
     p, q (4, S) and lift (8,) the coefficients _sums_by_anchors applies to
-    1 - cos(Gamma t) and sin(Gamma t).  Each |m| > 0 stands for the pair +-m
-    and carries twice its ladder weight.  The map sees a sector only through
-    Gamma and its coefficients, so the rows of sectors whose Gamma^2 is
-    exactly equal are summed into one: swapped (m1, m2) when
+    cos(Gamma t), to sin(Gamma t) and to 1.  Each |m| > 0 stands for the
+    pair +-m and carries twice its ladder weight.  The map sees a sector
+    only through Gamma and its coefficients, so the rows of sectors whose
+    Gamma^2 is exactly equal are summed into one: swapped (m1, m2) when
     alpha1 = alpha2, every m2 when alpha2 = 0.
     """
     ladder = [s for s in sector_weights(config.bath_size) if s.m >= 0.0]
@@ -200,14 +205,14 @@ def _sector_tables(config: SystemConfig):
     np.add.at(merged, sector, rows)
     gammas = np.sqrt(distinct2)
     wc, wz = merged[:, :3], merged[:, 3]
-    # Coefficients against 1 - cos (p) and against sin (q).  Rows of p: the
-    # x, y, z sums and d/dt of the xy sum; rows of q: the xy sum and d/dt of
-    # the x, y, z sums.  d/dt [1 - cos | sin](Gamma t) = Gamma [sin | cos],
-    # and Gamma cos = Gamma - Gamma (1 - cos) leaves the constant lift.
-    p = np.column_stack([wc, -gammas * wz]).T
+    # The eight sums, in order: d/dt of the xy sum, the x, y, z sums of
+    # w c (1 - cos), the xy sum of w n_z sin, and d/dt of the x, y, z sums.
+    # The first four take cos (p), the last four sin (q), and the constant
+    # part of 1 - cos goes to the lift.
+    p = np.column_stack([gammas * wz, -wc]).T
     q = np.column_stack([wz, gammas[:, None] * wc]).T
     lift = np.zeros(8)
-    lift[3] = np.sum(gammas * wz)
+    lift[1:4] = wc.sum(axis=0)
     for arr in (gammas, p, q, lift):
         arr.setflags(write=False)
     return float(weights.sum()), gammas, p, q, lift
@@ -231,66 +236,74 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
     """The x, y, z and xy sector sums at times, shape (4, n), in blocks of k nodes.
 
     Node j = lo + b is the anchor a = times[lo] plus the offset o = b dt plus
-    a residual r = times[j] - a - o of a few ulp.  With
+    a residual r = times[j] - a - o of a few ulp.  The eight sums of
+    _sector_tables at a + o are lift + sum over sectors of
+    p cos(Gamma (a + o)) + q sin(Gamma (a + o)), and
 
-        1 - cos(a + o) = (1 - cos a) + cos a (1 - cos o) + sin a sin o
-        sin(a + o)     = sin a - sin a (1 - cos o) + cos a sin o
+        cos(a + o) = cos a cos o - sin a sin o
+        sin(a + o) = sin a cos o + cos a sin o
 
-    one [1 - cos | sin] block of the offsets, computed once per sector
-    chunk, serves every anchor through a coefficient table with the
-    anchor's cos and sin folded in.  The table has eight columns: the four
-    sums at a + o and their time derivatives, which move each node by r
-    onto times[j].  Each block restarts from the actual times[lo], so
-    rounding does not build up from block to block.  At k = 1 the offset
-    block is all zeros and its products are skipped.
+    make each sector chunk one product of the (anchors, 2c) block
+    [cos Gamma a | sin Gamma a] with the (2c, 8k) offset table
+    [p cos o, q sin o; -p sin o, q cos o], added to the sums.  The four
+    derivative sums move each node by r onto times[j].  Each block restarts
+    from the actual times[lo], so rounding does not build up from block to
+    block.  At k = 1 the offset and r are 0 and the table holds p and q alone.
     """
-    dt = (times[-1] - times[0]) / (times.size - 1) if k > 1 else 0.0
+    n = times.size
+    dt = (times[-1] - times[0]) / (n - 1) if k > 1 else 0.0
     offsets = np.arange(k) * dt
     # Times padded to whole blocks; the padded nodes are computed and dropped.
-    seg = np.append(times, np.repeat(times[-1:], -times.size % k)).reshape(-1, k)
-    sums = np.empty((seg.shape[0], 8, k))
+    seg = np.concatenate((times, np.full(-n % k, times[-1]))).reshape(-1, k)
+    n_a = seg.shape[0]
+    width = max(1, min(_CHUNK_ELEMENTS // (16 * k), _CHUNK_ELEMENTS // (2 * n_a)))
+    width = min(width, gammas.size)
+    # The sums, the product and the widest chunk's operands share one
+    # allocation per call, and a narrower last chunk takes the front of each.
+    # Apart, the allocator returns their pages after every call and faults
+    # them in again on the next (about 270 minor faults per call at N = 48
+    # on 5441 nodes).
+    m = 8 * n_a * k
+    block = np.empty(2 * m + (2 * n_a + 19 * k) * width)
+    sums = block[:m].reshape(n_a, 8, k)
+    prod = block[m : 2 * m].reshape(n_a, 8, k)
+    left_buf = block[2 * m :]
+    trig_buf = left_buf[2 * n_a * width :]
+    table_buf = trig_buf[3 * k * width :]
     sums[...] = lift[:, None]
-    width = max(1, _CHUNK_ELEMENTS // (2 * k))
     for lo in range(0, gammas.size, width):
         gam = gammas[lo : lo + width]
-        pc, qc = p[:, lo : lo + width], q[:, lo : lo + width]
         c = gam.size
+        # the block transposed, anchors innermost: ([cos a | sin a], c, anchors)
+        left = left_buf[: 2 * c * n_a].reshape(2, c, n_a)
+        np.multiply.outer(gam, seg[:, 0], out=left[1])
+        np.cos(left[1], out=left[0])
+        np.sin(left[1], out=left[1])
+        # [sin o, cos o, -sin o]: [cos o, -sin o] against p, [sin o, cos o]
+        # against q
+        trig = _AT_ZERO_OFFSET
         if k > 1:
-            # [1 - cos | sin] of the offset phases, built in place
-            block = np.empty((k, 2 * c))
-            np.multiply.outer(offsets, gam, out=block[:, c:])
-            np.cos(block[:, c:], out=block[:, :c])
-            np.sin(block[:, c:], out=block[:, c:])
-            np.subtract(1.0, block[:, :c], out=block[:, :c])
-            block_t = block.T
-        # Anchors per group: the (anchors, 8, 2c) table and the (anchors, 8, k)
-        # sums then hold at most _CHUNK_ELEMENTS / 2 elements together, unless
-        # one anchor alone needs more.  At k = 1 there is no table, and the
-        # (anchors, c) phases, cos, sin and 1 - cos get the whole budget.
-        group = max(1, _CHUNK_ELEMENTS // (32 * (c + k) if k > 1 else 4 * c))
-        for a in range(0, seg.shape[0], group):
-            part = sums[a : a + group]
-            ph = np.multiply.outer(seg[a : a + group, 0], gam)
-            cs, sn = np.cos(ph)[:, None, :], np.sin(ph)[:, None, :]
-            # each anchor's own sums, the offset-0 row of the identity above
-            at_anchor = np.concatenate([(1.0 - cs) @ pc.T, sn @ qc.T], axis=2)
-            part += at_anchor.transpose(0, 2, 1)
-            if k > 1:
-                coef = np.empty((part.shape[0], 8, 2 * c))
-                np.multiply(pc, cs, out=coef[:, :4, :c])
-                np.multiply(pc, sn, out=coef[:, :4, c:])
-                np.multiply(qc, -sn, out=coef[:, 4:, :c])
-                np.multiply(qc, cs, out=coef[:, 4:, c:])
-                # One (8, 2c) x (2c, k) product per anchor, each small enough
-                # that OpenBLAS keeps it on one thread (see _CHUNK_ELEMENTS).
-                part += np.matmul(coef, block_t)
-    # the x, y, z, xy sums moved by r along their derivatives
-    r = (seg - seg[:, :1]) - offsets
-    xyz, xy = sums[:, :3], sums[:, 4]
-    xyz += r[:, None, :] * sums[:, 5:]
-    xy += r * sums[:, 3]
-    fixed = np.stack([sums[:, i] for i in (0, 1, 2, 4)])
-    return fixed.reshape(4, -1)[:, : times.size]
+            trig = trig_buf[: 3 * k * c].reshape(k, 3, c)
+            np.multiply.outer(offsets, gam, out=trig[:, 1])
+            np.sin(trig[:, 1], out=trig[:, 0])
+            np.cos(trig[:, 1], out=trig[:, 1])
+            np.negative(trig[:, 0], out=trig[:, 2])
+        # the table transposed, sectors innermost: (8, k, [cos a | sin a], c)
+        table = table_buf[: 16 * k * c].reshape(8, k, 2, c)
+        np.multiply(p[:, None, None, lo : lo + c], trig[:, 1:], out=table[:4])
+        np.multiply(q[:, None, None, lo : lo + c], trig[:, :2], out=table[4:])
+        np.matmul(
+            left.reshape(2 * c, n_a).T,
+            table.reshape(8 * k, 2 * c).T,
+            out=prod.reshape(n_a, 8 * k),
+        )
+        sums += prod
+    if k > 1:
+        # the x, y, z, xy sums moved by r along their derivatives
+        r = (seg - seg[:, :1]) - offsets
+        sums[:, 1:4] += r[:, None, :] * sums[:, 5:]
+        sums[:, 4] += r * sums[:, 0]
+    return sums[:, 1:5].transpose(1, 0, 2).reshape(4, -1)[:, :n]
 
 
 def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
@@ -310,10 +323,10 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     K = floor(sqrt(n)), so cos and sin are taken at n/K anchors and K
     offsets instead of at all n nodes; any other times, a single time
     included, take K = 1 and cos and sin at every node.  The two agree to
-    about the rounding of Gamma t (5.7e-14 at Gamma t = 500).  The sectors
-    are summed in column chunks, so memory beyond the (n, 8) sums is a few
-    times 8 * _CHUNK_ELEMENTS bytes at any S and n (more only when one
-    anchor alone needs more).
+    about the rounding of Gamma t (5.7e-14 at Gamma t = 500).  Each chunk
+    of sectors is one matrix product whose operands hold at most
+    _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 8) sums
+    and product is about 1 MB at any S and n.
     """
     validate_config(config)
     times = np.asarray(times, dtype=float).reshape(-1)
@@ -346,7 +359,12 @@ def bloch_trajectory(
 ) -> BlochTrajectory:
     """Sample the reduced dynamics on a uniform time grid."""
     m = rotation_matrices(config, grid.times())
-    pts = np.einsum("nij,j->ni", m, initial_bloch(angles).as_array())
+    x, y, z = initial_bloch(angles).as_array()
+    # M v0 from the map's five nonzero entries
+    pts = np.empty((grid.n_steps, 3))
+    pts[:, 0] = m[:, 0, 0] * x + m[:, 0, 1] * y
+    pts[:, 1] = m[:, 1, 0] * x + m[:, 1, 1] * y
+    pts[:, 2] = m[:, 2, 2] * z
     return BlochTrajectory(grid=grid, points=pts, config=config, initial=angles)
 
 

@@ -86,6 +86,19 @@ def validate_config(config: SystemConfig) -> SystemConfig:
         problems.append("bath_size must be an integer")
     elif config.bath_size < 1:
         problems.append("bath_size must be >= 1")
+    if not problems:
+        # The widest sector, m1 = m2 = N/2, has the largest Gamma, which sizes
+        # the time grid; Gamma^2 must stay a finite float.
+        try:
+            half = config.bath_size / 2.0
+        except OverflowError:
+            half = math.inf
+        b1, b2 = config.alpha1 * half, config.alpha2 * half
+        if not math.isfinite(config.omega * config.omega + b1 * b1 + b2 * b2):
+            problems.append(
+                "omega^2 + (alpha1 N/2)^2 + (alpha2 N/2)^2 overflows;"
+                " lower the couplings or the bath size"
+            )
     if problems:
         raise ConfigError("invalid system config: " + "; ".join(problems))
     return config

@@ -385,6 +385,15 @@ def test_negative_seed_is_usage_error(tmp_path, capsys):
         load_config(cfg_path)
 
 
+@pytest.mark.parametrize("extra", [[], ["--steps", "100"]], ids=["auto-grid", "fixed-grid"])
+def test_overflowing_coupling_is_usage_error(extra, capsys):
+    # alpha1 N/2 = 1.5e200 squares past the float range: the auto grid used
+    # to end in an OverflowError traceback, a fixed grid in non-finite points
+    assert run(["gp", "--bath-size", "3", "--alpha1", "1e200", *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("frustra-gp: error:") and "overflows" in err
+
+
 def test_threads_env_rejected_when_invalid(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "0")
     assert run(SURFACE_ARGS + ["--out", str(tmp_path / "x.csv")]) == 1
@@ -582,8 +591,8 @@ def test_gp_n100_output_bytes_ignore_blas_threads():
     # 11273 nodes, past the 10^4 beyond which OpenBLAS splits a dot product
     # over its threads (a BLAS dot in the phase quadrature changes the last
     # digit here), and 1031 distinct Gamma, so the rotation map runs blocks
-    # of K = 106 nodes over 7 sector chunks, each product at most
-    # (8, 308) x (308, 106).
+    # of K = 106 nodes over 28 sector chunks, each one product of at most
+    # (107, 76) x (76, 848).
     args = [a if a != "48" else "100" for a in GP_N48_ARGS]
     one = _module_run(args, OPENBLAS_NUM_THREADS="1")
     two = _module_run(args, OPENBLAS_NUM_THREADS="2")
@@ -593,11 +602,10 @@ def test_gp_n100_output_bytes_ignore_blas_threads():
 
 def test_compare_output_bytes_ignore_blas_and_worker_threads():
     # The only BLAS products on this path are the rotation map's chunked
-    # matrix products, each small enough for one OpenBLAS thread; the
-    # sweep projects cells by elementwise products and its quadrature sums
-    # with np.sum.  OPENBLAS_NUM_THREADS=2 checks that no product of the
-    # 2001-step run is split over threads, and FRUSTRA_GP_THREADS=2 that
-    # the row pool does not reach the bytes.
+    # matrix products; the sweep projects cells by elementwise products and
+    # its quadrature sums with np.sum.  OPENBLAS_NUM_THREADS=2 checks that
+    # the 2001-step run's products give the same bytes on two threads, and
+    # FRUSTRA_GP_THREADS=2 that the row pool does not reach the bytes.
     args = ["compare", "--bath-size", "4", "--n-theta", "5", "--n-phi", "6",
             "--steps", "2001"]
     runs = [

@@ -15,10 +15,18 @@ Oracles used here, independent of the implementation under test:
   chunks;
 - the verbatim polarization transcription is cross-checked against the
   rotation-sum identity it must equal.
+
+One test runs the map in fresh interpreters, to compare its bytes at two
+OpenBLAS thread counts.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +56,8 @@ from frustra_gp import (
     sector_weights,
 )
 from frustra_gp import dynamics
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _random_config(rng, n_max=6):
@@ -298,9 +308,9 @@ def test_uniform_grid_rotation_map_properties(omega, pair, bath_size, t_start, s
 @pytest.mark.parametrize(
     "alpha1, alpha2, n_nodes",
     [
-        # one bath: 101 distinct Gamma in one sector chunk, about 180 blocks
+        # one bath: 101 distinct Gamma in 5 sector chunks, 179 blocks
         (1.0, 0.0, 31839),
-        # split budget: 3737 distinct Gamma in 25 sector chunks of 154
+        # split budget: 3737 distinct Gamma in 99 sector chunks of 38
         (0.25, 0.25, 11273),
     ],
     ids=["one-bath", "split"],
@@ -342,8 +352,8 @@ def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch, alpha1, alpha2
         # (273 distinct Gamma); the unfolded map peaked near 500 MB here
         (48, 0.5, 0.5, 50.0, 5441),
         # the auto grid to t = 5: blocks of 47 nodes against 34623 distinct
-        # Gamma in 100 sector chunks; building every chunk's offset block
-        # up front peaks near 28 MB here
+        # Gamma in 398 sector chunks; building every chunk's offset table
+        # up front would take 200 MB here
         (400, 0.3, 0.2, 5.0, 2298),
     ],
     ids=["n48", "n400"],
@@ -351,14 +361,49 @@ def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch, alpha1, alpha2
 def test_rotation_matrices_peak_memory_is_bounded(bath_size, alpha1, alpha2, t_end, n_nodes):
     cfg = SystemConfig(omega=2.0, alpha1=alpha1, alpha2=alpha2, bath_size=bath_size)
     times = np.linspace(0.0, t_end, n_nodes)
-    tracemalloc.start()
-    try:
-        mats = rotation_matrices(cfg, times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert mats.shape == (n_nodes, 3, 3)
-    assert peak < 16 * 2**20
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            assert rotation_matrices(cfg, times).shape == (n_nodes, 3, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # The first call also builds the config's sector tables, O(S) and
+    # cached: 7.3 MB at n400, 2.5 MB of it kept.
+    dynamics._sector_tables.cache_clear()
+    assert traced_peak() < 16 * 2**20
+    # The sum itself: a 512 KB offset table, an anchor block of at most
+    # 512 KB, the (n, 8) sums and product and the (n, 3, 3) map: 1.7 MB at
+    # n48, 1.1 MB at n400.
+    assert traced_peak() < 3 * 2**20
+
+
+def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
+    # N = 400 on 2298 nodes: 398 sector chunks, each one GEMM of the
+    # (49, 174) anchor block with the (174, 376) offset table
+    code = (
+        "import hashlib, numpy as np\n"
+        "from frustra_gp import SystemConfig, rotation_matrices\n"
+        "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=400)\n"
+        "m = rotation_matrices(cfg, np.linspace(0.0, 5.0, 2298))\n"
+        "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+    )
+
+    def digest(threads):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    one = digest("1")
+    assert one == digest("2")
+    cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=400)
+    mats = rotation_matrices(cfg, np.linspace(0.0, 5.0, 2298))
+    assert hashlib.sha256(mats.tobytes()).hexdigest() == one
 
 
 def test_single_x_bath_map_commutes_with_half_turn_about_z():

@@ -60,6 +60,21 @@ def test_validate_config_rejects_underflowing_omega():
     validate_config(SystemConfig(omega=1e-150, alpha1=0.0, alpha2=0.0, bath_size=2))
 
 
+def test_validate_config_rejects_overflowing_gamma():
+    # Gamma^2 of the widest sector, omega^2 + (alpha1 N/2)^2 + (alpha2 N/2)^2,
+    # must be a finite float: couplings of 1e154 at N = 3 square past it
+    validate_config(SystemConfig(omega=1.0, alpha1=1e153, alpha2=1e153, bath_size=3))
+    for cfg in (
+        SystemConfig(omega=1.0, alpha1=1e154, alpha2=0.0, bath_size=3),
+        SystemConfig(omega=1.0, alpha1=0.0, alpha2=1e200, bath_size=3),
+        SystemConfig(omega=1.34e154, alpha1=1e153, alpha2=1e153, bath_size=3),
+        # a bath size past the float range, even uncoupled
+        SystemConfig(omega=1.0, alpha1=0.0, alpha2=0.0, bath_size=10**400),
+    ):
+        with pytest.raises(ConfigError, match="overflows"):
+            validate_config(cfg)
+
+
 def test_initial_angles_validation():
     with pytest.raises(ConfigError):
         InitialStateAngles(theta=-0.1)
