@@ -183,7 +183,10 @@ def _sector_tables(config: SystemConfig):
     pair +-m and carries twice its ladder weight.  The map sees a sector
     only through Gamma and its coefficients, so the rows of sectors whose
     Gamma^2 is exactly equal are summed into one: swapped (m1, m2) when
-    alpha1 = alpha2, every m2 when alpha2 = 0.
+    alpha1 = alpha2, every m2 when alpha2 = 0.  When alpha1 = alpha2 the y
+    coefficients are then the x coefficients, copied, so the map's M_yy is
+    M_xx bit for bit at every N (summed separately they could differ in
+    the last bit).
     """
     ladder = [s for s in sector_weights(config.bath_size) if s.m >= 0.0]
     m = np.array([s.m for s in ladder])
@@ -203,6 +206,10 @@ def _sector_tables(config: SystemConfig):
     distinct2, sector = np.unique(gammas2, return_inverse=True)
     merged = np.zeros((distinct2.size, 4))
     np.add.at(merged, sector, rows)
+    if config.alpha1 == config.alpha2:
+        # Swapped sectors share a row, so the x and y coefficients agree up
+        # to the order np.add.at summed them in; make them agree exactly.
+        merged[:, 1] = merged[:, 0]
     gammas = np.sqrt(distinct2)
     wc, wz = merged[:, :3], merged[:, 3]
     # The eight sums, in order: d/dt of the xy sum, the x, y, z sums of
@@ -315,6 +322,9 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
 
         M_ii = sum w - sum w (1 - c) (1 - n_i^2)      for i = x, y, z
         M_xy = -M_yx = -sum w s n_z
+
+    When alpha1 = alpha2, M_yy equals M_xx bit for bit, so the in-plane
+    block is a rotation times a scale.
 
     The sums run over the S distinct frequencies of _sector_tables (folded
     quadrant, equal Gamma merged), by angle addition from anchors every K

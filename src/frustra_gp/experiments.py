@@ -22,6 +22,16 @@ eps_plus cannot overflow.  NaN cells, singular counts and the
 ResolutionError text are thus those of the per-cell route; values move
 from it by the rounding of the factored series (about 1e-13 or less).
 
+When alpha1 = alpha2 the map has M_yy = M_xx bit for bit, so its in-plane
+block is a rotation times a scale and every column has the same rho and
+azimuth increments.  The sweep sees this in the map itself (no option
+selects it), builds column 0's series only, and gives every factored cell
+of a row one shared track, so the factored cells of such a row have the
+same value bit for bit.  A cell that falls back still projects its own
+points, but the fallback decision comes from the shared column.  Every
+cell still makes its own gp_closed_form call, as a per-cell trace of the
+sweep expects.
+
 `strategy_compare` contrasts coupling allocations (single bath vs split
 couplings) by two grid metrics: mean |gamma| and mean angular distance to
 the decoupled-limit reference gamma_u(theta) = -pi (1 - cos theta).  The
@@ -114,6 +124,7 @@ class AngleGrid:
 
 def max_sector_freq(config: SystemConfig) -> float:
     """Largest Gamma over the sector grid (attained at m1 = m2 = N/2)."""
+    validate_config(config)
     half = config.bath_size / 2.0
     return gamma_freq(config, half, half)
 
@@ -169,14 +180,25 @@ class _ColumnSweep:
 
     Column j's series is B(t) (ux[j], uy[j]) at theta = pi/2, with B the
     in-plane block of the map and (ux, uy) = (-sin phi, cos phi) the
-    in-plane start (see the module docstring); rho2[j] is its squared norm
-    and rho[j] its norm, dchi[j] its azimuth increments and jumps[j] its
-    unwrap_jumps, None where the unwrap guard trips.
+    in-plane start (see the module docstring).  Each stored series c has
+    its squared norm rho2[c], its norm rho[c], its azimuth increments
+    dchi[c] and its unwrap_jumps jumps[c], None where the unwrap guard
+    trips; column j reads series c = j.
 
-    A factored cell makes six elementwise passes over its n nodes
+    When M_xx = M_yy bit for bit (alpha1 = alpha2, see
+    dynamics._sector_tables), B is a rotation times a scale, so every column
+    has column 0's norm and azimuth increments.  Then only column 0's
+    series is stored, every column reads c = 0, and each row forms one
+    factored track and hands it to all its factored cells.  A cell that
+    falls back keeps its own projected points; whether it falls back is
+    decided from the shared series.  Each cell still makes its own
+    gp_closed_form call: a per-cell trace expects one call per cell.
+
+    A factored track makes six elementwise passes over its n nodes
     (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps, + 1/2, and R), and
     gp_closed_form five more (1 - sin2_half, pair sums, products with dchi,
-    and two sums): eleven in all.  A, A/2 and A^2 are formed once per row.
+    and two sums): eleven per cell, or five per cell and six per row when
+    the track is shared.  A, A/2 and A^2 are formed once per row.
     """
 
     def __init__(self, rot: np.ndarray, phis: np.ndarray, grid: TimeGrid):
@@ -187,12 +209,14 @@ class _ColumnSweep:
             np.ascontiguousarray(rot[:, i, k])
             for i, k in ((0, 0), (0, 1), (1, 1), (2, 2))
         )
+        self.shared = np.array_equal(self.mxx, self.myy)
+        n_series = 1 if self.shared else phis.size
         self.regular = np.zeros(grid.n_steps, dtype=bool)
-        self.rho2 = np.empty((phis.size, grid.n_steps))
-        self.rho = np.empty((phis.size, grid.n_steps))
-        self.dchi = np.empty((phis.size, grid.n_steps - 1))
+        self.rho2 = np.empty((n_series, grid.n_steps))
+        self.rho = np.empty((n_series, grid.n_steps))
+        self.dchi = np.empty((n_series, grid.n_steps - 1))
         self.jumps = []
-        for j in range(phis.size):
+        for j in range(n_series):
             x, y = self._in_plane(j, 1.0)
             np.add(x * x, y * y, out=self.rho2[j])
             np.sqrt(self.rho2[j], out=self.rho[j])
@@ -209,9 +233,9 @@ class _ColumnSweep:
         return sx * self.mxx + sy * self.mxy, sy * self.myy - sx * self.mxy
 
     def _cell_track(
-        self, j: int, st: float, a: np.ndarray, a_half: np.ndarray, a2: np.ndarray
+        self, c: int, st: float, a: np.ndarray, a_half: np.ndarray, a2: np.ndarray
     ) -> PolarTrack:
-        eps = (st * st) * self.rho2[j]
+        eps = (st * st) * self.rho2[c]
         eps += a2
         np.sqrt(eps, out=eps)
         # eps >= |A| in floats (the square root of a rounded square gives
@@ -222,12 +246,12 @@ class _ColumnSweep:
         return PolarTrack(
             grid=self.grid,
             A=a,
-            R=(st / 2.0) * self.rho[j],
-            dchi=self.dchi[j],
+            R=(st / 2.0) * self.rho[c],
+            dchi=self.dchi[c],
             sin2_half=s,
             eps_plus=eps,
             singular=self.regular,
-            unwrap_jumps=self.jumps[j],
+            unwrap_jumps=self.jumps[c],
         )
 
     def row(self, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -239,21 +263,27 @@ class _ColumnSweep:
         gam = np.empty(self.phis.size)
         unw = np.empty(self.phis.size)
         sing = np.empty(self.phis.size, dtype=int)
+        shared_track = None
         for j in range(self.phis.size):
+            c = 0 if self.shared else j
             # Fall back to from_points where a node is singular or close to
             # it, or where the column's unwrap guard tripped.  With
             # R >= 2 R_TOL, eps is far above the range where its squares
             # underflow.
             factored = (
-                self.jumps[j] is not None
-                and st * self.rho_min[j] / 2.0 >= 2.0 * R_TOL
+                self.jumps[c] is not None
+                and st * self.rho_min[c] / 2.0 >= 2.0 * R_TOL
             )
             try:
-                if factored:
-                    track = self._cell_track(j, st, a, a_half, a2)
-                else:
+                if not factored:
                     x, y = self._in_plane(j, st)
                     track = PolarTrack.from_points(np.column_stack([x, y, a]), self.grid)
+                elif shared_track is not None:
+                    track = shared_track
+                else:
+                    track = self._cell_track(c, st, a, a_half, a2)
+                    if self.shared:
+                        shared_track = track
                 res = gp_closed_form(track)
                 gam[j] = res.gamma
                 unw[j] = res.gamma_unwrapped

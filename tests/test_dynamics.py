@@ -416,6 +416,22 @@ def test_single_x_bath_map_commutes_with_half_turn_about_z():
         assert np.max(np.abs(s @ m @ s - m)) < 1e-14
 
 
+@pytest.mark.parametrize("bath_size", [48, 100, 400])
+def test_equal_couplings_give_m_yy_equal_to_m_xx_bit_for_bit(bath_size):
+    # alpha1 = alpha2: swapping the baths takes sector (m1, m2) to (m2, m1)
+    # with the same weight and Gamma, so M_yy = M_xx, and the sector tables
+    # make it exact on a uniform grid (anchored) and on arbitrary times
+    # (every node its own anchor)
+    rng = np.random.default_rng(bath_size)
+    uniform = np.linspace(0.0, 20.0, 2001)
+    arbitrary = np.sort(rng.uniform(0.0, 20.0, 200))
+    for alpha in (0.25, 0.5, 1.0):
+        cfg = SystemConfig(omega=2.0, alpha1=alpha, alpha2=alpha, bath_size=bath_size)
+        for times in (uniform, arbitrary):
+            mats = rotation_matrices(cfg, times)
+            assert mats[:, 1, 1].tobytes() == mats[:, 0, 0].tobytes()
+
+
 def test_literal_points_match_rotation_identity():
     # the printed component sums regroup exactly into -1/2 of the sector
     # rotation sum applied to the x-reflected start vector

@@ -73,6 +73,15 @@ def test_auto_time_grid_resolves_fastest_sector():
         auto_time_grid(cfg, 1.0, sampling_factor=0)
 
 
+def test_grid_helpers_reject_overflowing_coupling():
+    # Gamma_max^2 = 1 + (1e200 * 3/2)^2 is no finite float
+    cfg = SystemConfig(omega=1.0, alpha1=1e200, alpha2=0.0, bath_size=3)
+    with pytest.raises(ConfigError, match="overflows"):
+        max_sector_freq(cfg)
+    with pytest.raises(ConfigError, match="overflows"):
+        auto_time_grid(cfg, 50.0)
+
+
 def test_unitary_surface_matches_reference():
     grid = AngleGrid(n_theta=7, n_phi=8, theta_min=0.3, theta_max=math.pi - 0.3)
     surf = gp_surface(UNITARY_CFG, grid, math.pi)
@@ -98,11 +107,32 @@ def test_surface_rejects_bad_arguments():
 
 
 def test_surface_deterministic_across_threads():
-    one = gp_surface(MIXED_CFG, SMALL_GRID, 5.0, time_steps=501, threads=1)
-    four = gp_surface(MIXED_CFG, SMALL_GRID, 5.0, time_steps=501, threads=4)
-    assert one.gamma.tobytes() == four.gamma.tobytes()
-    assert one.gamma_unwrapped.tobytes() == four.gamma_unwrapped.tobytes()
-    assert one.singular_count.tobytes() == four.singular_count.tobytes()
+    # the second config shares one column series (alpha1 = alpha2)
+    for cfg in (MIXED_CFG, SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.3, bath_size=2)):
+        one = gp_surface(cfg, SMALL_GRID, 5.0, time_steps=501, threads=1)
+        four = gp_surface(cfg, SMALL_GRID, 5.0, time_steps=501, threads=4)
+        assert one.gamma.tobytes() == four.gamma.tobytes()
+        assert one.gamma_unwrapped.tobytes() == four.gamma_unwrapped.tobytes()
+        assert one.singular_count.tobytes() == four.singular_count.tobytes()
+
+
+def test_equal_coupling_rows_are_bit_identical():
+    # alpha1 = alpha2 makes M_xx = M_yy, so a cell's phase does not depend
+    # on phi and every cell of a row is the same number.  That includes the
+    # theta = pi/2 row of the decoupled surface at t = tau, whose cells lie
+    # on the +-pi cut: they all fall on the same side of it.
+    tau_grid = AngleGrid(n_theta=7, n_phi=8, theta_min=0.3, theta_max=math.pi - 0.3)
+    cases = [
+        (UNITARY_CFG, tau_grid, math.pi),
+        (SystemConfig(omega=2.0, alpha1=0.25, alpha2=0.25, bath_size=20), AngleGrid(9, 21), 50.0),
+        (SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48), AngleGrid(5, 16), 5.0),
+    ]
+    surfaces = [gp_surface(cfg, grid, t) for cfg, grid, t in cases]
+    for surf in surfaces:
+        for arr in (surf.gamma, surf.gamma_unwrapped, surf.singular_count):
+            for row in arr:
+                assert len({cell.tobytes() for cell in row}) == 1, (surf.config, row)
+    assert np.all(angular_distance(surfaces[0].gamma[3], math.pi) < 1e-12)
 
 
 def test_surface_resolution_error_names_cell():
