@@ -28,7 +28,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .dynamics import BlochTrajectory, TimeGrid, bloch_trajectory
 from .errors import (
@@ -62,10 +64,6 @@ from .phase import (
 THREADS_ENV = "FRUSTRA_GP_THREADS"
 SURFACE_CSV_HEADER = "theta,phi,gp_principal,gp_unwrapped,singular_count"
 BLOCH_CSV_HEADER = "t,x,y,z"
-COMPARE_CSV_HEADER = (
-    "label,omega,alpha1,alpha2,bath_size,mean_abs_gp,mean_dist_to_unitary,"
-    "min_gp,max_gp,missing_cells"
-)
 
 _PI = format(math.pi, ".17g")
 _HALF_PI = format(math.pi / 2.0, ".17g")
@@ -85,18 +83,14 @@ def _conv_float(text: str) -> float:
     return value
 
 
-def _conv_pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be a positive integer")
-    return value
+def _conv_int(minimum: int, rule: str):
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise ValueError(f"must be a {rule} integer")
+        return value
 
-
-def _conv_seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be a non-negative integer")
-    return value
+    return convert
 
 
 def _conv_steps(text: str):
@@ -130,78 +124,57 @@ def _conv_couplings(text: str) -> tuple:
     return tuple(pairs)
 
 
-_CONVERTERS = {
-    "omega": _conv_float,
-    "alpha1": _conv_float,
-    "alpha2": _conv_float,
-    "bath-size": _conv_pos_int,
-    "theta": _conv_float,
-    "phi": _conv_float,
-    "t-end": _conv_float,
-    "steps": _conv_steps,
-    "sampling-factor": _conv_pos_int,
-    "n-theta": _conv_pos_int,
-    "n-phi": _conv_pos_int,
-    "theta-min": _conv_float,
-    "theta-max": _conv_float,
-    "method": _conv_choice(*_GP_METHODS),
-    "metric": _conv_choice(*COMPARE_METRICS),
-    "couplings": _conv_couplings,
-    "seed": _conv_seed,
-    "out": str,
+_conv_pos_int = _conv_int(1, "positive")
+
+# flag name -> (converter, help); `format` is converted per subcommand
+_FLAGS = {
+    "omega": (_conv_float, "qubit level splitting (rad/time)"),
+    "alpha1": (_conv_float, "coupling to the x-axis bath (>= 0)"),
+    "alpha2": (_conv_float, "coupling to the y-axis bath (>= 0)"),
+    "bath-size": (_conv_pos_int, "spins per bath, N >= 1 (required)"),
+    "theta": (_conv_float, "initial polar angle in [0, pi] (radians)"),
+    "phi": (_conv_float, "initial azimuth (radians)"),
+    "t-end": (_conv_float, "evolution time (> 0)"),
+    "steps": (_conv_steps, "time-grid nodes, or 'auto' to choose from the fastest sector"),
+    "sampling-factor": (_conv_pos_int, "auto grid: samples per fastest-sector period"),
+    "n-theta": (_conv_pos_int, "grid nodes along theta"),
+    "n-phi": (_conv_pos_int, "grid nodes along phi ([0, 2pi), endpoint excluded)"),
+    "theta-min": (_conv_float, "smallest grid theta (strictly inside (0, pi))"),
+    "theta-max": (_conv_float, "largest grid theta (strictly inside (0, pi))"),
+    "method": (_conv_choice(*_GP_METHODS), "gp route: " + " | ".join(_GP_METHODS)),
+    "metric": (
+        _conv_choice(*COMPARE_METRICS),
+        "ranking metric: " + " | ".join(COMPARE_METRICS),
+    ),
+    "couplings": (_conv_couplings, "semicolon-separated a1,a2 pairs to compare"),
+    "seed": (_conv_int(0, "non-negative"), "seed for the randomized verification draws"),
+    "format": (None, "output format"),
+    "out": (str, "output path, '-' for stdout"),
 }
 
 # per-subcommand defaults; None marks a required key
 _PHYS = (("omega", "2.0"), ("alpha1", "0.0"), ("alpha2", "0.0"), ("bath-size", None))
-_GRID = (
+_START = (("theta", _HALF_PI), ("phi", "0.0"), ("t-end", _PI), ("steps", "auto"))
+_SWEEP = (
     ("n-theta", "61"),
     ("n-phi", "61"),
     ("theta-min", "0.05"),
     ("theta-max", _THETA_MAX),
+    ("t-end", _PI),
+    ("steps", "auto"),
+    ("sampling-factor", "40"),
 )
 
 _DEFAULTS: dict[str, dict[str, str | None]] = {
-    "bloch": dict(
-        _PHYS
-        + (
-            ("theta", _HALF_PI),
-            ("phi", "0.0"),
-            ("t-end", _PI),
-            ("steps", "auto"),
-            ("format", "csv"),
-            ("out", "-"),
-        )
-    ),
+    "bloch": dict(_PHYS + _START + (("format", "csv"), ("out", "-"))),
     "gp": dict(
-        _PHYS
-        + (
-            ("theta", _HALF_PI),
-            ("phi", "0.0"),
-            ("t-end", _PI),
-            ("steps", "auto"),
-            ("method", "closed_form"),
-            ("format", "text"),
-            ("out", "-"),
-        )
+        _PHYS + _START + (("method", "closed_form"), ("format", "text"), ("out", "-"))
     ),
-    "surface": dict(
-        _PHYS
-        + _GRID
-        + (
-            ("t-end", _PI),
-            ("steps", "auto"),
-            ("sampling-factor", "40"),
-            ("format", "csv"),
-            ("out", "-"),
-        )
-    ),
+    "surface": dict(_PHYS + _SWEEP + (("format", "csv"), ("out", "-"))),
     "compare": dict(
         (("omega", "2.0"), ("bath-size", None))
-        + _GRID
+        + _SWEEP
         + (
-            ("t-end", _PI),
-            ("steps", "auto"),
-            ("sampling-factor", "40"),
             ("couplings", _DEFAULT_COUPLINGS),
             ("metric", "mean_dist_to_unitary"),
             ("format", "csv"),
@@ -217,7 +190,7 @@ SUBCOMMANDS = tuple(_DEFAULTS)
 def _converter_for(subcommand: str, key: str):
     if key == "format":
         return _conv_choice(_DEFAULTS[subcommand]["format"], "json")
-    return _CONVERTERS[key]
+    return _FLAGS[key][0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +318,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_FLAG_HELP = {
-    "omega": "qubit level splitting (rad/time)",
-    "alpha1": "coupling to the x-axis bath (>= 0)",
-    "alpha2": "coupling to the y-axis bath (>= 0)",
-    "bath-size": "spins per bath, N >= 1 (required)",
-    "theta": "initial polar angle in [0, pi] (radians)",
-    "phi": "initial azimuth (radians)",
-    "t-end": "evolution time (> 0)",
-    "steps": "time-grid nodes, or 'auto' to choose from the fastest sector",
-    "sampling-factor": "auto grid: samples per fastest-sector period",
-    "n-theta": "grid nodes along theta",
-    "n-phi": "grid nodes along phi ([0, 2pi), endpoint excluded)",
-    "theta-min": "smallest grid theta (strictly inside (0, pi))",
-    "theta-max": "largest grid theta (strictly inside (0, pi))",
-    "method": "gp route: closed_form | south_pole | discrete_holonomy",
-    "metric": "ranking metric: mean_dist_to_unitary | mean_abs_gp",
-    "couplings": "semicolon-separated a1,a2 pairs to compare",
-    "seed": "seed for the randomized verification draws",
-    "format": "output format",
-    "out": "output path, '-' for stdout",
-}
-
 _SUBCOMMAND_HELP = {
     "bloch": "dump the reduced Bloch trajectory on a uniform time grid",
     "gp": "compute one geometric-phase value",
@@ -391,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--{key}",
                 default=None,
                 metavar="V",
-                help=_FLAG_HELP[key],
+                help=_FLAGS[key][1],
             )
         sub.add_argument(
             "--config",
@@ -443,14 +394,11 @@ def _thread_count() -> int:
     if raw is None:
         return min(8, os.cpu_count() or 1)
     try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
+        return _conv_pos_int(raw)
     except ValueError:
         raise UsageError(
             f"{THREADS_ENV} must be a positive integer, got '{raw}'"
         ) from None
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +407,11 @@ def _thread_count() -> int:
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _csv_line(row) -> str:
+    """One CSV line: floats through _fmt, other values (labels, counts) as str."""
+    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
 def _strict(value):
@@ -499,10 +452,7 @@ def _surface_rows(surface: GpSurface):
 
 def write_surface_csv(surface: GpSurface, sink) -> int:
     """Emit the canonical CSV (theta outer, phi inner); returns bytes written."""
-    rows = (
-        f"{_fmt(theta)},{_fmt(phi)},{_fmt(gp)},{_fmt(unw)},{sing}\n"
-        for theta, phi, gp, unw, sing in _surface_rows(surface)
-    )
+    rows = map(_csv_line, _surface_rows(surface))
     return _write_lines(sink, SURFACE_CSV_HEADER + "\n", rows)
 
 
@@ -518,29 +468,27 @@ def surface_to_json(surface: GpSurface) -> dict:
     )
 
 
+def _bloch_rows(trajectory: BlochTrajectory) -> list:
+    """[t, x, y, z] per node, as Python floats."""
+    return np.column_stack((trajectory.grid.times(), trajectory.points)).tolist()
+
+
 def write_bloch_csv(trajectory: BlochTrajectory, sink) -> int:
     """Emit t,x,y,z rows with 17 significant digits; returns bytes written."""
-    rows = (
-        f"{_fmt(t)},{_fmt(x)},{_fmt(y)},{_fmt(z)}\n"
-        for t, (x, y, z) in zip(trajectory.grid.times(), trajectory.points)
-    )
+    rows = map(_csv_line, _bloch_rows(trajectory))
     return _write_lines(sink, BLOCH_CSV_HEADER + "\n", rows)
 
 
 def write_compare_csv(report: StrategyReport, sink) -> int:
-    """Ranked strategy table, prefixed by metric/winner comment lines."""
-    header = (
-        f"# metric={report.metric}\n# winner={report.winner}\n{COMPARE_CSV_HEADER}\n"
-    )
-    by_label = {entry.label: entry for entry in report.entries}
-    rows = (
-        f"{e.label},{_fmt(e.config.omega)},{_fmt(e.config.alpha1)},"
-        f"{_fmt(e.config.alpha2)},{e.config.bath_size},{_fmt(e.mean_abs_gp)},"
-        f"{_fmt(e.mean_dist_to_unitary)},{_fmt(e.min_gp)},{_fmt(e.max_gp)},"
-        f"{e.missing_cells}\n"
-        for e in (by_label[label] for label in report.ranking)
-    )
-    return _write_lines(sink, header, rows)
+    """Ranked strategy table, prefixed by metric/winner comment lines.
+
+    The columns are the keys of each `report.to_dict()` entry, in order.
+    """
+    entries = report.to_dict()["entries"]
+    by_label = {entry["label"]: entry.values() for entry in entries}
+    table = [entries[0].keys(), *(by_label[label] for label in report.ranking)]
+    header = f"# metric={report.metric}\n# winner={report.winner}\n"
+    return _write_lines(sink, header, map(_csv_line, table))
 
 
 def _emit(p: dict, writer, payload) -> None:
@@ -585,13 +533,7 @@ def _cmd_bloch(p: dict) -> int:
     _emit(
         p,
         lambda sink: write_bloch_csv(traj, sink),
-        lambda: {
-            "columns": BLOCH_CSV_HEADER.split(","),
-            "rows": [
-                [float(t), *map(float, point)]
-                for t, point in zip(traj.grid.times(), traj.points)
-            ],
-        },
+        lambda: {"columns": BLOCH_CSV_HEADER.split(","), "rows": _bloch_rows(traj)},
     )
     return 0
 
@@ -607,22 +549,19 @@ def _compute_gp(p: dict) -> GpResult:
     return gp_discrete_holonomy(traj)
 
 
+def _gp_fields(result: GpResult) -> dict:
+    """The result's fields with its diagnostics' fields spliced in last."""
+    fields = asdict(result)
+    fields.update(fields.pop("diagnostics"))
+    return fields
+
+
 def _cmd_gp(p: dict) -> int:
     result = _compute_gp(p)
-    d = result.diagnostics
     _emit(
         p,
         lambda sink: sink.write(_fmt(result.gamma) + "\n"),
-        lambda: {
-            "gamma": result.gamma,
-            "gamma_unwrapped": result.gamma_unwrapped,
-            "method": result.method,
-            "n_steps": d.n_steps,
-            "singular_nodes": d.singular_nodes,
-            "unwrap_jumps": d.unwrap_jumps,
-            "lambda_plus_end": d.lambda_plus_end,
-            "min_step_overlap": d.min_step_overlap,
-        },
+        lambda: _gp_fields(result),
     )
     return 0
 

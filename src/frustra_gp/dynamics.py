@@ -336,10 +336,15 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     about the rounding of Gamma t (5.7e-14 at Gamma t = 500).  Each chunk
     of sectors is one matrix product whose operands hold at most
     _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 8) sums
-    and product is about 1 MB at any S and n.
+    and product is about 1 MB at any S and n.  Empty times give an empty
+    map; a NaN or infinite time raises ConfigError.
     """
     validate_config(config)
     times = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(times).all():
+        raise ConfigError("times must be finite")
+    if times.size == 0:
+        return np.zeros((0, 3, 3))
     total, *tables = _sector_tables(config)
     sums = _sums_by_anchors(times, _offsets_per_anchor(times), *tables)
     out = np.zeros((times.size, 3, 3))

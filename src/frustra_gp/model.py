@@ -115,12 +115,14 @@ class InitialStateAngles:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.theta, (int, float)) and math.isfinite(self.theta)):
-            raise ConfigError("theta not finite")
+        for name in ("theta", "phi"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a real number")
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} not finite")
         if not (0.0 <= self.theta <= math.pi):
             raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
-        if not (isinstance(self.phi, (int, float)) and math.isfinite(self.phi)):
-            raise ConfigError("phi not finite")
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
 

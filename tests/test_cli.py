@@ -14,16 +14,27 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from frustra_gp import SystemConfig, angular_distance, gp_surface, principal_value
+from frustra_gp import (
+    GpDiagnostics,
+    GpResult,
+    SystemConfig,
+    angular_distance,
+    gp_surface,
+    principal_value,
+)
+from frustra_gp import cli
 from frustra_gp.cli import (
+    SUBCOMMANDS,
     SURFACE_CSV_HEADER,
     THREADS_ENV,
     RunConfig,
@@ -246,6 +257,33 @@ def test_surface_json_mirrors_csv(tmp_path, case):
                 assert value == type(value)(text), (value, text)
     if case == "compare":
         assert json_rows[-1][5:9] == [None] * 4
+
+
+def test_each_output_lists_the_fields_of_its_result(tmp_path, capsys):
+    # One field list per output: gp's JSON keys are GpResult's fields with
+    # GpDiagnostics' spliced in where the diagnostics field stands, and each
+    # CSV header is the JSON payload's own column list.
+    assert run(["gp", "--bath-size", "1", "--format", "json"]) == 0
+    expected = []
+    for field in fields(GpResult):
+        if field.name == "diagnostics":
+            expected += [inner.name for inner in fields(GpDiagnostics)]
+        else:
+            expected.append(field.name)
+    assert list(json.loads(capsys.readouterr().out)) == expected
+    for args in (SURFACE_ARGS, BLOCH_ARGS, COMPARE_MISSING_ARGS):
+        csv_path = tmp_path / "out.csv"
+        json_path = tmp_path / "out.json"
+        assert run(args + ["--out", str(csv_path)]) == 0
+        assert run(args + ["--format", "json", "--out", str(json_path)]) == 0
+        header = next(
+            line for line in csv_path.read_text().splitlines() if not line.startswith("#")
+        ).split(",")
+        payload = _strict_json(json_path.read_text())
+        if args is COMPARE_MISSING_ARGS:
+            assert all(list(entry) == header for entry in payload["entries"])
+        else:
+            assert payload["columns"] == header
 
 
 def test_surface_has_no_mode_knob(tmp_path, capsys):
@@ -557,6 +595,32 @@ def test_module_entry_point_help_runs():
     proc = _module_run(["--help"])
     assert proc.returncode == 0
     assert "COMMAND" in proc.stdout
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_subcommand_help_names_every_key_with_its_help(
+    tmp_path, capsys, monkeypatch, subcommand
+):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per flag
+    assert run([subcommand, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text(f"subcommand={subcommand}\n")
+    keys = load_config(cfg_path).values
+    assert keys
+    for key in keys:
+        assert f"--{key} V {' '.join(cli._FLAGS[key][1].split())}" in text
+    assert "--config PATH" in text
+    # the listed choices are exactly the ones the converter accepts
+    for key, prefix in (("method", "gp route"), ("metric", "ranking metric")):
+        if key not in keys:
+            continue
+        listed = re.search(rf"--{key} V {prefix}: (\S+(?: \| \S+)*)", text).group(1)
+        cfg_path.write_text(f"subcommand={subcommand}\n{key}=bogus\n")
+        with pytest.raises(ConfigError, match="must be one of") as refused:
+            load_config(cfg_path)
+        accepted = str(refused.value).split("must be one of ", 1)[1].rstrip(")")
+        assert listed.split(" | ") == accepted.split(", ")
 
 
 def test_gp_n48_output_bytes_repeat(tmp_path):

@@ -216,6 +216,21 @@ def test_rotation_matrices_contractive_and_identity_at_zero():
     assert spectral.max() <= 1.0 + 1e-12
 
 
+
+def test_rotation_matrices_of_no_times_is_an_empty_map():
+    cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=3)
+    ang = InitialStateAngles(theta=1.0, phi=0.4)
+    assert rotation_matrices(cfg, np.array([])).shape == (0, 3, 3)
+    assert literal_points(cfg, ang, np.array([])).shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rotation_matrices_reject_non_finite_times(bad):
+    # bloch_at refuses such a time; the map must not turn it into NaN entries
+    cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=3)
+    with pytest.raises(ConfigError, match="times must be finite"):
+        rotation_matrices(cfg, np.array([0.0, 1.0, bad]))
+
 def _unfolded_rotation_matrices(cfg, times):
     """Every (m1, m2) sector's R = c I + s K + (1 - c) n n^T, weighted and summed."""
     ladder = sector_weights(cfg.bath_size)

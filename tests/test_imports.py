@@ -1,6 +1,7 @@
 """Guards on the package source: no module reaches into another module's
-private names, no function takes a parameter that its body never reads, and
-the package re-exports exactly the public names its modules declare.
+private names, no module keeps a private name that it never reads, no
+function takes a parameter that its body never reads, and the package
+re-exports exactly the public names its modules declare.
 
 Each source file is parsed with ast, so the checks need no import side
 effects.  A private name is one with a single leading underscore; dunder
@@ -176,4 +177,66 @@ def test_guard_flags_unread_parameters():
         "line 11: method(unused)",
         "line 13: <lambda>(x)",
         "line 13: <lambda>(y)",
+    ]
+
+
+def _unread_privates(tree: ast.Module) -> list[str]:
+    """Module-level private names that nothing in the module reads.
+
+    A private name is private to its module, so one that the module itself
+    never reads is dead: a table or a header that a merged or derived one
+    replaced and that was left behind.
+    """
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+        else:
+            continue
+        for name in filter(_private, names):
+            defined.setdefault(name, node.lineno)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return [f"line {lineno}: {name}" for name, lineno in defined.items() if name not in read]
+
+
+def test_no_unread_private_names():
+    offenders = {
+        path.name: unread
+        for path in SOURCES
+        if (unread := _unread_privates(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert offenders == {}
+
+
+def test_guard_flags_unread_private_names():
+    source = (
+        "import numpy as _np\n"
+        "from .model import sector_weights as _weights\n"
+        "_HELP = {'a': 'b'}\n"
+        "_TABLE: dict = {}\n"
+        "_A, (_B, PUBLIC) = 1, (2, 3)\n"
+        "__version__ = '1'\n"
+        "def _used():\n"
+        "    return _TABLE, _B\n"
+        "def _dead():\n"
+        "    return 0\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "USE = _used() and _np\n"
+    )
+    assert _unread_privates(ast.parse(source)) == [
+        "line 2: _weights",
+        "line 3: _HELP",
+        "line 5: _A",
+        "line 9: _dead",
+        "line 11: _Gone",
     ]

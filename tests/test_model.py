@@ -88,6 +88,18 @@ def test_initial_angles_validation():
     assert math.isclose(b.phi, 2.0 * math.pi - 0.5, rel_tol=0, abs_tol=1e-12)
 
 
+
+@pytest.mark.parametrize("name", ["theta", "phi"])
+def test_initial_angles_name_what_is_wrong_with_a_value(name):
+    for value in (np.float32(1.0), np.int64(1), "1.0", None):
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number$"):
+            InitialStateAngles(**{"theta": 1.0, name: value})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match=f"^{name} not finite$"):
+            InitialStateAngles(**{"theta": 1.0, name: value})
+    angles = InitialStateAngles(**{"theta": 1.0, "phi": 0.5, name: np.float64(0.25)})
+    assert getattr(angles, name) == 0.25
+
 def test_initial_bloch_frozen_points():
     # equator at phi = 0 points along +y; phi = pi/2 along -x
     v = initial_bloch(InitialStateAngles(theta=math.pi / 2, phi=0.0)).as_array()
