@@ -52,7 +52,7 @@ from .experiments import (
     strategy_compare,
     verify_suite,
 )
-from .model import InitialStateAngles, SystemConfig, validate_config
+from .model import InitialStateAngles, SystemConfig
 from .phase import (
     GpResult,
     gp_closed_form,
@@ -510,14 +510,7 @@ def _emit(p: dict, writer, payload) -> None:
 
 
 def _system_config(p: dict) -> SystemConfig:
-    cfg = SystemConfig(
-        omega=p["omega"],
-        alpha1=p["alpha1"],
-        alpha2=p["alpha2"],
-        bath_size=p["bath_size"],
-    )
-    validate_config(cfg)
-    return cfg
+    return SystemConfig(p["omega"], p["alpha1"], p["alpha2"], p["bath_size"])
 
 
 def _time_grid(cfg: SystemConfig, p: dict, min_steps: int) -> TimeGrid:

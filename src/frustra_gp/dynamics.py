@@ -41,6 +41,9 @@ Both operands are held to a fixed element budget, so K does not shrink as
 the sector count grows and temporary memory beyond a few arrays of n rows
 grows with neither S nor n.
 
+A SystemConfig is valid once built, so only times are checked here: they
+must be finite, and a single time also >= 0 (else ConfigError).
+
 `literal_polarizations` additionally evaluates an alternate transcription of
 the same sector sum that carries a -1 / 2^(2N+1) prefactor and a reflected
 x axis in its initial frame.  It is kept, unpatched, to document its
@@ -65,7 +68,6 @@ from .model import (
     SystemConfig,
     initial_bloch,
     sector_weights,
-    validate_config,
 )
 
 # numpy allocates no array of more bytes than intp holds, so a grid with more
@@ -143,14 +145,11 @@ def sector_rotation(
 ) -> BlochVector:
     """Rotate v0 about n = b/Gamma by angle Gamma*t for one (m1, m2) sector.
 
-    Gamma = 0 (possible only when every field component vanishes) leaves the
-    vector unchanged for all t.
+    Gamma >= omega > 0: a valid config's omega^2 does not underflow.
     """
     b = np.array([config.alpha1 * m1, config.alpha2 * m2, config.omega], dtype=float)
     gamma = float(np.linalg.norm(b))
     v = v0.as_array()
-    if gamma == 0.0:
-        return BlochVector.from_array(v)
     n = b / gamma
     ang = gamma * t
     c, s = math.cos(ang), math.sin(ang)
@@ -168,8 +167,6 @@ def sector_rotation(
 # compare (tests/test_cli.py): the split divides the output, not the sum
 # over sectors, so every entry is summed in one order.
 _CHUNK_ELEMENTS = 1 << 16
-# sin, cos and -sin of a zero offset, broadcast over a chunk's sectors
-_AT_ZERO_OFFSET = np.array([0.0, 1.0, -0.0])[None, :, None]
 
 
 @lru_cache(maxsize=64)
@@ -255,10 +252,11 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
     [p cos o, q sin o; -p sin o, q cos o], added to the sums.  The four
     derivative sums move each node by r onto times[j].  Each block restarts
     from the actual times[lo], so rounding does not build up from block to
-    block.  At k = 1 the offset and r are 0 and the table holds p and q alone.
+    block.  At k = 1 the offset and r are exactly 0.
     """
     n = times.size
-    dt = (times[-1] - times[0]) / (n - 1) if k > 1 else 0.0
+    # one node per block takes no step (and a single time has none)
+    dt = 0.0 if k == 1 else (times[-1] - times[0]) / (n - 1)
     offsets = np.arange(k) * dt
     # Times padded to whole blocks; the padded nodes are computed and dropped.
     seg = np.concatenate((times, np.full(-n % k, times[-1]))).reshape(-1, k)
@@ -288,13 +286,11 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
         np.sin(left[1], out=left[1])
         # [sin o, cos o, -sin o]: [cos o, -sin o] against p, [sin o, cos o]
         # against q
-        trig = _AT_ZERO_OFFSET
-        if k > 1:
-            trig = trig_buf[: 3 * k * c].reshape(k, 3, c)
-            np.multiply.outer(offsets, gam, out=trig[:, 1])
-            np.sin(trig[:, 1], out=trig[:, 0])
-            np.cos(trig[:, 1], out=trig[:, 1])
-            np.negative(trig[:, 0], out=trig[:, 2])
+        trig = trig_buf[: 3 * k * c].reshape(k, 3, c)
+        np.multiply.outer(offsets, gam, out=trig[:, 1])
+        np.sin(trig[:, 1], out=trig[:, 0])
+        np.cos(trig[:, 1], out=trig[:, 1])
+        np.negative(trig[:, 0], out=trig[:, 2])
         # the table transposed, sectors innermost: (8, k, [cos a | sin a], c)
         table = table_buf[: 16 * k * c].reshape(8, k, 2, c)
         np.multiply(p[:, None, None, lo : lo + c], trig[:, 1:], out=table[:4])
@@ -305,12 +301,26 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
             out=prod.reshape(n_a, 8 * k),
         )
         sums += prod
-    if k > 1:
-        # the x, y, z, xy sums moved by r along their derivatives
-        r = (seg - seg[:, :1]) - offsets
-        sums[:, 1:4] += r[:, None, :] * sums[:, 5:]
-        sums[:, 4] += r * sums[:, 0]
+    # the x, y, z, xy sums moved by r along their derivatives
+    r = (seg - seg[:, :1]) - offsets
+    sums[:, 1:4] += r[:, None, :] * sums[:, 5:]
+    sums[:, 4] += r * sums[:, 0]
     return sums[:, 1:5].transpose(1, 0, 2).reshape(4, -1)[:, :n]
+
+
+def _checked_times(times) -> np.ndarray:
+    """times as a flat float array; a NaN or infinite time raises ConfigError."""
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not np.isfinite(times).all():
+        raise ConfigError("times must be finite")
+    return times
+
+
+def _checked_time(t) -> float:
+    """A single evolution time as a float; it must be finite and >= 0."""
+    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
+        raise ConfigError("t must be finite and >= 0")
+    return float(t)
 
 
 def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
@@ -339,10 +349,7 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     and product is about 1 MB at any S and n.  Empty times give an empty
     map; a NaN or infinite time raises ConfigError.
     """
-    validate_config(config)
-    times = np.asarray(times, dtype=float).reshape(-1)
-    if not np.isfinite(times).all():
-        raise ConfigError("times must be finite")
+    times = _checked_times(times)
     if times.size == 0:
         return np.zeros((0, 3, 3))
     total, *tables = _sector_tables(config)
@@ -363,9 +370,7 @@ def bloch_at(
     At t = 0 this returns initial_bloch(angles); the map is a contraction so
     |v(t)| <= 1 always.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
-        raise ConfigError("t must be finite and >= 0")
-    m = rotation_matrices(config, np.array([float(t)]))
+    m = rotation_matrices(config, np.array([_checked_time(t)]))
     return BlochVector.from_array(m[0] @ initial_bloch(angles).as_array())
 
 
@@ -396,10 +401,10 @@ def literal_points(
 
     Transcribes the three closed-form component series verbatim, including
     their -1 / 2^(2N+1) prefactor (evaluated as -w1*w2/2 per sector, which is
-    the same dyadic number).  Shape (n_times, 3) ordered (x, y, z).
+    the same dyadic number).  Shape (n_times, 3) ordered (x, y, z).  A NaN
+    or infinite time raises ConfigError.
     """
-    validate_config(config)
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times)
     ladder = sector_weights(config.bath_size)
     m = np.array([s.m for s in ladder])
     w = np.array([s.w for s in ladder])
@@ -437,7 +442,5 @@ def literal_polarizations(
     for documenting that discrepancy and for reproducing figures generated
     from the literal series.
     """
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
-        raise ConfigError("t must be finite and >= 0")
-    pts = literal_points(config, angles, np.array([float(t)]))
+    pts = literal_points(config, angles, np.array([_checked_time(t)]))
     return BlochVector.from_array(pts[0])

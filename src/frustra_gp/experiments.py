@@ -39,6 +39,9 @@ winner is always the config closest to the reference under the distance
 metric.  Iteration order, summation order, and cell placement are fixed, so
 identical invocations reproduce identical reports bit for bit regardless of
 the worker-thread count.
+
+A SystemConfig is valid once built, so the sweeps check only their own
+arguments: grids, times, thread counts, labels and the metric.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .model import (
     SystemConfig,
     initial_bloch,
     sector_weights,
-    validate_config,
 )
 from .oracle import oracle_trajectory
 from .phase import (
@@ -124,7 +126,6 @@ class AngleGrid:
 
 def max_sector_freq(config: SystemConfig) -> float:
     """Largest Gamma over the sector grid (attained at m1 = m2 = N/2)."""
-    validate_config(config)
     half = config.bath_size / 2.0
     return gamma_freq(config, half, half)
 
@@ -314,7 +315,6 @@ def gp_surface(
     own projected points instead (see the module docstring).  Rows run on
     `threads` worker threads; the result does not depend on their number.
     """
-    validate_config(config)
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     if time_steps is not None:
@@ -441,7 +441,6 @@ def strategy_compare(
         raise ConfigError(f"metric must be one of {COMPARE_METRICS}")
     first = pairs[0][1]
     for label, cfg in pairs:
-        validate_config(cfg)
         if cfg.omega != first.omega or cfg.bath_size != first.bath_size:
             raise ConfigError(
                 f"config '{label}' does not share omega and bath_size with"

@@ -26,6 +26,11 @@ Basis and Bloch conventions used everywhere in this package:
         v(0) = (-sin(theta) sin(phi), sin(theta) cos(phi), cos(theta)),
 
     i.e. theta = 0 is the north pole |u><u| and theta = pi the south pole.
+
+SystemConfig and InitialStateAngles check themselves when built
+(dataclasses.replace included): an invalid value raises ConfigError where
+it is made, not where it is first used.  A real number is an int or a
+float, never a bool.
 """
 
 from __future__ import annotations
@@ -52,12 +57,21 @@ class SystemConfig:
 
     Both baths share the same size N (`bath_size`).  Couplings are real and
     non-negative; a zero coupling disconnects the corresponding bath.
+    Building one runs validate_config, so every SystemConfig is valid.
     """
 
     omega: float
     alpha1: float
     alpha2: float
     bath_size: int
+
+    def __post_init__(self) -> None:
+        validate_config(self)
+
+
+def _is_real(value) -> bool:
+    """A real number: an int or a float (numpy's float64 included), not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_config(config: SystemConfig) -> SystemConfig:
@@ -69,7 +83,7 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     problems = []
     for name in ("omega", "alpha1", "alpha2"):
         value = getattr(config, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_real(value):
             problems.append(f"{name} must be a real number")
         elif not math.isfinite(value):
             problems.append(f"{name} not finite")
@@ -117,7 +131,7 @@ class InitialStateAngles:
     def __post_init__(self) -> None:
         for name in ("theta", "phi"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)):
+            if not _is_real(value):
                 raise ConfigError(f"{name} must be a real number")
             if not math.isfinite(value):
                 raise ConfigError(f"{name} not finite")

@@ -43,7 +43,6 @@ from .model import (
     QubitDensity,
     SystemConfig,
     initial_density,
-    validate_config,
 )
 
 # Largest bath size the dense builder accepts: D = 2 * 4^4 = 512.
@@ -88,7 +87,6 @@ def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     has the bits of the complex kron construction's real part (its
     imaginary part is zero).  Refused above MAX_BATH_SIZE.
     """
-    validate_config(config)
     if config.bath_size > MAX_BATH_SIZE:
         raise DimensionCapError(
             f"bath_size {config.bath_size} exceeds cap {MAX_BATH_SIZE}"

@@ -226,10 +226,14 @@ def test_rotation_matrices_of_no_times_is_an_empty_map():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rotation_matrices_reject_non_finite_times(bad):
-    # bloch_at refuses such a time; the map must not turn it into NaN entries
+    # bloch_at and literal_polarizations refuse such a time; the map and the
+    # literal series must not turn it into NaN entries
     cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=3)
     with pytest.raises(ConfigError, match="times must be finite"):
         rotation_matrices(cfg, np.array([0.0, 1.0, bad]))
+    with pytest.raises(ConfigError, match="times must be finite"):
+        literal_points(cfg, InitialStateAngles(theta=1.0), np.array([0.0, bad]))
+
 
 def _unfolded_rotation_matrices(cfg, times):
     """Every (m1, m2) sector's R = c I + s K + (1 - c) n n^T, weighted and summed."""

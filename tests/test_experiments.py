@@ -73,15 +73,6 @@ def test_auto_time_grid_resolves_fastest_sector():
         auto_time_grid(cfg, 1.0, sampling_factor=0)
 
 
-def test_grid_helpers_reject_overflowing_coupling():
-    # Gamma_max^2 = 1 + (1e200 * 3/2)^2 is no finite float
-    cfg = SystemConfig(omega=1.0, alpha1=1e200, alpha2=0.0, bath_size=3)
-    with pytest.raises(ConfigError, match="overflows"):
-        max_sector_freq(cfg)
-    with pytest.raises(ConfigError, match="overflows"):
-        auto_time_grid(cfg, 50.0)
-
-
 def test_unitary_surface_matches_reference():
     grid = AngleGrid(n_theta=7, n_phi=8, theta_min=0.3, theta_max=math.pi - 0.3)
     surf = gp_surface(UNITARY_CFG, grid, math.pi)

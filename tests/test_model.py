@@ -5,7 +5,9 @@ Expected values are either direct consequences of the stated definitions
 test (binomial sums via math.comb, density matrices built from projectors).
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,15 +66,38 @@ def test_validate_config_rejects_overflowing_gamma():
     # Gamma^2 of the widest sector, omega^2 + (alpha1 N/2)^2 + (alpha2 N/2)^2,
     # must be a finite float: couplings of 1e154 at N = 3 square past it
     validate_config(SystemConfig(omega=1.0, alpha1=1e153, alpha2=1e153, bath_size=3))
-    for cfg in (
-        SystemConfig(omega=1.0, alpha1=1e154, alpha2=0.0, bath_size=3),
-        SystemConfig(omega=1.0, alpha1=0.0, alpha2=1e200, bath_size=3),
-        SystemConfig(omega=1.34e154, alpha1=1e153, alpha2=1e153, bath_size=3),
+    for fields in (
+        dict(omega=1.0, alpha1=1e154, alpha2=0.0, bath_size=3),
+        dict(omega=1.0, alpha1=1e200, alpha2=0.0, bath_size=3),
+        dict(omega=1.0, alpha1=0.0, alpha2=1e200, bath_size=3),
+        dict(omega=1.34e154, alpha1=1e153, alpha2=1e153, bath_size=3),
         # a bath size past the float range, even uncoupled
-        SystemConfig(omega=1.0, alpha1=0.0, alpha2=0.0, bath_size=10**400),
+        dict(omega=1.0, alpha1=0.0, alpha2=0.0, bath_size=10**400),
     ):
         with pytest.raises(ConfigError, match="overflows"):
-            validate_config(cfg)
+            SystemConfig(**fields)
+
+
+def test_system_config_is_valid_by_construction():
+    expected = (
+        "invalid system config: omega must be positive; alpha1 negative;"
+        " bath_size must be >= 1"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        SystemConfig(omega=-1.0, alpha1=-0.5, alpha2=0.25, bath_size=0)
+    valid = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=3)
+    with pytest.raises(
+        ConfigError, match="^invalid system config: omega must be positive$"
+    ):
+        dataclasses.replace(valid, omega=-1.0)
+    with pytest.raises(
+        ConfigError, match="^invalid system config: omega must be a real number$"
+    ):
+        dataclasses.replace(valid, omega=True)
+    with pytest.raises(
+        ConfigError, match="^invalid system config: bath_size must be an integer$"
+    ):
+        dataclasses.replace(valid, bath_size=True)
 
 
 def test_initial_angles_validation():
@@ -91,7 +116,8 @@ def test_initial_angles_validation():
 
 @pytest.mark.parametrize("name", ["theta", "phi"])
 def test_initial_angles_name_what_is_wrong_with_a_value(name):
-    for value in (np.float32(1.0), np.int64(1), "1.0", None):
+    # a bool is no real number here, as for SystemConfig's fields
+    for value in (np.float32(1.0), np.int64(1), "1.0", None, True, False):
         with pytest.raises(ConfigError, match=f"^{name} must be a real number$"):
             InitialStateAngles(**{"theta": 1.0, name: value})
     for value in (math.nan, math.inf, -math.inf):
