@@ -73,6 +73,20 @@ def test_auto_time_grid_resolves_fastest_sector():
         auto_time_grid(cfg, 1.0, sampling_factor=0)
 
 
+def test_grid_helpers_reject_overflowing_coupling():
+    # Gamma_max^2 = 1 + (1e200 * 3/2)^2 is no finite float: the config is
+    # refused when built, so neither helper can be handed it
+    with pytest.raises(ConfigError, match="overflows"):
+        max_sector_freq(SystemConfig(omega=1.0, alpha1=1e200, alpha2=0.0, bath_size=3))
+    with pytest.raises(ConfigError, match="overflows"):
+        auto_time_grid(
+            SystemConfig(omega=1.0, alpha1=1e200, alpha2=0.0, bath_size=3), 50.0
+        )
+    # just inside the float range the widest sector's Gamma is finite
+    edge = SystemConfig(omega=1.0, alpha1=1e153, alpha2=1e153, bath_size=3)
+    assert max_sector_freq(edge) == pytest.approx(math.sqrt(4.5) * 1e153)
+
+
 def test_unitary_surface_matches_reference():
     grid = AngleGrid(n_theta=7, n_phi=8, theta_min=0.3, theta_max=math.pi - 0.3)
     surf = gp_surface(UNITARY_CFG, grid, math.pi)
