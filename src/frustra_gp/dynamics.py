@@ -41,8 +41,8 @@ Both operands are held to a fixed element budget, so K does not shrink as
 the sector count grows and temporary memory beyond a few arrays of n rows
 grows with neither S nor n.
 
-A SystemConfig is valid once built, so only times are checked here: they
-must be finite, and a single time also >= 0 (else ConfigError).
+A SystemConfig is valid once built, so only times are checked here, by
+model.check_real and check_count: they must be finite, a single time >= 0.
 
 `literal_polarizations` additionally evaluates an alternate transcription of
 the same sector sum that carries a -1 / 2^(2N+1) prefactor and a reflected
@@ -66,6 +66,8 @@ from .model import (
     BlochVector,
     InitialStateAngles,
     SystemConfig,
+    check_count,
+    check_real,
     initial_bloch,
     sector_weights,
 )
@@ -84,15 +86,12 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
-            raise ConfigError("time grid bounds must be finite")
-        if self.t_start < 0.0:
+        t_start, t_end = check_real("t_start", self.t_start), check_real("t_end", self.t_end)
+        if t_start < 0.0:
             raise ConfigError("t_start must be >= 0")
-        if self.t_end <= self.t_start:
+        if t_end <= t_start:
             raise ConfigError("t_end must exceed t_start")
-        if not isinstance(self.n_steps, int) or self.n_steps < 2:
-            raise ConfigError("n_steps must be an integer >= 2")
-        if self.n_steps > _MAX_NODES:
+        if check_count("n_steps", self.n_steps, 2) > _MAX_NODES:
             raise MemoryError(f"{self.n_steps} time nodes exceed the largest numpy array")
 
     def times(self) -> np.ndarray:
@@ -317,10 +316,11 @@ def _checked_times(times) -> np.ndarray:
 
 
 def _checked_time(t) -> float:
-    """A single evolution time as a float; it must be finite and >= 0."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
+    """A single evolution time as a float; it must be a real number >= 0."""
+    t = check_real("t", t)
+    if t < 0.0:
         raise ConfigError("t must be finite and >= 0")
-    return float(t)
+    return t
 
 
 def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:

@@ -41,7 +41,8 @@ identical invocations reproduce identical reports bit for bit regardless of
 the worker-thread count.
 
 A SystemConfig is valid once built, so the sweeps check only their own
-arguments: grids, times, thread counts, labels and the metric.
+arguments: grids, times, thread counts, seeds, labels and the metric, each
+scalar by model.check_real or check_count and then its range here.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ from .errors import ConfigError, IndeterminatePhaseError, ResolutionError
 from .model import (
     InitialStateAngles,
     SystemConfig,
+    check_count,
+    check_real,
     initial_bloch,
     sector_weights,
 )
@@ -99,19 +102,16 @@ class AngleGrid:
     include_poles: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_theta, int) or self.n_theta < 2:
-            raise ConfigError("n_theta must be an integer >= 2")
-        if not isinstance(self.n_phi, int) or self.n_phi < 2:
-            raise ConfigError("n_phi must be an integer >= 2")
-        if not (math.isfinite(self.theta_min) and math.isfinite(self.theta_max)):
-            raise ConfigError("theta bounds must be finite")
-        if self.theta_min >= self.theta_max:
+        check_count("n_theta", self.n_theta, 2)
+        check_count("n_phi", self.n_phi, 2)
+        lo = check_real("theta_min", self.theta_min)
+        hi = check_real("theta_max", self.theta_max)
+        if lo >= hi:
             raise ConfigError("theta_min must be smaller than theta_max")
-        lo, hi = (0.0, math.pi) if self.include_poles else (None, None)
         if self.include_poles:
-            if self.theta_min < lo or self.theta_max > hi:
+            if lo < 0.0 or hi > math.pi:
                 raise ConfigError("theta bounds must lie in [0, pi]")
-        elif not (0.0 < self.theta_min and self.theta_max < math.pi):
+        elif not (0.0 < lo and hi < math.pi):
             raise ConfigError(
                 "theta bounds must lie strictly inside (0, pi);"
                 " pass include_poles=True to sample the poles"
@@ -137,14 +137,14 @@ def auto_time_grid(
     min_steps: int = 201,
 ) -> TimeGrid:
     """Uniform grid on [0, t_end] with dt <= 2 pi / (sampling_factor * Gamma_max)."""
-    if not (math.isfinite(t_end) and t_end > 0.0):
+    t_end = check_real("t_end", t_end)
+    if t_end <= 0.0:
         raise ConfigError("t_end must be positive and finite")
-    if sampling_factor < 1:
-        raise ConfigError("sampling_factor must be >= 1")
-    cycles = t_end * sampling_factor * max_sector_freq(config) / (2.0 * math.pi)
+    factor = check_count("sampling_factor", sampling_factor, 1)
+    cycles = t_end * factor * max_sector_freq(config) / (2.0 * math.pi)
     if math.isinf(cycles):
         raise MemoryError(f"t_end = {t_end} needs more time nodes than a float counts")
-    return TimeGrid(0.0, float(t_end), max(min_steps, math.ceil(cycles) + 1))
+    return TimeGrid(0.0, t_end, max(min_steps, math.ceil(cycles) + 1))
 
 
 @dataclass(frozen=True)
@@ -184,16 +184,9 @@ class _ColumnSweep:
     in-plane start (see the module docstring).  Each stored series c has
     its squared norm rho2[c], its norm rho[c], its azimuth increments
     dchi[c] and its unwrap_jumps jumps[c], None where the unwrap guard
-    trips; column j reads series c = j.
-
-    When M_xx = M_yy bit for bit (alpha1 = alpha2, see
-    dynamics._sector_tables), B is a rotation times a scale, so every column
-    has column 0's norm and azimuth increments.  Then only column 0's
-    series is stored, every column reads c = 0, and each row forms one
-    factored track and hands it to all its factored cells.  A cell that
-    falls back keeps its own projected points; whether it falls back is
-    decided from the shared series.  Each cell still makes its own
-    gp_closed_form call: a per-cell trace expects one call per cell.
+    trips; column j reads series c = j.  When M_xx = M_yy bit for bit, only
+    column 0's series is stored and every column reads c = 0 (see the
+    module docstring).
 
     A factored track makes six elementwise passes over its n nodes
     (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps, + 1/2, and R), and
@@ -315,10 +308,10 @@ def gp_surface(
     own projected points instead (see the module docstring).  Rows run on
     `threads` worker threads; the result does not depend on their number.
     """
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
+    t = check_real("t", t)
+    check_count("threads", threads, 1)
     if time_steps is not None:
-        tg = TimeGrid(0.0, float(t), time_steps)
+        tg = TimeGrid(0.0, t, time_steps)
     else:
         tg = auto_time_grid(config, t, sampling_factor)
     times = tg.times()
@@ -340,7 +333,7 @@ def gp_surface(
     return GpSurface(
         grid=grid,
         config=config,
-        t=float(t),
+        t=t,
         time_steps=tg.n_steps,
         gamma=gamma,
         gamma_unwrapped=unwrapped,
@@ -515,12 +508,10 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     discrete holonomy on randomized decohering configs; the documented
     normalization discrepancy of the literal polarization series; the
     south-pole special case; and exact sector-weight normalization.
-    Failures are recorded as entries, never raised; a negative seed raises
-    ConfigError.
+    Failures are recorded as entries, never raised; a seed that is not an
+    integer >= 0 raises ConfigError.
     """
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     started = time.perf_counter()
     checks = []
 

@@ -29,13 +29,15 @@ Basis and Bloch conventions used everywhere in this package:
 
 SystemConfig and InitialStateAngles check themselves when built
 (dataclasses.replace included): an invalid value raises ConfigError where
-it is made, not where it is first used.  A real number is an int or a
-float, never a bool.
+it is made, not where it is first used.  Every public entry point checks
+its scalars here: `check_real` takes a finite int or float (float64 too),
+`check_count` an int, and neither a bool.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +71,20 @@ class SystemConfig:
         validate_config(self)
 
 
-def _is_real(value) -> bool:
-    """A real number: an int or a float (numpy's float64 included), not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def check_real(name: str, value) -> float:
+    """value as a float if it is a finite int or float (float64 too), else ConfigError."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past the floats
+        raise ConfigError(f"{name} not finite")
+    return float(value)
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """value if it is an int of at least `minimum`, else ConfigError naming `name`."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}")
+    return value
 
 
 def validate_config(config: SystemConfig) -> SystemConfig:
@@ -81,20 +94,19 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     ConfigError listing every violation (not just the first).
     """
     problems = []
+    reals = {}
     for name in ("omega", "alpha1", "alpha2"):
-        value = getattr(config, name)
-        if not _is_real(value):
-            problems.append(f"{name} must be a real number")
-        elif not math.isfinite(value):
-            problems.append(f"{name} not finite")
-    if isinstance(config.omega, (int, float)) and math.isfinite(config.omega):
-        if config.omega <= 0.0:
-            problems.append("omega must be positive")
-        elif config.omega * config.omega == 0.0:
-            problems.append("omega too small: omega^2 underflows to 0")
+        try:
+            reals[name] = check_real(name, getattr(config, name))
+        except ConfigError as exc:
+            problems.append(str(exc))
+    omega = reals.get("omega", 1.0)  # one that is no real number is listed above
+    if omega <= 0.0:
+        problems.append("omega must be positive")
+    elif omega * omega == 0.0:
+        problems.append("omega too small: omega^2 underflows to 0")
     for name in ("alpha1", "alpha2"):
-        value = getattr(config, name)
-        if isinstance(value, (int, float)) and math.isfinite(value) and value < 0.0:
+        if reals.get(name, 0.0) < 0.0:
             problems.append(f"{name} negative")
     if not isinstance(config.bath_size, int) or isinstance(config.bath_size, bool):
         problems.append("bath_size must be an integer")
@@ -103,12 +115,9 @@ def validate_config(config: SystemConfig) -> SystemConfig:
     if not problems:
         # The widest sector, m1 = m2 = N/2, has the largest Gamma, which sizes
         # the time grid; Gamma^2 must stay a finite float.
-        try:
-            half = config.bath_size / 2.0
-        except OverflowError:
-            half = math.inf
-        b1, b2 = config.alpha1 * half, config.alpha2 * half
-        if not math.isfinite(config.omega * config.omega + b1 * b1 + b2 * b2):
+        half = config.bath_size / 2.0 if config.bath_size <= sys.float_info.max else math.inf
+        b1, b2 = reals["alpha1"] * half, reals["alpha2"] * half
+        if not math.isfinite(omega * omega + b1 * b1 + b2 * b2):
             problems.append(
                 "omega^2 + (alpha1 N/2)^2 + (alpha2 N/2)^2 overflows;"
                 " lower the couplings or the bath size"
@@ -129,16 +138,11 @@ class InitialStateAngles:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("theta", "phi"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ConfigError(f"{name} must be a real number")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} not finite")
-        if not (0.0 <= self.theta <= math.pi):
+        theta, phi = check_real("theta", self.theta), check_real("phi", self.phi)
+        if not (0.0 <= theta <= math.pi):
             raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "phi", float(self.phi) % TWO_PI)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -253,9 +257,7 @@ def sector_weights(bath_size: int) -> list[SectorWeight]:
     C(N, k + 1) = C(N, k) (N - k) // (k + 1) (no overflow for any practical
     N; verified well past N = 1000), w = zeta / 2^N.
     """
-    if not isinstance(bath_size, int) or isinstance(bath_size, bool) or bath_size < 1:
-        raise ConfigError("bath_size must be an integer >= 1")
-    n = bath_size
+    n = check_count("bath_size", bath_size, 1)
     denom = 1 << n
     out = []
     zeta = 1

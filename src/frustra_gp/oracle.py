@@ -28,7 +28,6 @@ Memory scales as D^2, so builds are refused above MAX_BATH_SIZE = 4
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +41,7 @@ from .model import (
     InitialStateAngles,
     QubitDensity,
     SystemConfig,
+    check_real,
     initial_density,
 )
 
@@ -147,9 +147,10 @@ def evolve_reduced(
     config: SystemConfig, angles: InitialStateAngles, t: float
 ) -> QubitDensity:
     """Exact reduced qubit density matrix at time t >= 0."""
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0.0:
+    t = check_real("t", t)
+    if t < 0.0:
         raise ConfigError("t must be finite and >= 0")
-    reduced = _reduced_series(*_prepared(config, angles), np.array([float(t)]))[0]
+    reduced = _reduced_series(*_prepared(config, angles), np.array([t]))[0]
     # Symmetrize away eigensolver round-off before validation.
     reduced = (reduced + reduced.conj().T) / 2.0
     return QubitDensity(reduced)

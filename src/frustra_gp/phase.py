@@ -63,7 +63,7 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
-from .model import InitialStateAngles
+from .model import InitialStateAngles, check_real
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,9 +139,11 @@ def unwrap_azimuth(azimuth: np.ndarray) -> tuple[np.ndarray, int]:
 class PolarTrack:
     """Polar-decomposition series of a Bloch trajectory.
 
-    dchi holds the n - 1 increments chi_{i+1} - chi_i, each inside (-pi, pi);
-    sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1];
-    singular marks nodes whose azimuth was propagated from a neighbor.
+    A, R, sin2_half, eps_plus and singular hold one value per node of grid
+    and dchi one per step (any other shape raises ConfigError).  dchi holds
+    the increments chi_{i+1} - chi_i, each inside (-pi, pi); sin2_half is
+    sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1]; singular
+    marks nodes whose azimuth was propagated from a neighbor.
     """
 
     grid: TimeGrid
@@ -154,14 +156,17 @@ class PolarTrack:
     unwrap_jumps: int
 
     def __post_init__(self) -> None:
-        if np.shape(self.dchi) != (self.n_steps - 1,):
-            raise ConfigError(f"dchi must have shape ({self.n_steps - 1},), one per step")
-        for arr in (self.A, self.R, self.dchi, self.sin2_half, self.eps_plus, self.singular):
-            np.asarray(arr).setflags(write=False)
+        node = (self.grid.n_steps,)  # built once: a sweep makes a track per cell
+        for name in ("A", "R", "dchi", "sin2_half", "eps_plus", "singular"):
+            arr = np.asarray(getattr(self, name))
+            shape = (node[0] - 1,) if name == "dchi" else node
+            if arr.shape != shape:
+                raise ConfigError(f"{name} must have shape {shape}")
+            arr.setflags(write=False)
 
     @property
     def n_steps(self) -> int:
-        return self.A.size
+        return self.grid.n_steps
 
     @property
     def theta_t(self) -> np.ndarray:
@@ -440,6 +445,7 @@ def gp_discrete_holonomy(traj: BlochTrajectory) -> GpResult:
 def gp_unitary_reference(theta0: float) -> float:
     """Principal value of -pi (1 - cos theta0), the decoupled-limit phase
     after one full precession period tau = 2 pi / omega."""
+    theta0 = check_real("theta0", theta0)
     if not (0.0 <= theta0 <= math.pi):
         raise ConfigError("theta0 must lie in [0, pi]")
     return principal_value(-math.pi * (1.0 - math.cos(theta0)))

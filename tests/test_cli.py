@@ -379,6 +379,20 @@ def test_config_file_error_reporting(tmp_path):
         load_config(bad)
 
 
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    # a byte sequence that is no UTF-8 is a caller mistake like a missing
+    # file: one error line and exit 1, not a UnicodeDecodeError traceback
+    bad = tmp_path / "latin.cfg"
+    bad.write_bytes(b"subcommand=gp\nbath-size=3\n\xff\xfe\n")
+    with pytest.raises(ConfigError, match="^cannot read config file .*latin.cfg: .*utf-8"):
+        load_config(bad)
+    assert run(["gp", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("frustra-gp: error: cannot read config file")
+    assert captured.err.count("\n") == 1
+
+
 def test_config_subcommand_mismatch(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("subcommand=bloch\nbath-size=1\n")

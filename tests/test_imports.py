@@ -1,7 +1,8 @@
 """Guards on the package source: no module reaches into another module's
 private names, no module keeps a private name that it never reads, no
-function takes a parameter that its body never reads, and the package
-re-exports exactly the public names its modules declare.
+function takes a parameter that its body never reads, no module but model
+decides by hand whether a value is a bool, and the package re-exports
+exactly the public names its modules declare.
 
 Each source file is parsed with ast, so the checks need no import side
 effects.  A private name is one with a single leading underscore; dunder
@@ -239,4 +240,53 @@ def test_guard_flags_unread_private_names():
         "line 5: _A",
         "line 9: _dead",
         "line 11: _Gone",
+    ]
+
+
+def _bool_tests(tree: ast.Module) -> list[str]:
+    """isinstance calls whose class argument is, or lists, bool.
+
+    Refusing a bool where a number or a count is due is model.check_real's
+    and model.check_count's job; a module with its own isinstance(..., bool)
+    has grown a local copy of that rule, which can drift from it.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        classes = node.args[1]
+        names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+        if any(isinstance(n, ast.Name) and n.id == "bool" for n in names):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_model_tests_for_bool():
+    offenders = {
+        path.name: tests
+        for path in SOURCES
+        if path.stem != "model"
+        and (tests := _bool_tests(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert offenders == {}
+    model = next(path for path in SOURCES if path.stem == "model")
+    assert _bool_tests(ast.parse(model.read_text()))  # the one rule lives there
+
+
+def test_guard_flags_bool_tests():
+    source = (
+        "def count(n):\n"
+        "    if not isinstance(n, int) or isinstance(n, bool):\n"
+        "        raise ValueError\n"
+        "ok = isinstance(x, (int, float)) and not isinstance(x, (bool, str))\n"
+        "fine = isinstance(x, float) or type(x) is bool or isinstance(x, boolean)\n"
+    )
+    assert _bool_tests(ast.parse(source)) == [
+        "line 2: isinstance(n, bool)",
+        "line 4: isinstance(x, (bool, str))",
     ]

@@ -13,17 +13,26 @@ import numpy as np
 import pytest
 
 from frustra_gp import (
+    AngleGrid,
     BlochVector,
     ConfigError,
     InitialStateAngles,
     QubitDensity,
     SystemConfig,
+    TimeGrid,
+    auto_time_grid,
+    bloch_at,
+    evolve_reduced,
+    gp_surface,
+    gp_unitary_reference,
     initial_bloch,
     initial_density,
+    literal_polarizations,
     sector_weights,
     validate_config,
+    verify_suite,
 )
-from frustra_gp.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from frustra_gp.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, check_real
 
 
 def test_pauli_algebra():
@@ -229,3 +238,55 @@ def test_bloch_vector_roundtrip():
     assert v.norm() == pytest.approx(math.sqrt(0.5), abs=1e-15)
     w = BlochVector.from_array(v.as_array())
     assert (w.x, w.y, w.z) == (0.3, -0.4, 0.5)
+
+
+_CFG = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=2)
+_ANG = InitialStateAngles(theta=1.0, phi=0.5)
+_TINY = AngleGrid(n_theta=2, n_phi=2)
+
+# Every public entry point reads a real number through check_real and a
+# count through check_count, so a bool, a float count or a str is a
+# ConfigError that names the field, while numpy's float64 (a float
+# subclass) stays a real number.  Rows: field, entry point, the values it
+# refuses, and whether it takes np.float64(0.5).
+_SCALAR_PROBES = [
+    ("t", lambda v: bloch_at(_CFG, _ANG, v), (True,), True),
+    ("t", lambda v: literal_polarizations(_CFG, _ANG, v), (True,), True),
+    ("t", lambda v: evolve_reduced(_CFG, _ANG, v), (True,), True),
+    ("t_start", lambda v: TimeGrid(v, 1.0, 3), (False,), True),
+    ("t_end", lambda v: TimeGrid(0, v, 3), (True, "1"), True),
+    ("theta_min", lambda v: AngleGrid(theta_min=v), (True, "a"), True),
+    ("t_end", lambda v: auto_time_grid(_CFG, v), (True, "5"), True),
+    ("sampling_factor", lambda v: auto_time_grid(_CFG, 1.0, sampling_factor=v), (True, 2.5),
+     False),
+    ("t", lambda v: gp_surface(_CFG, _TINY, v, time_steps=201), (True,), True),
+    ("threads", lambda v: gp_surface(_CFG, _TINY, 1.0, time_steps=201, threads=v), (True, 2.5),
+     False),
+    ("seed", lambda v: verify_suite(seed=v), (True, 1.5), False),
+    ("theta0", gp_unitary_reference, (True,), True),
+    ("bath_size", sector_weights, (True,), False),
+    # an int past the float range is no finite real (it used to overflow)
+    ("omega", lambda v: SystemConfig(omega=v, alpha1=0.0, alpha2=0.0, bath_size=1), (10**400,),
+     True),
+    ("x", lambda v: check_real("x", v), (np.float32(1.0),), True),
+    ("n", lambda v: check_count("n", v, 0), (np.int64(1),), False),
+]
+
+_SCALAR_ROWS = [
+    pytest.param(field, call, value, id=f"{i}-{field}={value!r:.20}")
+    for i, (field, call, refused, _) in enumerate(_SCALAR_PROBES)
+    for value in refused
+] + [
+    pytest.param(None, call, np.float64(0.5), id=f"{i}-{field}=float64")
+    for i, (field, call, _, takes_float64) in enumerate(_SCALAR_PROBES)
+    if takes_float64
+]
+
+
+@pytest.mark.parametrize("field, call, value", _SCALAR_ROWS)
+def test_public_entry_points_check_scalars_by_one_rule(field, call, value):
+    if field is None:
+        call(value)
+        return
+    with pytest.raises(ConfigError, match=rf"(^|: ){field} (must be|not finite)"):
+        call(value)

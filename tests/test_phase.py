@@ -200,6 +200,21 @@ def test_polar_track_rejects_misshapen_dchi():
         assert dataclasses.replace(base, dchi=np.zeros(n - 1)).dchi.shape == (n - 1,)
 
 
+def test_polar_track_rejects_node_arrays_that_miss_its_grid():
+    base = PolarTrack.from_points(_arc_points(5), TimeGrid(0.0, 1.0, 5))
+    three = PolarTrack.from_points(_arc_points(3), TimeGrid(0.0, 1.0, 3))
+    cases = (
+        ("A", three, dict(grid=base.grid)),  # every array 3 nodes, grid 5
+        ("eps_plus", base, dict(eps_plus=base.eps_plus[:1])),
+        ("singular", base, dict(singular=np.zeros(7, dtype=bool))),
+        ("sin2_half", base, dict(sin2_half=base.sin2_half[:4])),
+    )
+    for name, track, changes in cases:
+        with pytest.raises(ConfigError, match=rf"^{name} must have shape \(5,\)$"):
+            gp_closed_form(dataclasses.replace(track, **changes))
+    assert gp_closed_form(base).diagnostics.n_steps == 5
+
+
 def test_polar_track_singular_prefix_back_fills_azimuth():
     track = polar_track(_spiral_trajectory(n_steps=801))
     assert track.singular[0]
