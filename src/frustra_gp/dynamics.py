@@ -41,8 +41,10 @@ Both operands are held to a fixed element budget, so K does not shrink as
 the sector count grows and temporary memory beyond a few arrays of n rows
 grows with neither S nor n.
 
-A SystemConfig is valid once built, so only times are checked here, by
-model.check_real and check_count: they must be finite, a single time >= 0.
+A SystemConfig is valid once built, so only times, node counts and sector
+eigenvalues are checked here (model.check_real, check_time, check_count):
+finite, a single time >= 0, and no time whose rotation angle
+Gamma_max * |t| overflows, refused before any cos or sin is taken.
 
 `literal_polarizations` additionally evaluates an alternate transcription of
 the same sector sum that carries a -1 / 2^(2N+1) prefactor and a reflected
@@ -56,7 +58,7 @@ the physical phase at those angles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +70,7 @@ from .model import (
     SystemConfig,
     check_count,
     check_real,
+    check_time,
     initial_bloch,
     sector_weights,
 )
@@ -112,8 +115,6 @@ class BlochTrajectory:
 
     grid: TimeGrid
     points: np.ndarray
-    config: SystemConfig
-    initial: InitialStateAngles = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -134,9 +135,8 @@ class BlochTrajectory:
 
 def gamma_freq(config: SystemConfig, m1: float, m2: float) -> float:
     """Sector precession frequency sqrt(omega^2 + alpha1^2 m1^2 + alpha2^2 m2^2)."""
-    return math.sqrt(
-        config.omega**2 + (config.alpha1 * m1) ** 2 + (config.alpha2 * m2) ** 2
-    )
+    b1, b2 = config.alpha1 * check_real("m1", m1), config.alpha2 * check_real("m2", m2)
+    return math.sqrt(config.omega**2 + b1**2 + b2**2)
 
 
 def sector_rotation(
@@ -146,8 +146,10 @@ def sector_rotation(
 
     Gamma >= omega > 0: a valid config's omega^2 does not underflow.
     """
+    m1, m2, t = check_real("m1", m1), check_real("m2", m2), check_time("t", t)
     b = np.array([config.alpha1 * m1, config.alpha2 * m2, config.omega], dtype=float)
     gamma = float(np.linalg.norm(b))
+    _check_rotation_angle(gamma, t)
     v = v0.as_array()
     n = b / gamma
     ang = gamma * t
@@ -315,12 +317,13 @@ def _checked_times(times) -> np.ndarray:
     return times
 
 
-def _checked_time(t) -> float:
-    """A single evolution time as a float; it must be a real number >= 0."""
-    t = check_real("t", t)
-    if t < 0.0:
-        raise ConfigError("t must be finite and >= 0")
-    return t
+def _check_rotation_angle(gamma_max: float, times) -> None:
+    """ConfigError naming the time whose rotation angle gamma_max * |t| overflows."""
+    gamma_max, worst = float(gamma_max), float(np.max(np.abs(times), initial=0.0))
+    if math.isinf(gamma_max * worst):
+        raise ConfigError(
+            f"time {worst!r} too large: Gamma * t overflows at Gamma = {gamma_max!r}"
+        )
 
 
 def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
@@ -347,12 +350,14 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     of sectors is one matrix product whose operands hold at most
     _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 8) sums
     and product is about 1 MB at any S and n.  Empty times give an empty
-    map; a NaN or infinite time raises ConfigError.
+    map; a NaN or infinite time, or one at which the fastest sector's
+    Gamma * t overflows, raises ConfigError.
     """
     times = _checked_times(times)
     if times.size == 0:
         return np.zeros((0, 3, 3))
     total, *tables = _sector_tables(config)
+    _check_rotation_angle(tables[0][-1], times)
     sums = _sums_by_anchors(times, _offsets_per_anchor(times), *tables)
     out = np.zeros((times.size, 3, 3))
     for i in range(3):
@@ -370,7 +375,7 @@ def bloch_at(
     At t = 0 this returns initial_bloch(angles); the map is a contraction so
     |v(t)| <= 1 always.
     """
-    m = rotation_matrices(config, np.array([_checked_time(t)]))
+    m = rotation_matrices(config, np.array([check_time("t", t)]))
     return BlochVector.from_array(m[0] @ initial_bloch(angles).as_array())
 
 
@@ -385,7 +390,7 @@ def bloch_trajectory(
     pts[:, 0] = m[:, 0, 0] * x + m[:, 0, 1] * y
     pts[:, 1] = m[:, 1, 0] * x + m[:, 1, 1] * y
     pts[:, 2] = m[:, 2, 2] * z
-    return BlochTrajectory(grid=grid, points=pts, config=config, initial=angles)
+    return BlochTrajectory(grid=grid, points=pts)
 
 
 def _sinc_factors(gammas: np.ndarray, t: float):
@@ -402,7 +407,7 @@ def literal_points(
     Transcribes the three closed-form component series verbatim, including
     their -1 / 2^(2N+1) prefactor (evaluated as -w1*w2/2 per sector, which is
     the same dyadic number).  Shape (n_times, 3) ordered (x, y, z).  A NaN
-    or infinite time raises ConfigError.
+    or infinite time, or one whose Gamma * t overflows, raises ConfigError.
     """
     times = _checked_times(times)
     ladder = sector_weights(config.bath_size)
@@ -413,6 +418,7 @@ def literal_points(
     weights = np.repeat(w, w.size) * np.tile(w, w.size)
     omega = config.omega
     gammas = np.sqrt(omega**2 + a1m * a1m + a2m * a2m)
+    _check_rotation_angle(gammas.max(), times)
 
     st, ct = math.sin(angles.theta), math.cos(angles.theta)
     sp, cp = math.sin(angles.phi), math.cos(angles.phi)
@@ -442,5 +448,5 @@ def literal_polarizations(
     for documenting that discrepancy and for reproducing figures generated
     from the literal series.
     """
-    pts = literal_points(config, angles, np.array([_checked_time(t)]))
+    pts = literal_points(config, angles, np.array([check_time("t", t)]))
     return BlochVector.from_array(pts[0])

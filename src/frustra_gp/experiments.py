@@ -11,16 +11,16 @@ folded rotation map has M_xz = M_yz = M_zx = M_zy = 0 exactly, so the cell
 (theta, phi) has an in-plane series sin(theta) times a theta-free column
 series, and a polarization A = cos(theta) M_zz(t) shared by its row.
 The column's azimuth increments and the unwrap guard are therefore
-computed once per column (phase.unwrap_azimuth).  From the column norm
-rho and its square rho2 a cell computes only R = sin(theta) rho / 2,
-eps_plus = sqrt(sin^2(theta) rho2 + A^2) and sin2_half.  A cell falls back
-to PolarTrack.from_points on its own projected points when
-sin(theta) min(rho) / 2 < 2 R_TOL (a node singular or close to it) or when
-its column's azimuth step reaches the unwrap limit.  The map is a
-contraction, so rho and |A| are at most about 1 and the squares in
-eps_plus cannot overflow.  NaN cells, singular counts and the
-ResolutionError text are thus those of the per-cell route; values move
-from it by the rounding of the factored series (about 1e-13 or less).
+computed once per column (phase.unwrap_azimuth).  From the column's
+squared norm rho2 a cell computes only eps_plus = sqrt(sin^2(theta) rho2 +
+A^2) and sin2_half.  A cell falls back to PolarTrack.from_points on its own
+projected points when sin(theta) min(rho) / 2 < 2 R_TOL, with rho the
+column norm sqrt(rho2) (a node singular or close to it), or when its
+column's azimuth step reaches the unwrap limit.  The map is a contraction,
+so rho and |A| are at most about 1 and the squares in eps_plus cannot
+overflow.  NaN cells, singular counts and the ResolutionError text are
+thus those of the per-cell route; values move from it by the rounding of
+the factored series (about 1e-13 or less).
 
 When alpha1 = alpha2 the map has M_yy = M_xx bit for bit, so its in-plane
 block is a rotation times a scale and every column has the same rho and
@@ -182,16 +182,18 @@ class _ColumnSweep:
     Column j's series is B(t) (ux[j], uy[j]) at theta = pi/2, with B the
     in-plane block of the map and (ux, uy) = (-sin phi, cos phi) the
     in-plane start (see the module docstring).  Each stored series c has
-    its squared norm rho2[c], its norm rho[c], its azimuth increments
+    its squared norm rho2[c], the smallest norm rho_min[c] =
+    sqrt(min rho2[c]) (sqrt is monotone and correctly rounded, so this is
+    the minimum of the node norms bit for bit), its azimuth increments
     dchi[c] and its unwrap_jumps jumps[c], None where the unwrap guard
     trips; column j reads series c = j.  When M_xx = M_yy bit for bit, only
     column 0's series is stored and every column reads c = 0 (see the
     module docstring).
 
-    A factored track makes six elementwise passes over its n nodes
-    (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps, + 1/2, and R), and
+    A factored track makes five elementwise passes over its n nodes
+    (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and
     gp_closed_form five more (1 - sin2_half, pair sums, products with dchi,
-    and two sums): eleven per cell, or five per cell and six per row when
+    and two sums): ten per cell, or five per cell and five per row when
     the track is shared.  A, A/2 and A^2 are formed once per row.
     """
 
@@ -207,19 +209,17 @@ class _ColumnSweep:
         n_series = 1 if self.shared else phis.size
         self.regular = np.zeros(grid.n_steps, dtype=bool)
         self.rho2 = np.empty((n_series, grid.n_steps))
-        self.rho = np.empty((n_series, grid.n_steps))
         self.dchi = np.empty((n_series, grid.n_steps - 1))
         self.jumps = []
         for j in range(n_series):
             x, y = self._in_plane(j, 1.0)
             np.add(x * x, y * y, out=self.rho2[j])
-            np.sqrt(self.rho2[j], out=self.rho[j])
             try:
                 self.dchi[j], jumps = unwrap_azimuth(np.arctan2(y, x))
             except ResolutionError:
                 jumps = None
             self.jumps.append(jumps)
-        self.rho_min = self.rho.min(axis=1).tolist()
+        self.rho_min = np.sqrt(self.rho2.min(axis=1)).tolist()
 
     def _in_plane(self, j: int, st: float) -> tuple[np.ndarray, np.ndarray]:
         """x, y of the start st * (ux[j], uy[j]) under the map, whose M_yx = -M_xy."""
@@ -240,7 +240,6 @@ class _ColumnSweep:
         return PolarTrack(
             grid=self.grid,
             A=a,
-            R=(st / 2.0) * self.rho[c],
             dchi=self.dchi[c],
             sin2_half=s,
             eps_plus=eps,

@@ -31,7 +31,8 @@ SystemConfig and InitialStateAngles check themselves when built
 (dataclasses.replace included): an invalid value raises ConfigError where
 it is made, not where it is first used.  Every public entry point checks
 its scalars here: `check_real` takes a finite int or float (float64 too),
-`check_count` an int, and neither a bool.
+`check_time` such a real number >= 0, `check_count` an int, and none of them
+a bool.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def check_real(name: str, value) -> float:
     if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past the floats
         raise ConfigError(f"{name} not finite")
     return float(value)
+
+
+def check_time(name: str, value) -> float:
+    """A single evolution time as a float: a real number >= 0, else ConfigError."""
+    t = check_real(name, value)
+    if t < 0.0:
+        raise ConfigError(f"{name} must be finite and >= 0")
+    return t
 
 
 def check_count(name: str, value, minimum: int) -> int:

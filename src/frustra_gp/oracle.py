@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import BlochTrajectory, TimeGrid
-from .errors import ConfigError, DimensionCapError, OracleError
+from .errors import DimensionCapError, OracleError
 from .model import (
     SIGMA_X,
     SIGMA_Y,
@@ -41,7 +41,7 @@ from .model import (
     InitialStateAngles,
     QubitDensity,
     SystemConfig,
-    check_real,
+    check_time,
     initial_density,
 )
 
@@ -147,9 +147,7 @@ def evolve_reduced(
     config: SystemConfig, angles: InitialStateAngles, t: float
 ) -> QubitDensity:
     """Exact reduced qubit density matrix at time t >= 0."""
-    t = check_real("t", t)
-    if t < 0.0:
-        raise ConfigError("t must be finite and >= 0")
+    t = check_time("t", t)
     reduced = _reduced_series(*_prepared(config, angles), np.array([t]))[0]
     # Symmetrize away eigensolver round-off before validation.
     reduced = (reduced + reduced.conj().T) / 2.0
@@ -162,7 +160,7 @@ def oracle_trajectory(
     """Exact reduced Bloch trajectory, reusing one eigendecomposition."""
     reduced = _reduced_series(*_prepared(config, angles), grid.times())
     pts = np.einsum("nab,iba->ni", reduced, _PAULI).real
-    return BlochTrajectory(grid=grid, points=pts, config=config, initial=angles)
+    return BlochTrajectory(grid=grid, points=pts)
 
 
 __all__ = [

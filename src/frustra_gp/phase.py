@@ -8,11 +8,12 @@ A trajectory v(t) is first reduced to polar-track series
     sin^2(theta_t / 2) = (1 + A / eps_plus) / 2,
 
 with theta_t in [0, pi] and cos(theta_t) = -A / eps_plus.  The track stores
-sin^2(theta_t/2) (`sin2_half`), the only form in which the phase reads the
-polar angle, and the increments of chi (`dchi`, each reduced to [-pi, pi)),
-the only form in which it reads the azimuth.  Nodes with R below R_TOL have
-an indeterminate azimuth; chi is propagated flat (zero increments) across
-them and they are flagged singular.  The increments and their guard are
+A, eps_plus, sin^2(theta_t/2) (`sin2_half`), the only form in which the
+phase reads the polar angle, and the increments of chi (`dchi`, each reduced
+to [-pi, pi)), the only form in which it reads the azimuth.  R is read only
+as the singular flag and not stored: nodes with R below R_TOL have an
+indeterminate azimuth; chi is propagated flat (zero increments) across them
+and they are flagged singular.  The increments and their guard are
 `unwrap_azimuth`, which the surface sweep also applies to its azimuth columns.
 
 The geometric phase of the dominant spectral branch is then
@@ -139,16 +140,16 @@ def unwrap_azimuth(azimuth: np.ndarray) -> tuple[np.ndarray, int]:
 class PolarTrack:
     """Polar-decomposition series of a Bloch trajectory.
 
-    A, R, sin2_half, eps_plus and singular hold one value per node of grid
-    and dchi one per step (any other shape raises ConfigError).  dchi holds
-    the increments chi_{i+1} - chi_i, each inside (-pi, pi); sin2_half is
-    sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1]; singular
-    marks nodes whose azimuth was propagated from a neighbor.
+    A, sin2_half, eps_plus and singular hold one value per node of grid and
+    dchi one per step (any other shape raises ConfigError); each is kept as
+    a read-only ndarray, converted from whatever array-like it was given.
+    dchi holds the increments chi_{i+1} - chi_i, each inside (-pi, pi);
+    sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1];
+    singular marks nodes whose azimuth was propagated from a neighbor.
     """
 
     grid: TimeGrid
     A: np.ndarray
-    R: np.ndarray
     dchi: np.ndarray
     sin2_half: np.ndarray
     eps_plus: np.ndarray
@@ -157,12 +158,15 @@ class PolarTrack:
 
     def __post_init__(self) -> None:
         node = (self.grid.n_steps,)  # built once: a sweep makes a track per cell
-        for name in ("A", "R", "dchi", "sin2_half", "eps_plus", "singular"):
-            arr = np.asarray(getattr(self, name))
+        for name in ("A", "dchi", "sin2_half", "eps_plus", "singular"):
+            value = getattr(self, name)
+            arr = np.asarray(value)
             shape = (node[0] - 1,) if name == "dchi" else node
             if arr.shape != shape:
                 raise ConfigError(f"{name} must have shape {shape}")
             arr.setflags(write=False)
+            if arr is not value:  # an ndarray is kept as given, at no cost
+                object.__setattr__(self, name, arr)
 
     @property
     def n_steps(self) -> int:
@@ -192,8 +196,7 @@ class PolarTrack:
             rxy = np.hypot(x, y)
             eps = np.hypot(a, rxy)
             ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
-        r = rxy / 2.0
-        singular = r < R_TOL
+        singular = rxy / 2.0 < R_TOL
 
         raw = np.arctan2(y, x)
         n_singular = int(np.count_nonzero(singular))
@@ -215,7 +218,6 @@ class PolarTrack:
         return cls(
             grid=grid,
             A=a,
-            R=r,
             dchi=dchi,
             sin2_half=np.clip((1.0 + ratio) / 2.0, 0.0, 1.0),
             eps_plus=eps,

@@ -147,8 +147,7 @@ def test_criterion_4_south_pole_route_agrees():
     pts = np.column_stack(
         [np.sin(beta) * np.cos(t), np.sin(beta) * np.sin(t), -np.cos(beta)]
     )
-    cfg = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
-    spiral = polar_track(BlochTrajectory(grid=grid, points=pts, config=cfg))
+    spiral = polar_track(BlochTrajectory(grid=grid, points=pts))
     sp = gp_south_pole(spiral)
     cf = gp_closed_form(spiral)
     spiral_exact = abs(sp.gamma - 0.117858422016549)  # 2 - sin(0.6)/0.3
@@ -295,7 +294,7 @@ def test_criterion_8_invariant_bundle():
     rng = np.random.default_rng(20260808)
     details = []
 
-    # polarization-norm identity eps_plus = sqrt(A^2 + 4 R^2) = |v|
+    # polarization-norm identity eps_plus = |v|
     worst = 0.0
     trajectories = []
     for _ in range(5):
@@ -312,8 +311,6 @@ def test_criterion_8_invariant_bundle():
         traj = bloch_trajectory(cfg, ang, TimeGrid(0.0, 8.0, 801))
         trajectories.append(traj)
         track = polar_track(traj)
-        recon = np.sqrt(track.A**2 + 4.0 * track.R**2)
-        worst = max(worst, float(np.max(np.abs(recon - track.eps_plus))))
         worst = max(
             worst,
             float(np.max(np.abs(track.eps_plus - np.linalg.norm(traj.points, axis=1)))),
@@ -345,7 +342,6 @@ def test_criterion_8_invariant_bundle():
         scaled = PolarTrack(
             grid=base.grid,
             A=lam * base.A,
-            R=lam * base.R,
             dchi=np.array(base.dchi),
             sin2_half=np.array(base.sin2_half),
             eps_plus=lam * base.eps_plus,

@@ -18,6 +18,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -444,6 +445,19 @@ def test_overflowing_coupling_is_usage_error(extra, capsys):
     assert run(["gp", "--bath-size", "3", "--alpha1", "1e200", *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("frustra-gp: error:") and "overflows" in err
+
+
+@pytest.mark.parametrize("subcommand", ["bloch", "gp", "surface", "compare"])
+def test_time_whose_rotation_angle_overflows_is_config_error(subcommand, capsys):
+    # Gamma t past the float range used to print three numpy RuntimeWarnings
+    # before the run failed on NaN points
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([subcommand, "--bath-size", "2", "--t-end", "1e308", "--steps", "3"]) == 1
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("frustra-gp: error: time 1e+308 too large: Gamma * t overflows")
 
 
 def test_threads_env_rejected_when_invalid(tmp_path, capsys, monkeypatch):

@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,26 @@ def test_rotation_matrices_reject_non_finite_times(bad):
         rotation_matrices(cfg, np.array([0.0, 1.0, bad]))
     with pytest.raises(ConfigError, match="times must be finite"):
         literal_points(cfg, InitialStateAngles(theta=1.0), np.array([0.0, bad]))
+
+
+def test_time_whose_rotation_angle_overflows_is_refused_before_the_map():
+    # 1e308 is finite, but Gamma t is not: the map used to take cos and sin
+    # of inf (three RuntimeWarnings) and return NaN entries
+    cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=3)
+    v0 = initial_bloch(InitialStateAngles(theta=1.0))
+    calls = (
+        lambda: rotation_matrices(cfg, np.array([0.0, 1e308])),
+        lambda: literal_points(cfg, InitialStateAngles(theta=1.0), np.array([1e308, 0.0])),
+        lambda: sector_rotation(v0, cfg, 0.5, 0.5, 1e308),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ConfigError, match=r"^time 1e\+308 too large: Gamma \* t overflows"):
+                call()
+    # the largest time that keeps Gamma_max t finite still evaluates
+    gamma_max = float(np.sqrt(4.0 + 0.45**2 + 0.3**2))
+    assert np.isfinite(rotation_matrices(cfg, np.array([1e308 / gamma_max]))).all()
 
 
 def _unfolded_rotation_matrices(cfg, times):
@@ -497,13 +518,12 @@ def test_literal_initial_norm_is_half():
 
 
 def test_trajectory_validation():
-    cfg = SystemConfig(omega=1.0, alpha1=0.0, alpha2=0.0, bath_size=1)
     grid = TimeGrid(0.0, 1.0, 3)
     with pytest.raises(ConfigError):
-        BlochTrajectory(grid=grid, points=np.zeros((4, 3)), config=cfg)  # wrong length
+        BlochTrajectory(grid=grid, points=np.zeros((4, 3)))  # wrong length
     bad_norm = np.array([[0.0, 1.0, 0.0], [0.0, 1.4, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(ConfigError):
-        BlochTrajectory(grid=grid, points=bad_norm, config=cfg)
+        BlochTrajectory(grid=grid, points=bad_norm)
     mixed_start = np.array([[0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.5, 0.0]])
     with pytest.raises(ConfigError):
-        BlochTrajectory(grid=grid, points=mixed_start, config=cfg)
+        BlochTrajectory(grid=grid, points=mixed_start)

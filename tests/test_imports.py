@@ -1,8 +1,9 @@
 """Guards on the package source: no module reaches into another module's
 private names, no module keeps a private name that it never reads, no
-function takes a parameter that its body never reads, no module but model
-decides by hand whether a value is a bool, and the package re-exports
-exactly the public names its modules declare.
+function takes a parameter that its body never reads, no dataclass keeps a
+field that no module reads, no module but model decides by hand whether a
+value is a bool, and the package re-exports exactly the public names its
+modules declare.
 
 Each source file is parsed with ast, so the checks need no import side
 effects.  A private name is one with a single leading underscore; dunder
@@ -240,6 +241,84 @@ def test_guard_flags_unread_private_names():
         "line 5: _A",
         "line 9: _dead",
         "line 11: _Gone",
+    ]
+
+
+# The CLI writes these records whole through dataclasses.asdict, so each of
+# their fields reaches the output without its name being read.
+_WHOLE_RECORDS = {"GpResult", "GpDiagnostics", "StrategySummary"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(trees: list[ast.Module]) -> list[str]:
+    """Dataclass fields, as Class.field, that no module loads as an attribute.
+
+    A stored value that nothing reads is dead weight: every instance carries
+    it, and every hand-built instance has to supply it.  A field counts as
+    read when any module loads an attribute of its name, from any object, so
+    the guard misses a field that shares its name with one that is read:
+    BlochTrajectory.config escaped it as long as GpSurface.config was read.
+    The records in _WHOLE_RECORDS are exempt.
+    """
+    fields = []
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.ClassDef)
+                and _is_dataclass(node)
+                and node.name not in _WHOLE_RECORDS
+            ):
+                fields += [
+                    (node.name, stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return [f"{owner}.{name}" for owner, name in fields if name not in read]
+
+
+def test_no_unread_dataclass_fields():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    assert _unread_fields(trees) == []
+
+
+def test_guard_flags_unread_dataclass_fields():
+    records = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Track:\n"
+        "    grid: int\n"
+        "    R: float\n"
+        "    label: str = ''\n"
+        "@dataclasses.dataclass\n"
+        "class Pair:\n"
+        "    left: int\n"
+        "    right: int\n"
+        "@dataclass\n"
+        "class GpResult:\n"
+        "    gamma: float\n"
+        "class Plain:\n"
+        "    unused: int\n"
+    )
+    readers = (
+        "def use(track, pair):\n"
+        "    pair.right = track.grid\n"
+        "    return track.label.upper()\n"
+    )
+    trees = [ast.parse(records), ast.parse(readers)]
+    assert _unread_fields(trees) == ["Track.R", "Pair.left", "Pair.right"]
+    assert _unread_fields(trees[:1]) == [
+        "Track.grid", "Track.R", "Track.label", "Pair.left", "Pair.right"
     ]
 
 

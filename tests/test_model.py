@@ -23,16 +23,26 @@ from frustra_gp import (
     auto_time_grid,
     bloch_at,
     evolve_reduced,
+    gamma_freq,
     gp_surface,
     gp_unitary_reference,
     initial_bloch,
     initial_density,
     literal_polarizations,
+    sector_rotation,
     sector_weights,
     validate_config,
     verify_suite,
 )
-from frustra_gp.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, check_count, check_real
+from frustra_gp.model import (
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    check_count,
+    check_real,
+    check_time,
+)
 
 
 def test_pauli_algebra():
@@ -243,6 +253,7 @@ def test_bloch_vector_roundtrip():
 _CFG = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=2)
 _ANG = InitialStateAngles(theta=1.0, phi=0.5)
 _TINY = AngleGrid(n_theta=2, n_phi=2)
+_V0 = initial_bloch(_ANG)
 
 # Every public entry point reads a real number through check_real and a
 # count through check_count, so a bool, a float count or a str is a
@@ -270,6 +281,12 @@ _SCALAR_PROBES = [
      True),
     ("x", lambda v: check_real("x", v), (np.float32(1.0),), True),
     ("n", lambda v: check_count("n", v, 0), (np.int64(1),), False),
+    ("t", lambda v: sector_rotation(_V0, _CFG, 0.5, 0.5, v), (True, math.nan), True),
+    ("m1", lambda v: sector_rotation(_V0, _CFG, v, 0.5, 1.0), (True, "1"), True),
+    ("m2", lambda v: sector_rotation(_V0, _CFG, 0.5, v, 1.0), (math.inf,), True),
+    ("m1", lambda v: gamma_freq(_CFG, v, 0.5), (True, math.nan), True),
+    ("m2", lambda v: gamma_freq(_CFG, 0.5, v), (False,), True),
+    ("t", lambda v: check_time("t", v), (True, -0.5), True),
 ]
 
 _SCALAR_ROWS = [

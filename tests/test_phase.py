@@ -56,7 +56,7 @@ def _spiral_trajectory(n_steps=20001, t_end=4.0):
     pts = np.column_stack(
         [np.sin(beta) * np.cos(t), np.sin(beta) * np.sin(t), -np.cos(beta)]
     )
-    return BlochTrajectory(grid=grid, points=pts, config=UNITARY_CFG)
+    return BlochTrajectory(grid=grid, points=pts)
 
 
 def test_principal_value_frozen_points():
@@ -155,8 +155,6 @@ def test_polar_track_eps_identity():
         )
         traj = bloch_trajectory(cfg, ang, TimeGrid(0.0, 7.0, 301))
         track = polar_track(traj)
-        recon = np.sqrt(track.A**2 + 4.0 * track.R**2)
-        assert np.max(np.abs(recon - track.eps_plus)) < 1e-12
         assert np.max(np.abs(track.eps_plus - np.linalg.norm(traj.points, axis=1))) < 1e-12
         # theta_t is measured from the south pole of the branch direction
         assert np.max(np.abs(np.cos(track.theta_t) + track.A / track.eps_plus)) < 1e-12
@@ -200,6 +198,18 @@ def test_polar_track_rejects_misshapen_dchi():
         assert dataclasses.replace(base, dchi=np.zeros(n - 1)).dchi.shape == (n - 1,)
 
 
+def test_polar_track_stores_array_likes_as_read_only_arrays():
+    base = polar_track(_spiral_trajectory(n_steps=801))
+    listed = dataclasses.replace(base, dchi=list(base.dchi))
+    assert isinstance(listed.dchi, np.ndarray) and not listed.dchi.flags.writeable
+    assert np.array_equal(listed.dchi, base.dchi)
+    want, got = gp_closed_form(base), gp_closed_form(listed)
+    assert (got.gamma, got.gamma_unwrapped) == (want.gamma, want.gamma_unwrapped)
+    # an ndarray is stored as given, frozen
+    dchi = np.array(base.dchi)
+    assert dataclasses.replace(base, dchi=dchi).dchi is dchi and not dchi.flags.writeable
+
+
 def test_polar_track_rejects_node_arrays_that_miss_its_grid():
     base = PolarTrack.from_points(_arc_points(5), TimeGrid(0.0, 1.0, 5))
     three = PolarTrack.from_points(_arc_points(3), TimeGrid(0.0, 1.0, 3))
@@ -229,9 +239,8 @@ def _reference_track_series(points):
     pts = np.asarray(points, dtype=float)
     a = pts[:, 2].copy()
     rxy = np.hypot(pts[:, 0], pts[:, 1])
-    r = rxy / 2.0
     eps = np.hypot(a, rxy)
-    singular = r < phase.R_TOL
+    singular = rxy / 2.0 < phase.R_TOL
     raw = np.arctan2(pts[:, 1], pts[:, 0])
     valid = ~singular
     if not valid.any():
@@ -254,7 +263,6 @@ def _reference_track_series(points):
     sin2_half = np.clip((1.0 + ratio) / 2.0, 0.0, 1.0)
     return {
         "A": a,
-        "R": r,
         "dchi": d,
         "sin2_half": sin2_half,
         "theta_t": 2.0 * np.arcsin(np.sqrt(sin2_half)),
@@ -320,7 +328,7 @@ def test_from_points_matches_reference_route(pts):
     track = PolarTrack.from_points(pts, grid)
     assert np.array_equal(track.singular, want["singular"])
     assert track.unwrap_jumps == want["unwrap_jumps"]
-    for name in ("A", "R", "eps_plus"):
+    for name in ("A", "eps_plus"):
         np.testing.assert_allclose(getattr(track, name), want[name], rtol=0, atol=1e-15)
     assert np.array_equal(track.dchi, want["dchi"])
     # A one-ulp change of eps moves sin2_half = (1 + A/eps)/2 by about an
@@ -380,7 +388,6 @@ def _pure_start_tracks(draw):
     return PolarTrack(
         grid=TimeGrid(0.0, 1.0, n),
         A=a,
-        R=np.sqrt(np.maximum(1.0 - a * a, 0.0)) / 2.0,
         dchi=dchi,
         sin2_half=s,
         eps_plus=np.ones(n),
@@ -467,7 +474,6 @@ def test_closed_form_purity_precondition():
     scaled = PolarTrack(
         grid=base.grid,
         A=0.5 * base.A,
-        R=0.5 * base.R,
         dchi=np.array(base.dchi),
         sin2_half=np.array(base.sin2_half),
         eps_plus=0.5 * base.eps_plus,
@@ -492,11 +498,10 @@ def test_closed_form_scale_invariance():
     ref = gp_closed_form(base)
 
     def rescaled(lam):
-        # hand-built: A, R and eps_plus scale, sin2_half is copied as is
+        # hand-built: A and eps_plus scale, sin2_half is copied as is
         return PolarTrack(
             grid=base.grid,
             A=lam * base.A,
-            R=lam * base.R,
             dchi=np.array(base.dchi),
             sin2_half=np.array(base.sin2_half),
             eps_plus=lam * base.eps_plus,
@@ -523,7 +528,6 @@ def test_closed_form_rejects_vanishing_polarization():
     dead = PolarTrack(
         grid=grid,
         A=np.zeros(3),
-        R=np.zeros(3),
         dchi=np.zeros(2),
         sin2_half=np.full(3, 0.5),
         eps_plus=np.zeros(3),
@@ -539,7 +543,7 @@ def test_closed_form_indeterminate_on_equator_half_turn():
     grid = TimeGrid(0.0, 1.0, 5)
     chi = np.linspace(0.0, math.pi, 5)
     pts = np.column_stack([np.cos(chi), np.sin(chi), np.zeros(5)])
-    track = polar_track(BlochTrajectory(grid=grid, points=pts, config=UNITARY_CFG))
+    track = polar_track(BlochTrajectory(grid=grid, points=pts))
     with pytest.raises(IndeterminatePhaseError):
         gp_closed_form(track)
 
@@ -555,7 +559,7 @@ def test_south_pole_requires_pole_start():
 def test_discrete_holonomy_rejects_fully_mixed_node():
     grid = TimeGrid(0.0, 1.0, 3)
     pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    traj = BlochTrajectory(grid=grid, points=pts, config=UNITARY_CFG)
+    traj = BlochTrajectory(grid=grid, points=pts)
     with pytest.raises(PreconditionError):
         gp_discrete_holonomy(traj)
 
