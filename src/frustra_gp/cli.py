@@ -4,7 +4,8 @@ Subcommands: `bloch` (trajectory dump), `gp` (single geometric-phase value),
 `surface` (phase over an angle grid), `compare` (coupling-strategy report),
 `verify` (cross-validation suite).  Exit status: 0 success, 1 usage or
 configuration error, 2 numerical/refinement error (also used by `verify`
-when a check fails).
+when a check fails), 141 when the reader closes stdout before the output
+is written.
 
 File config: flat `key=value` lines, `#` comments, keys identical to the
 long flag names; explicit flags override file values which override
@@ -33,15 +34,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dynamics import BlochTrajectory, TimeGrid, bloch_trajectory
-from .errors import (
-    ConfigError,
-    DimensionCapError,
-    IndeterminatePhaseError,
-    OracleError,
-    PreconditionError,
-    ResolutionError,
-    UsageError,
-)
+from .errors import ConfigError, FrustraGpError, UsageError
 from .experiments import (
     COMPARE_METRICS,
     AngleGrid,
@@ -62,6 +55,8 @@ from .phase import (
 )
 
 THREADS_ENV = "FRUSTRA_GP_THREADS"
+# 128 + SIGPIPE: the status a shell reports for a program that signal ends.
+_PIPE_CLOSED_STATUS = 141
 SURFACE_CSV_HEADER = "theta,phi,gp_principal,gp_unwrapped,singular_count"
 BLOCH_CSV_HEADER = "t,x,y,z"
 
@@ -139,8 +134,8 @@ _FLAGS = {
     "sampling-factor": (_conv_pos_int, "auto grid: samples per fastest-sector period"),
     "n-theta": (_conv_pos_int, "grid nodes along theta"),
     "n-phi": (_conv_pos_int, "grid nodes along phi ([0, 2pi), endpoint excluded)"),
-    "theta-min": (_conv_float, "smallest grid theta (strictly inside (0, pi))"),
-    "theta-max": (_conv_float, "largest grid theta (strictly inside (0, pi))"),
+    "theta-min": (_conv_float, "smallest grid theta, in [0, pi]"),
+    "theta-max": (_conv_float, "largest grid theta, in [0, pi]"),
     "method": (_conv_choice(*_GP_METHODS), "gp route: " + " | ".join(_GP_METHODS)),
     "metric": (
         _conv_choice(*COMPARE_METRICS),
@@ -516,7 +511,7 @@ def _system_config(p: dict) -> SystemConfig:
 def _time_grid(cfg: SystemConfig, p: dict, min_steps: int) -> TimeGrid:
     if p["steps"] is None:
         return auto_time_grid(cfg, p["t_end"], min_steps=min_steps)
-    return TimeGrid(0.0, p["t_end"], p["steps"])
+    return TimeGrid(p["t_end"], p["steps"])
 
 
 def _cmd_bloch(p: dict) -> int:
@@ -661,13 +656,7 @@ def run(argv=None) -> int:
     except (UsageError, ConfigError) as exc:
         print(f"frustra-gp: error: {exc}", file=sys.stderr)
         return 1
-    except (
-        DimensionCapError,
-        ResolutionError,
-        IndeterminatePhaseError,
-        PreconditionError,
-        OracleError,
-    ) as exc:
+    except FrustraGpError as exc:
         print(f"frustra-gp: numerical error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
@@ -685,7 +674,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`frustra-gp bloch ... | head -1`).
+        # Point stdout at devnull, so that the flush at interpreter exit
+        # does not fail on the same pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = _PIPE_CLOSED_STATUS
+    sys.exit(status)
 
 
 __all__ = [

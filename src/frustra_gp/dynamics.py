@@ -82,27 +82,27 @@ _MAX_NODES = np.iinfo(np.intp).max // 8
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling of [t_start, t_end] with n_steps nodes (>= 2)."""
+    """Uniform sampling of [0, t_end] with n_steps nodes (>= 2); t_end > 0.
 
-    t_start: float
+    Every evolution starts at t = 0, where the joint state is the product
+    of the qubit's pure state and the two maximally mixed baths.
+    """
+
     t_end: float
     n_steps: int
 
     def __post_init__(self) -> None:
-        t_start, t_end = check_real("t_start", self.t_start), check_real("t_end", self.t_end)
-        if t_start < 0.0:
-            raise ConfigError("t_start must be >= 0")
-        if t_end <= t_start:
-            raise ConfigError("t_end must exceed t_start")
+        if check_real("t_end", self.t_end) <= 0.0:
+            raise ConfigError("t_end must be positive")
         if check_count("n_steps", self.n_steps, 2) > _MAX_NODES:
             raise MemoryError(f"{self.n_steps} time nodes exceed the largest numpy array")
 
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_steps)
+        return np.linspace(0.0, self.t_end, self.n_steps)
 
     @property
     def dt(self) -> float:
-        return (self.t_end - self.t_start) / (self.n_steps - 1)
+        return float(self.t_end) / (self.n_steps - 1)
 
 
 @dataclass(frozen=True)
@@ -134,9 +134,21 @@ class BlochTrajectory:
 
 
 def gamma_freq(config: SystemConfig, m1: float, m2: float) -> float:
-    """Sector precession frequency sqrt(omega^2 + alpha1^2 m1^2 + alpha2^2 m2^2)."""
-    b1, b2 = config.alpha1 * check_real("m1", m1), config.alpha2 * check_real("m2", m2)
-    return math.sqrt(config.omega**2 + b1**2 + b2**2)
+    """Sector precession frequency sqrt(omega^2 + alpha1^2 m1^2 + alpha2^2 m2^2).
+
+    A sector whose Gamma^2 overflows raises ConfigError naming m1 and m2.
+    """
+    m1, m2 = check_real("m1", m1), check_real("m2", m2)
+    b1, b2 = config.alpha1 * m1, config.alpha2 * m2
+    # x**2 is kept rather than x * x: libm's pow(x, 2) can differ from x * x in
+    # the last bit for some x, and max_sector_freq sizes every auto grid.
+    try:
+        gamma2 = config.omega**2 + b1**2 + b2**2
+    except OverflowError:  # a float ** raises where a product gives inf
+        gamma2 = math.inf
+    if math.isinf(gamma2):
+        raise ConfigError(f"m1 = {m1!r}, m2 = {m2!r} too large: Gamma^2 overflows")
+    return math.sqrt(gamma2)
 
 
 def sector_rotation(
@@ -144,12 +156,13 @@ def sector_rotation(
 ) -> BlochVector:
     """Rotate v0 about n = b/Gamma by angle Gamma*t for one (m1, m2) sector.
 
-    Gamma >= omega > 0: a valid config's omega^2 does not underflow.
+    Gamma = gamma_freq(config, m1, m2) >= omega > 0: a valid config's
+    omega^2 does not underflow.
     """
-    m1, m2, t = check_real("m1", m1), check_real("m2", m2), check_time("t", t)
-    b = np.array([config.alpha1 * m1, config.alpha2 * m2, config.omega], dtype=float)
-    gamma = float(np.linalg.norm(b))
+    gamma = gamma_freq(config, m1, m2)
+    t = check_time("t", t)
     _check_rotation_angle(gamma, t)
+    b = np.array([config.alpha1 * m1, config.alpha2 * m2, config.omega], dtype=float)
     v = v0.as_array()
     n = b / gamma
     ang = gamma * t

@@ -90,16 +90,17 @@ COMPARE_METRICS = ("mean_dist_to_unitary", "mean_abs_gp")
 class AngleGrid:
     """Rectangular grid of initial-state angles.
 
-    theta spans [theta_min, theta_max] inclusively with n_theta nodes and
-    must stay strictly inside (0, pi) unless include_poles is set; phi spans
-    [0, 2 pi) with n_phi equally spaced nodes (endpoint excluded).
+    theta spans [theta_min, theta_max] inclusively with n_theta nodes, with
+    0 <= theta_min < theta_max <= pi as for InitialStateAngles; the cells
+    of a pole row (theta = 0 or pi) start on the z axis and take the
+    PolarTrack.from_points route.  phi spans [0, 2 pi) with n_phi equally
+    spaced nodes (endpoint excluded).
     """
 
     n_theta: int = 61
     n_phi: int = 61
     theta_min: float = 0.05
     theta_max: float = math.pi - 0.05
-    include_poles: bool = False
 
     def __post_init__(self) -> None:
         check_count("n_theta", self.n_theta, 2)
@@ -108,14 +109,8 @@ class AngleGrid:
         hi = check_real("theta_max", self.theta_max)
         if lo >= hi:
             raise ConfigError("theta_min must be smaller than theta_max")
-        if self.include_poles:
-            if lo < 0.0 or hi > math.pi:
-                raise ConfigError("theta bounds must lie in [0, pi]")
-        elif not (0.0 < lo and hi < math.pi):
-            raise ConfigError(
-                "theta bounds must lie strictly inside (0, pi);"
-                " pass include_poles=True to sample the poles"
-            )
+        if lo < 0.0 or hi > math.pi:
+            raise ConfigError("theta bounds must lie in [0, pi]")
 
     def thetas(self) -> np.ndarray:
         return np.linspace(self.theta_min, self.theta_max, self.n_theta)
@@ -144,7 +139,7 @@ def auto_time_grid(
     cycles = t_end * factor * max_sector_freq(config) / (2.0 * math.pi)
     if math.isinf(cycles):
         raise MemoryError(f"t_end = {t_end} needs more time nodes than a float counts")
-    return TimeGrid(0.0, t_end, max(min_steps, math.ceil(cycles) + 1))
+    return TimeGrid(t_end, max(min_steps, math.ceil(cycles) + 1))
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,7 @@ def gp_surface(
     t = check_real("t", t)
     check_count("threads", threads, 1)
     if time_steps is not None:
-        tg = TimeGrid(0.0, t, time_steps)
+        tg = TimeGrid(t, time_steps)
     else:
         tg = auto_time_grid(config, t, sampling_factor)
     times = tg.times()
@@ -533,7 +528,7 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
                 theta=float(rng.uniform(0.0, math.pi)),
                 phi=float(rng.uniform(0.0, 2.0 * math.pi)),
             )
-            grid = TimeGrid(0.0, float(rng.uniform(2.0, 8.0)), 7)
+            grid = TimeGrid(float(rng.uniform(2.0, 8.0)), 7)
             exact = oracle_trajectory(cfg, ang, grid)
             approx = bloch_trajectory(cfg, ang, grid)
             worst = max(worst, float(np.max(np.abs(exact.points - approx.points))))
@@ -546,7 +541,7 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     for theta0 in (0.3, 0.9, 1.5, 2.1, 2.7):
         cfg = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
         ang = InitialStateAngles(theta=theta0, phi=0.4)
-        tg = TimeGrid(0.0, math.pi, 4001)
+        tg = TimeGrid(math.pi, 4001)
         res = gp_closed_form(polar_track(bloch_trajectory(cfg, ang, tg)), ang)
         worst = max(worst, angular_distance(res.gamma, gp_unitary_reference(theta0)))
     record(
@@ -569,7 +564,7 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
             theta=float(rng.uniform(0.4, math.pi - 0.4)),
             phi=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
-        tg = TimeGrid(0.0, 5.0, 10_000)
+        tg = TimeGrid(5.0, 10_000)
         traj = bloch_trajectory(cfg, ang, tg)
         cf = gp_closed_form(polar_track(traj), ang)
         dh = gp_discrete_holonomy(traj)
@@ -613,7 +608,7 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
             bath_size=2,
         )
         ang = InitialStateAngles(theta=math.pi, phi=0.0)
-        tg = TimeGrid(0.0, 5.0, 8_001)
+        tg = TimeGrid(5.0, 8_001)
         track = polar_track(bloch_trajectory(cfg, ang, tg))
         sp = gp_south_pole(track)
         cf = gp_closed_form(track, ang)

@@ -49,7 +49,6 @@ from .errors import ConfigError
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,9 +170,6 @@ class BlochVector:
         if v.shape != (3,):
             raise ConfigError(f"Bloch vector must have shape (3,), got {v.shape}")
         return cls(float(v[0]), float(v[1]), float(v[2]))
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
 class QubitDensity:

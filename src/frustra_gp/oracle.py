@@ -13,9 +13,9 @@ over both baths.  H is real in this sigma_z (x) J_z product basis
 * per bath size, the real operators sigma_z, sigma_x (x) J_x and
   sigma_y (x) J_y = -(i sigma_y) (x) (i J_y), cached; per config, H is
   their real linear combination;
-* per config, one real eigh, H = V diag(E) V^T, with V = [V_0; V_1] split
-  by the qubit index; only E and the Gram blocks K_ab = V_a^T V_b (K_00,
-  K_01, K_11, with K_10 = K_01^T) are kept.  O(D^3), cached;
+* per trajectory, one real eigh, H = V diag(E) V^T, with V = [V_0; V_1]
+  split by the qubit index; only E and the Gram blocks K_ab = V_a^T V_b
+  (K_00, K_01, K_11, with K_10 = K_01^T) are kept.  O(D^3);
 * per trajectory, rho0_eig = V^T rho(0) V = 4^-N sum_ab rho_S(0)[a, b] K_ab.
   O(D^2);
 * per time node, rho_S(t)[a, b] = sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t}
@@ -99,9 +99,8 @@ def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     return h
 
 
-@lru_cache(maxsize=8)
 def _diagonalized(config: SystemConfig):
-    """Per config: energies and the qubit-block Gram matrices of one real eigh.
+    """Energies and the qubit-block Gram matrices of one real eigh.
 
     With V = [V_0; V_1] split by the qubit index, returns E and
     (K_00, K_01, K_11) with K_ab = V_a^T V_b; V itself is dropped.
@@ -111,10 +110,7 @@ def _diagonalized(config: SystemConfig):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
         raise OracleError(f"dense eigensolver failed: {exc}") from exc
     v0, v1 = np.split(vectors, 2)
-    gram = (v0.T @ v0, v0.T @ v1, v1.T @ v1)
-    for array in (energies, *gram):
-        array.setflags(write=False)
-    return energies, gram
+    return energies, (v0.T @ v0, v0.T @ v1, v1.T @ v1)
 
 
 def _prepared(config: SystemConfig, angles: InitialStateAngles):

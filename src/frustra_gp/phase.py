@@ -64,9 +64,7 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
-from .model import InitialStateAngles, check_real
-
-TWO_PI = 2.0 * math.pi
+from .model import TWO_PI, InitialStateAngles, check_real
 
 # Azimuth tolerance: a node with R below this has no usable phase.
 R_TOL = 1e-12

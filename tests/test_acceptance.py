@@ -48,7 +48,7 @@ def test_criterion_1_unitary_limit_phase():
     worst = 0.0
     for theta0 in (0.3, 0.9, 1.5, 2.1, 2.7):
         ang = InitialStateAngles(theta=theta0, phi=0.4)
-        traj = bloch_trajectory(cfg, ang, TimeGrid(0.0, math.pi, 4001))
+        traj = bloch_trajectory(cfg, ang, TimeGrid(math.pi, 4001))
         res = gp_closed_form(polar_track(traj), ang)
         worst = max(worst, angular_distance(res.gamma, gp_unitary_reference(theta0)))
     elapsed = time.perf_counter() - started
@@ -107,7 +107,7 @@ def test_criterion_3_gp_converges_under_refinement():
         )
         gammas = []
         for n_steps in (5001, 10001, 20001, 40001):
-            traj = bloch_trajectory(cfg, ang, TimeGrid(0.0, 5.0, n_steps))
+            traj = bloch_trajectory(cfg, ang, TimeGrid(5.0, n_steps))
             gammas.append(gp_closed_form(polar_track(traj), ang).gamma)
         d1 = angular_distance(gammas[1], gammas[0])
         d2 = angular_distance(gammas[2], gammas[1])
@@ -135,13 +135,13 @@ def test_criterion_4_south_pole_route_agrees():
             bath_size=int(rng.integers(1, 5)),
         )
         ang = InitialStateAngles(theta=math.pi, phi=0.0)
-        track = polar_track(bloch_trajectory(cfg, ang, TimeGrid(0.0, 5.0, 8001)))
+        track = polar_track(bloch_trajectory(cfg, ang, TimeGrid(5.0, 8001)))
         sp = gp_south_pole(track)
         cf = gp_closed_form(track, ang)
         worst = max(worst, angular_distance(sp.gamma, cf.gamma))
     # a pole start pins the polarization to the z axis, so exercise the pole
     # quadrature on a synthetic spiral with a hand-integrated value as well
-    grid = TimeGrid(0.0, 4.0, 20001)
+    grid = TimeGrid(4.0, 20001)
     t = grid.times()
     beta = 0.15 * t
     pts = np.column_stack(
@@ -169,18 +169,18 @@ def test_criterion_5_second_order_convergence():
     # (a) discrete holonomy against the exact decoupled-limit value
     dh_errors = []
     for n_steps in (201, 401, 801):
-        traj = bloch_trajectory(cfg_u, ang_u, TimeGrid(0.0, math.pi, n_steps))
+        traj = bloch_trajectory(cfg_u, ang_u, TimeGrid(math.pi, n_steps))
         dh_errors.append(angular_distance(gp_discrete_holonomy(traj).gamma, exact))
     dh_ratios = (dh_errors[0] / dh_errors[1], dh_errors[1] / dh_errors[2])
 
     # (b) closed-form self-convergence on a decohering configuration
     cfg_d = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
     ang_d = InitialStateAngles(theta=1.1, phi=0.4)
-    ref_traj = bloch_trajectory(cfg_d, ang_d, TimeGrid(0.0, 5.0, 2**17 + 1))
+    ref_traj = bloch_trajectory(cfg_d, ang_d, TimeGrid(5.0, 2**17 + 1))
     gamma_ref = gp_closed_form(polar_track(ref_traj), ang_d).gamma
     cf_errors = []
     for n_steps in (251, 501, 1001):
-        traj = bloch_trajectory(cfg_d, ang_d, TimeGrid(0.0, 5.0, n_steps))
+        traj = bloch_trajectory(cfg_d, ang_d, TimeGrid(5.0, n_steps))
         cf_errors.append(
             angular_distance(gp_closed_form(polar_track(traj), ang_d).gamma, gamma_ref)
         )
@@ -188,7 +188,7 @@ def test_criterion_5_second_order_convergence():
 
     # (c) in the decoupled limit the closed-form integrand is constant, so
     # the trapezoid is already exact at coarse grids
-    traj = bloch_trajectory(cfg_u, ang_u, TimeGrid(0.0, math.pi, 201))
+    traj = bloch_trajectory(cfg_u, ang_u, TimeGrid(math.pi, 201))
     flat = angular_distance(gp_closed_form(polar_track(traj), ang_u).gamma, exact)
 
     ok = all(r >= 3.5 for r in dh_ratios + cf_ratios) and flat < 1e-12
@@ -308,7 +308,7 @@ def test_criterion_8_invariant_bundle():
             theta=float(rng.uniform(0.1, math.pi - 0.1)),
             phi=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
-        traj = bloch_trajectory(cfg, ang, TimeGrid(0.0, 8.0, 801))
+        traj = bloch_trajectory(cfg, ang, TimeGrid(8.0, 801))
         trajectories.append(traj)
         track = polar_track(traj)
         worst = max(

@@ -32,6 +32,7 @@ from frustra_gp import (
     angular_distance,
     gp_surface,
     principal_value,
+    strategy_compare,
 )
 from frustra_gp import cli
 from frustra_gp.cli import (
@@ -42,9 +43,10 @@ from frustra_gp.cli import (
     load_config,
     run,
     serialize_config,
+    write_compare_csv,
     write_surface_csv,
 )
-from frustra_gp.errors import ConfigError
+from frustra_gp.errors import ConfigError, FrustraGpError
 from frustra_gp.experiments import AngleGrid, VerifyCheck, VerifyReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -458,6 +460,84 @@ def test_time_whose_rotation_angle_overflows_is_config_error(subcommand, capsys)
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("frustra-gp: error: time 1e+308 too large: Gamma * t overflows")
+
+
+POLE_ARGS = [
+    "--bath-size", "2",
+    "--t-end", "5",
+    "--steps", "301",
+    "--n-theta", "5",
+    "--n-phi", "4",
+    "--theta-min", "0",
+    "--theta-max", repr(math.pi),
+]
+
+
+def _pole_grid():
+    """The library grid of POLE_ARGS: both poles among its 5 theta rows."""
+    return AngleGrid(n_theta=5, n_phi=4, theta_min=0.0, theta_max=math.pi)
+
+
+def test_surface_takes_pole_bounds_like_the_library(tmp_path):
+    # the sweep evaluates pole cells by PolarTrack.from_points; the command
+    # line used to refuse bounds that the library grid took
+    out = tmp_path / "poles.csv"
+    assert run(["surface", "--alpha1", "0.6", "--alpha2", "0.3", *POLE_ARGS, "--out", str(out)]) == 0
+    cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
+    sink = io.StringIO()
+    write_surface_csv(gp_surface(cfg, _pole_grid(), 5.0, time_steps=301), sink)
+    assert out.read_text() == sink.getvalue()
+    rows = [line.split(",") for line in sink.getvalue().splitlines()[1:]]
+    assert {row[0] for row in rows[:4]} == {"0"}
+    assert {row[0] for row in rows[-4:]} == {format(math.pi, ".17g")}
+    assert "nan" not in sink.getvalue()
+
+
+def test_compare_takes_pole_bounds_like_the_library(tmp_path):
+    out = tmp_path / "poles.csv"
+    couplings = ((1.0, 0.0), (0.25, 0.25))
+    assert run(["compare", *POLE_ARGS, "--couplings", "1,0;0.25,0.25", "--out", str(out)]) == 0
+    pairs = [
+        (f"alpha1={cli._coupling_text(a1)} alpha2={cli._coupling_text(a2)}",
+         SystemConfig(omega=2.0, alpha1=a1, alpha2=a2, bath_size=2))
+        for a1, a2 in couplings
+    ]
+    report = strategy_compare(pairs, _pole_grid(), 5.0, time_steps=301)
+    sink = io.StringIO()
+    write_compare_csv(report, sink)
+    assert out.read_text() == sink.getvalue()
+    assert [e.missing_cells for e in report.entries] == [0, 0]
+
+
+def test_closed_stdout_ends_the_cli_without_a_traceback():
+    # The reader takes one line and closes the pipe, as `| head -1` does.
+    # The output (about 4 MB) outgrows any pipe buffer, so the next write
+    # finds the pipe closed.
+    args = ["bloch", "--bath-size", "2", "--steps", "50000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frustra_gp", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.stdout.readline() == b"t,x,y,z\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert err == b""
+    assert proc.returncode == 141
+
+
+def test_every_other_package_error_is_a_numerical_error(monkeypatch, capsys):
+    # UsageError and ConfigError exit 1; any other FrustraGpError exits 2
+    class Unlisted(FrustraGpError):
+        pass
+
+    def fail(p):
+        raise Unlisted("no route")
+
+    monkeypatch.setitem(cli._HANDLERS, "gp", fail)
+    assert run(["gp", "--bath-size", "1"]) == 2
+    assert capsys.readouterr().err == "frustra-gp: numerical error: no route\n"
 
 
 def test_threads_env_rejected_when_invalid(tmp_path, capsys, monkeypatch):

@@ -78,17 +78,22 @@ def _random_angles(rng):
 
 
 def test_time_grid_validation():
-    grid = TimeGrid(0.0, 2.0, 5)
+    grid = TimeGrid(2.0, 5)
     times = grid.times()
     assert times.shape == (5,)
     assert times[0] == 0.0 and times[-1] == 2.0
     assert grid.dt == pytest.approx(0.5, abs=1e-15)
+    # every grid samples from t = 0
+    assert TimeGrid(5.0, 3).times().tobytes() == np.linspace(0.0, 5.0, 3).tobytes()
+    with pytest.raises(TypeError):
+        TimeGrid(t_start=0.0, t_end=5.0, n_steps=3)
+    for t_end in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="^t_end must be positive$"):
+            TimeGrid(t_end, 5)
     with pytest.raises(ConfigError):
-        TimeGrid(0.0, 0.0, 5)
+        TimeGrid(1.0, 1)
     with pytest.raises(ConfigError):
-        TimeGrid(0.0, 1.0, 1)
-    with pytest.raises(ConfigError):
-        TimeGrid(0.0, math.inf, 5)
+        TimeGrid(math.inf, 5)
 
 
 def test_gamma_freq_frozen():
@@ -144,7 +149,7 @@ def test_trajectory_starts_at_initial_bloch():
     for _ in range(5):
         cfg = _random_config(rng)
         ang = _random_angles(rng)
-        traj = bloch_trajectory(cfg, ang, TimeGrid(0.0, 3.0, 7))
+        traj = bloch_trajectory(cfg, ang, TimeGrid(3.0, 7))
         assert np.max(np.abs(traj.points[0] - initial_bloch(ang).as_array())) < 1e-14
 
 
@@ -195,14 +200,14 @@ def test_norm_contraction():
     for _ in range(10):
         cfg = _random_config(rng)
         ang = _random_angles(rng)
-        traj = bloch_trajectory(cfg, ang, TimeGrid(0.0, 12.0, 101))
+        traj = bloch_trajectory(cfg, ang, TimeGrid(12.0, 101))
         norms = np.linalg.norm(traj.points, axis=1)
         assert norms.max() <= 1.0 + 1e-12
 
 
 def test_unitary_limit_preserves_norm():
     cfg = SystemConfig(omega=1.7, alpha1=0.0, alpha2=0.0, bath_size=3)
-    traj = bloch_trajectory(cfg, InitialStateAngles(theta=0.8, phi=1.0), TimeGrid(0.0, 9.0, 301))
+    traj = bloch_trajectory(cfg, InitialStateAngles(theta=0.8, phi=1.0), TimeGrid(9.0, 301))
     norms = np.linalg.norm(traj.points, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-13
 
@@ -254,6 +259,26 @@ def test_time_whose_rotation_angle_overflows_is_refused_before_the_map():
     # the largest time that keeps Gamma_max t finite still evaluates
     gamma_max = float(np.sqrt(4.0 + 0.45**2 + 0.3**2))
     assert np.isfinite(rotation_matrices(cfg, np.array([1e308 / gamma_max]))).all()
+
+
+def test_sector_whose_gamma_overflows_is_refused_by_its_eigenvalues():
+    # gamma_freq used to raise OverflowError from a float square, and
+    # sector_rotation to warn about the overflow and then blame the time
+    cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=2)
+    v0 = initial_bloch(InitialStateAngles(theta=1.0))
+    calls = (
+        lambda: gamma_freq(cfg, 1e300, 0.0),  # one square past the floats
+        lambda: gamma_freq(cfg, 4e154, 4e154),  # each square finite, their sum not
+        lambda: sector_rotation(v0, cfg, 1e308, 0.0, 1.0),
+        lambda: sector_rotation(v0, cfg, 0.0, 1e308, 1e308),  # before the time
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ConfigError, match=r"^m1 = \S+, m2 = \S+ too large: Gamma\^2 overflows$"):
+                call()
+    # at a tenth of those eigenvalues Gamma^2 is a float again
+    assert math.isfinite(gamma_freq(cfg, 4e153, 4e153))
 
 
 def _unfolded_rotation_matrices(cfg, times):
@@ -492,7 +517,7 @@ def test_literal_series_is_half_the_physical_map_at_reflected_angles():
     # so the literal series is 1/2 of a physical trajectory, and the phase,
     # invariant under positive rescaling, is the physical phase there.
     rng = np.random.default_rng(89)
-    grid = TimeGrid(0.0, 9.0, 2001)
+    grid = TimeGrid(9.0, 2001)
     for _ in range(8):
         cfg = _random_config(rng)
         ang = InitialStateAngles(
@@ -518,7 +543,7 @@ def test_literal_initial_norm_is_half():
 
 
 def test_trajectory_validation():
-    grid = TimeGrid(0.0, 1.0, 3)
+    grid = TimeGrid(1.0, 3)
     with pytest.raises(ConfigError):
         BlochTrajectory(grid=grid, points=np.zeros((4, 3)))  # wrong length
     bad_norm = np.array([[0.0, 1.0, 0.0], [0.0, 1.4, 0.0], [0.0, 1.0, 0.0]])

@@ -44,20 +44,28 @@ def test_angle_grid_nodes():
 
 
 def test_angle_grid_validation():
-    AngleGrid(theta_min=0.0, theta_max=math.pi, include_poles=True)
     with pytest.raises(ConfigError):
         AngleGrid(n_theta=1)
     with pytest.raises(ConfigError):
         AngleGrid(theta_min=1.0, theta_max=0.5)
-    with pytest.raises(ConfigError):
-        AngleGrid(theta_min=0.0, theta_max=1.0)  # pole needs include_poles
-    with pytest.raises(ConfigError):
-        AngleGrid(theta_min=-0.1, theta_max=3.2, include_poles=True)
+    # theta bounds follow InitialStateAngles: 0 <= theta_min < theta_max <= pi
+    poles = AngleGrid(n_theta=3, theta_min=0.0, theta_max=math.pi)
+    assert poles.thetas().tolist() == [0.0, math.pi / 2.0, math.pi]
+    AngleGrid(theta_min=0.0, theta_max=1.0)
+    AngleGrid(theta_min=1.0, theta_max=math.pi)
+    for lo, hi in ((-1e-300, 1.0), (1.0, math.nextafter(math.pi, 4.0)), (-0.1, 3.2)):
+        with pytest.raises(ConfigError, match=r"^theta bounds must lie in \[0, pi\]$"):
+            AngleGrid(theta_min=lo, theta_max=hi)
 
 
 def test_max_sector_freq_frozen():
     cfg = SystemConfig(omega=2.0, alpha1=1.0, alpha2=0.0, bath_size=4)
     assert max_sector_freq(cfg) == pytest.approx(math.sqrt(8.0), abs=1e-15)
+    # glibc's pow(x, 2) and x * x differ in the last bit here; every auto
+    # grid is sized from this value, so it keeps the float power's bits
+    cfg = SystemConfig(omega=1.0, alpha1=0.23, alpha2=0.05, bath_size=57)
+    b1, b2 = 0.23 * 28.5, 0.05 * 28.5
+    assert max_sector_freq(cfg) == math.sqrt(1.0**2 + b1**2 + b2**2)
 
 
 def test_auto_time_grid_resolves_fastest_sector():
@@ -144,7 +152,7 @@ def test_surface_resolution_error_names_cell():
     theta, phi = float(SMALL_GRID.thetas()[0]), float(SMALL_GRID.phis()[0])
     ang = InitialStateAngles(theta=theta, phi=phi)
     with pytest.raises(ResolutionError) as cell:
-        polar_track(bloch_trajectory(UNITARY_CFG, ang, TimeGrid(0.0, math.pi, 3)))
+        polar_track(bloch_trajectory(UNITARY_CFG, ang, TimeGrid(math.pi, 3)))
     with pytest.raises(ResolutionError) as sweep:
         gp_surface(UNITARY_CFG, SMALL_GRID, math.pi, time_steps=3)
     assert str(sweep.value) == f"cell theta={theta:.6f}, phi={phi:.6f}: {cell.value}"
@@ -172,10 +180,8 @@ def test_surface_cells_match_single_trajectory_route(monkeypatch):
     # column's azimuth and calls PolarTrack.from_points only for cells with
     # a node at R < 2 R_TOL.
     interior = AngleGrid(n_theta=5, n_phi=4, theta_min=0.3, theta_max=math.pi - 0.3)
-    poles = AngleGrid(n_theta=5, n_phi=4, theta_min=0.0, theta_max=math.pi, include_poles=True)
-    near_pole = AngleGrid(
-        n_theta=4, n_phi=4, theta_min=0.0, theta_max=6.6e-12, include_poles=True
-    )
+    poles = AngleGrid(n_theta=5, n_phi=4, theta_min=0.0, theta_max=math.pi)
+    near_pole = AngleGrid(n_theta=4, n_phi=4, theta_min=0.0, theta_max=6.6e-12)
     cases = [
         (cfg, grid, 5.0, steps)
         for cfg, steps in (
@@ -201,7 +207,7 @@ def test_surface_cells_match_single_trajectory_route(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(PolarTrack, "from_points", classmethod(spy))
             surf = gp_surface(cfg, grid, t, time_steps=steps)
-        tg = TimeGrid(0.0, t, surf.time_steps)
+        tg = TimeGrid(t, surf.time_steps)
         deferred = 0
         for i, theta in enumerate(grid.thetas()):
             for j, phi in enumerate(grid.phis()):

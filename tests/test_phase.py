@@ -50,7 +50,7 @@ UNITARY_CFG = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
 
 
 def _spiral_trajectory(n_steps=20001, t_end=4.0):
-    grid = TimeGrid(0.0, t_end, n_steps)
+    grid = TimeGrid(t_end, n_steps)
     t = grid.times()
     beta = 0.15 * t  # polar angle measured from the south pole
     pts = np.column_stack(
@@ -114,7 +114,7 @@ def test_angular_distance_properties():
 def test_polar_track_precession_frozen():
     # decoupled limit: A, theta_t, eps constant; chi advances linearly
     traj = bloch_trajectory(
-        UNITARY_CFG, InitialStateAngles(theta=1.2, phi=0.5), TimeGrid(0.0, math.pi, 2001)
+        UNITARY_CFG, InitialStateAngles(theta=1.2, phi=0.5), TimeGrid(math.pi, 2001)
     )
     track = polar_track(traj)
     assert np.max(np.abs(track.A - math.cos(1.2))) < 1e-13
@@ -130,7 +130,7 @@ def test_polar_track_precession_frozen():
 
 def test_polar_track_unwrap_recovers_linear_azimuth():
     traj = bloch_trajectory(
-        UNITARY_CFG, InitialStateAngles(theta=0.8, phi=0.3), TimeGrid(0.0, 3.0 * math.pi, 3001)
+        UNITARY_CFG, InitialStateAngles(theta=0.8, phi=0.3), TimeGrid(3.0 * math.pi, 3001)
     )
     track = polar_track(traj)
     times = traj.grid.times()
@@ -153,7 +153,7 @@ def test_polar_track_eps_identity():
             theta=float(rng.uniform(0.1, math.pi - 0.1)),
             phi=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
-        traj = bloch_trajectory(cfg, ang, TimeGrid(0.0, 7.0, 301))
+        traj = bloch_trajectory(cfg, ang, TimeGrid(7.0, 301))
         track = polar_track(traj)
         assert np.max(np.abs(track.eps_plus - np.linalg.norm(traj.points, axis=1))) < 1e-12
         # theta_t is measured from the south pole of the branch direction
@@ -162,7 +162,7 @@ def test_polar_track_eps_identity():
 
 def test_polar_track_rejects_coarse_grid():
     traj = bloch_trajectory(
-        UNITARY_CFG, InitialStateAngles(theta=1.2, phi=0.0), TimeGrid(0.0, math.pi, 3)
+        UNITARY_CFG, InitialStateAngles(theta=1.2, phi=0.0), TimeGrid(math.pi, 3)
     )
     with pytest.raises(ResolutionError):
         polar_track(traj)
@@ -175,7 +175,7 @@ def _arc_points(n):
 
 
 def test_from_points_rejects_non_finite_and_miscounted_points():
-    grid = TimeGrid(0.0, 1.0, 5)
+    grid = TimeGrid(1.0, 5)
     pts = _arc_points(5)
     assert PolarTrack.from_points(pts, grid).n_steps == 5
     for bad in (math.nan, math.inf, -math.inf):
@@ -190,7 +190,7 @@ def test_from_points_rejects_non_finite_and_miscounted_points():
 
 def test_polar_track_rejects_misshapen_dchi():
     for n in (2, 5):
-        base = PolarTrack.from_points(_arc_points(n), TimeGrid(0.0, 1.0, n))
+        base = PolarTrack.from_points(_arc_points(n), TimeGrid(1.0, n))
         # n entries is the old absolute-azimuth length, one too many
         for dchi in (np.zeros(n), np.zeros(n - 2), np.zeros((n - 1, 1)), np.zeros((1, n - 1))):
             with pytest.raises(ConfigError):
@@ -211,8 +211,8 @@ def test_polar_track_stores_array_likes_as_read_only_arrays():
 
 
 def test_polar_track_rejects_node_arrays_that_miss_its_grid():
-    base = PolarTrack.from_points(_arc_points(5), TimeGrid(0.0, 1.0, 5))
-    three = PolarTrack.from_points(_arc_points(3), TimeGrid(0.0, 1.0, 3))
+    base = PolarTrack.from_points(_arc_points(5), TimeGrid(1.0, 5))
+    three = PolarTrack.from_points(_arc_points(3), TimeGrid(1.0, 3))
     cases = (
         ("A", three, dict(grid=base.grid)),  # every array 3 nodes, grid 5
         ("eps_plus", base, dict(eps_plus=base.eps_plus[:1])),
@@ -317,7 +317,7 @@ def _polar_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(pts=_polar_points())
 def test_from_points_matches_reference_route(pts):
-    grid = TimeGrid(0.0, 1.0, pts.shape[0])
+    grid = TimeGrid(1.0, pts.shape[0])
     try:
         want = _reference_track_series(pts)
     except ResolutionError as exc:
@@ -345,7 +345,7 @@ def test_stationary_pole_gives_zero_phase():
     # theta0 = pi pins the polarization to the z axis: every node is
     # azimuth-singular, chi stays flat, and both routes return exactly zero
     cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
-    traj = bloch_trajectory(cfg, InitialStateAngles(theta=math.pi, phi=0.7), TimeGrid(0.0, 5.0, 801))
+    traj = bloch_trajectory(cfg, InitialStateAngles(theta=math.pi, phi=0.7), TimeGrid(5.0, 801))
     track = polar_track(traj)
     assert track.singular.all()
     assert gp_south_pole(track).gamma == 0.0
@@ -386,7 +386,7 @@ def _pure_start_tracks(draw):
     dchi = np.array(draw(st.lists(steps, min_size=n - 1, max_size=n - 1)))
     a = 2.0 * s - 1.0
     return PolarTrack(
-        grid=TimeGrid(0.0, 1.0, n),
+        grid=TimeGrid(1.0, n),
         A=a,
         dchi=dchi,
         sin2_half=s,
@@ -440,7 +440,7 @@ def test_closed_form_matches_unitary_reference():
     # constant integrand makes the trapezoid exact up to round-off
     for theta in (0.3, 0.9, 2.5):
         traj = bloch_trajectory(
-            UNITARY_CFG, InitialStateAngles(theta=theta, phi=1.0), TimeGrid(0.0, math.pi, 801)
+            UNITARY_CFG, InitialStateAngles(theta=theta, phi=1.0), TimeGrid(math.pi, 801)
         )
         res = gp_closed_form(polar_track(traj), angles=InitialStateAngles(theta=theta, phi=1.0))
         assert angular_distance(res.gamma, gp_unitary_reference(theta)) < 1e-12
@@ -458,7 +458,7 @@ def test_gp_unitary_reference_frozen():
 
 def test_closed_form_angle_cross_check():
     traj = bloch_trajectory(
-        UNITARY_CFG, InitialStateAngles(theta=1.2, phi=0.5), TimeGrid(0.0, math.pi, 801)
+        UNITARY_CFG, InitialStateAngles(theta=1.2, phi=0.5), TimeGrid(math.pi, 801)
     )
     track = polar_track(traj)
     with pytest.raises(PreconditionError):
@@ -468,7 +468,7 @@ def test_closed_form_angle_cross_check():
 def test_closed_form_purity_precondition():
     base = polar_track(
         bloch_trajectory(
-            UNITARY_CFG, InitialStateAngles(theta=1.0, phi=0.2), TimeGrid(0.0, math.pi, 801)
+            UNITARY_CFG, InitialStateAngles(theta=1.0, phi=0.2), TimeGrid(math.pi, 801)
         )
     )
     scaled = PolarTrack(
@@ -492,7 +492,7 @@ def test_closed_form_scale_invariance():
     traj = bloch_trajectory(
         SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2),
         InitialStateAngles(theta=1.1, phi=0.4),
-        TimeGrid(0.0, 5.0, 2001),
+        TimeGrid(5.0, 2001),
     )
     base = polar_track(traj)
     ref = gp_closed_form(base)
@@ -524,7 +524,7 @@ def test_closed_form_scale_invariance():
 
 
 def test_closed_form_rejects_vanishing_polarization():
-    grid = TimeGrid(0.0, 1.0, 3)
+    grid = TimeGrid(1.0, 3)
     dead = PolarTrack(
         grid=grid,
         A=np.zeros(3),
@@ -540,7 +540,7 @@ def test_closed_form_rejects_vanishing_polarization():
 
 def test_closed_form_indeterminate_on_equator_half_turn():
     # chi sweeps 0 -> pi on the equator: the bracket cancels exactly
-    grid = TimeGrid(0.0, 1.0, 5)
+    grid = TimeGrid(1.0, 5)
     chi = np.linspace(0.0, math.pi, 5)
     pts = np.column_stack([np.cos(chi), np.sin(chi), np.zeros(5)])
     track = polar_track(BlochTrajectory(grid=grid, points=pts))
@@ -550,14 +550,14 @@ def test_closed_form_indeterminate_on_equator_half_turn():
 
 def test_south_pole_requires_pole_start():
     traj = bloch_trajectory(
-        UNITARY_CFG, InitialStateAngles(theta=1.0, phi=0.0), TimeGrid(0.0, math.pi, 801)
+        UNITARY_CFG, InitialStateAngles(theta=1.0, phi=0.0), TimeGrid(math.pi, 801)
     )
     with pytest.raises(PreconditionError):
         gp_south_pole(polar_track(traj))
 
 
 def test_discrete_holonomy_rejects_fully_mixed_node():
-    grid = TimeGrid(0.0, 1.0, 3)
+    grid = TimeGrid(1.0, 3)
     pts = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     traj = BlochTrajectory(grid=grid, points=pts)
     with pytest.raises(PreconditionError):
@@ -595,7 +595,7 @@ def test_pancharatnam_validation():
 
 def test_discrete_holonomy_unitary_limit():
     traj = bloch_trajectory(
-        UNITARY_CFG, InitialStateAngles(theta=1.0, phi=0.3), TimeGrid(0.0, math.pi, 1601)
+        UNITARY_CFG, InitialStateAngles(theta=1.0, phi=0.3), TimeGrid(math.pi, 1601)
     )
     res = gp_discrete_holonomy(traj)
     assert angular_distance(res.gamma, gp_unitary_reference(1.0)) < 2e-6
@@ -606,7 +606,7 @@ def test_result_principal_matches_unwrapped():
     traj = bloch_trajectory(
         SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2),
         InitialStateAngles(theta=1.1, phi=0.4),
-        TimeGrid(0.0, 5.0, 2001),
+        TimeGrid(5.0, 2001),
     )
     for res in (gp_closed_form(polar_track(traj)), gp_discrete_holonomy(traj)):
         assert res.gamma == principal_value(res.gamma_unwrapped)
@@ -627,5 +627,5 @@ def test_guards_are_fixed_constants():
     # R = |v_xy| / 2 just below R_TOL is singular, just above it is not
     rxy = 2.0 * phase.R_TOL
     pts = np.array([[0.0, 0.0, 1.0], [0.99 * rxy, 0.0, 1.0], [1.01 * rxy, 0.0, 1.0]])
-    track = PolarTrack.from_points(pts, TimeGrid(0.0, 1.0, 3))
+    track = PolarTrack.from_points(pts, TimeGrid(1.0, 3))
     assert track.singular.tolist() == [True, True, False]
