@@ -175,11 +175,14 @@ def sector_rotation(
 # the (2c, 8K) offset table and the (2c, anchors) block, so no buffer but
 # the (anchors, 8K) sums and product grows with S or n (the block holds two
 # rows of anchors when one sector alone overfills it, past 32768 anchors).
-# The product is one GEMM, which OpenBLAS may split over its threads.  The
-# byte tests find the map's bytes the same at 1 and 2 threads, up to 398
-# chunks at N = 400 (tests/test_dynamics.py) and through gp, verify and
-# compare (tests/test_cli.py): the split divides the output, not the sum
-# over sectors, so every entry is summed in one order.
+# The product is one GEMM, which OpenBLAS may split over its threads.  For
+# the configs of the byte tests (up to 398 chunks at N = 400 in
+# tests/test_dynamics.py; gp, verify and compare in tests/test_cli.py) the
+# split divides the output and the bytes are the same at 1 and 2 threads.
+# It does not always: at N = 30, (0.3, 0.7), t = 5 (n = 371, K = 19,
+# S = 254) the (20 x 430) @ (430 x 152) product sums in another order at 2
+# threads, and 937 map entries move by up to 1.3e-15.  The map's bytes can
+# therefore depend on OPENBLAS_NUM_THREADS.
 _CHUNK_ELEMENTS = 1 << 16
 
 

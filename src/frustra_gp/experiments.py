@@ -30,7 +30,10 @@ of a row one shared track, so the factored cells of such a row have the
 same value bit for bit.  A cell that falls back still projects its own
 points, but the fallback decision comes from the shared column.  Every
 cell still makes its own gp_closed_form call, as a per-cell trace of the
-sweep expects.
+sweep expects, but a track keeps the reductions the closed form derives
+from it alone (its start, the bracket, the connection sum and the
+diagnostics; PolarTrack._reductions), so on a shared track only the first
+cell of a row makes the n-node passes and the others read the kept values.
 
 `strategy_compare` contrasts coupling allocations (single bath vs split
 couplings) by two grid metrics: mean |gamma| and mean angular distance to
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -186,10 +188,11 @@ class _ColumnSweep:
     module docstring).
 
     A factored track makes five elementwise passes over its n nodes
-    (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and
-    gp_closed_form five more (1 - sin2_half, pair sums, products with dchi,
-    and two sums): ten per cell, or five per cell and five per row when
-    the track is shared.  A, A/2 and A^2 are formed once per row.
+    (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and the first
+    gp_closed_form call on it five more (1 - sin2_half, pair sums, products
+    with dchi, and two sums), which the track keeps: ten per cell, or ten
+    per row when the track is shared.  A, A/2 and A^2 are formed once per
+    row.
     """
 
     def __init__(self, rot: np.ndarray, phis: np.ndarray, grid: TimeGrid):
@@ -322,6 +325,11 @@ def gp_surface(
         for i in range(grid.n_theta):
             fill(i)
     else:
+        # Imported here: concurrent.futures pulls in logging, queue and
+        # traceback, which every process that never starts the pool would
+        # pay for at import.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(threads, grid.n_theta)) as pool:
             list(pool.map(fill, range(grid.n_theta)))
     return GpSurface(

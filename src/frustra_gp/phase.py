@@ -54,6 +54,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,6 +145,12 @@ class PolarTrack:
     dchi holds the increments chi_{i+1} - chi_i, each inside (-pi, pi);
     sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1];
     singular marks nodes whose azimuth was propagated from a neighbor.
+
+    The arrays are read-only and the dataclass is frozen (dataclasses.replace
+    builds a new track), so the scalars gp_closed_form and gp_south_pole
+    derive from the track alone are computed on first use and kept
+    (_reductions): a sweep that hands one track to a whole row of cells
+    makes their n-node passes once for the row.
     """
 
     grid: TimeGrid
@@ -169,6 +176,43 @@ class PolarTrack:
     @property
     def n_steps(self) -> int:
         return self.grid.n_steps
+
+    def _reductions(self) -> _Reductions:
+        """The track's closed-form reductions, computed on first use.
+
+        Kept with object.__setattr__, not functools.cached_property: on
+        Python 3.10 and 3.11 that takes one lock per class, which would
+        serialize a sweep's row threads.  Two threads that race both compute
+        the same bytes, and either result is kept.
+        """
+        reductions = self.__dict__.get("_kept_reductions")
+        if reductions is not None:
+            return reductions
+        # sin2_half follows the branch direction A/eps, not raw <sigma_z>,
+        # which keeps the arg exactly invariant under positive rescalings of
+        # the polarization.
+        s_start, s_end = float(self.sin2_half[0]), float(self.sin2_half[-1])
+        c0, s0 = math.sqrt(s_start), math.sqrt(1.0 - s_start)
+        dchi = float(self.dchi.sum())
+        bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
+        reductions = _Reductions(
+            a0=float(self.A[0]),
+            eps0=float(self.eps_plus[0]),
+            bracket=bracket,
+            # The integrand cos^2(theta_t/2) is taken as 1 - sin2_half node
+            # by node.  dchi - _trapezoid_on_chi(dchi, sin2_half) saves that
+            # pass but rounds the sum differently, which moves phases that
+            # sit on the +-pi cut.
+            connection=_trapezoid_on_chi(self.dchi, 1.0 - self.sin2_half),
+            diagnostics=GpDiagnostics(
+                n_steps=self.n_steps,
+                singular_nodes=int(np.count_nonzero(self.singular)),
+                unwrap_jumps=self.unwrap_jumps,
+                lambda_plus_end=(1.0 + float(self.eps_plus[-1])) / 2.0,
+            ),
+        )
+        object.__setattr__(self, "_kept_reductions", reductions)
+        return reductions
 
     @property
     def theta_t(self) -> np.ndarray:
@@ -245,6 +289,21 @@ class GpResult:
     diagnostics: GpDiagnostics
 
 
+class _Reductions(NamedTuple):
+    """What the phase routes read of a track, kept by PolarTrack._reductions.
+
+    a0 and eps0 are A and eps_plus at t = 0; bracket is cos(theta0/2)
+    sin(theta_tau/2) + e^{i dchi(tau)} sin(theta0/2) cos(theta_tau/2);
+    connection is the trapezoid of chi_dot cos^2(theta_t/2).
+    """
+
+    a0: float
+    eps0: float
+    bracket: complex
+    connection: float
+    diagnostics: GpDiagnostics
+
+
 def polar_track(traj: BlochTrajectory) -> PolarTrack:
     """Reduce a Bloch trajectory to its polar-track series."""
     return PolarTrack.from_points(traj.points, traj.grid)
@@ -268,15 +327,6 @@ def _trapezoid_on_chi(dchi: np.ndarray, integrand: np.ndarray) -> float:
     return float(pair.sum()) / 2.0
 
 
-def _track_diagnostics(track: PolarTrack) -> GpDiagnostics:
-    return GpDiagnostics(
-        n_steps=track.n_steps,
-        singular_nodes=int(np.count_nonzero(track.singular)),
-        unwrap_jumps=track.unwrap_jumps,
-        lambda_plus_end=(1.0 + float(track.eps_plus[-1])) / 2.0,
-    )
-
-
 def gp_closed_form(
     track: PolarTrack,
     angles: InitialStateAngles | None = None,
@@ -289,44 +339,31 @@ def gp_closed_form(
     literal series, whose norm at t = 0 is 1/2); the same formulas are
     applied unchanged.
     """
-    a0 = float(track.A[0])
-    eps0 = float(track.eps_plus[0])
-    if require_pure and abs(eps0 - 1.0) > 1e-9:
+    r = track._reductions()
+    if require_pure and abs(r.eps0 - 1.0) > 1e-9:
         raise PreconditionError(
-            f"initial state not pure: |v(0)| = {eps0:.12f}; the closed form"
+            f"initial state not pure: |v(0)| = {r.eps0:.12f}; the closed form"
             " assumes a single dominant branch"
         )
-    if angles is not None and abs(a0 - math.cos(angles.theta)) > 1e-9:
+    if angles is not None and abs(r.a0 - math.cos(angles.theta)) > 1e-9:
         raise PreconditionError(
             "track does not start at the stated initial state:"
-            f" <sigma_z(0)> = {a0:.12f} vs cos(theta0) = {math.cos(angles.theta):.12f}"
+            f" <sigma_z(0)> = {r.a0:.12f} vs cos(theta0) = {math.cos(angles.theta):.12f}"
         )
-    if eps0 < 1e-15:
+    if r.eps0 < 1e-15:
         raise IndeterminatePhaseError(
             "initial polarization vanishes; dominant branch undefined at t = 0"
         )
-    # sin2_half follows the branch direction A/eps, not raw <sigma_z>, which
-    # keeps the arg exactly invariant under positive rescalings of the
-    # polarization.
-    s_start, s_end = float(track.sin2_half[0]), float(track.sin2_half[-1])
-    c0, s0 = math.sqrt(s_start), math.sqrt(1.0 - s_start)
-    dchi = float(track.dchi.sum())
-    # The integrand cos^2(theta_t/2) is taken as 1 - sin2_half node by node.
-    # dchi - _trapezoid_on_chi(dchi, sin2_half) saves that pass but rounds
-    # the sum differently, which moves phases that sit on the +-pi cut.
-    connection = _trapezoid_on_chi(track.dchi, 1.0 - track.sin2_half)
-    bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
-    if abs(bracket) < Z_TOL:
+    if abs(r.bracket) < Z_TOL:
         raise IndeterminatePhaseError(
-            f"indeterminate phase: |bracket| = {abs(bracket):.3e} < {Z_TOL:.3e}"
+            f"indeterminate phase: |bracket| = {abs(r.bracket):.3e} < {Z_TOL:.3e}"
         )
-    head = math.atan2(bracket.imag, bracket.real)
-    unwrapped = head - connection
+    unwrapped = math.atan2(r.bracket.imag, r.bracket.real) - r.connection
     return GpResult(
         gamma=principal_value(unwrapped),
         gamma_unwrapped=unwrapped,
         method="closed_form",
-        diagnostics=_track_diagnostics(track),
+        diagnostics=r.diagnostics,
     )
 
 
@@ -354,7 +391,7 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
         gamma=principal_value(unwrapped),
         gamma_unwrapped=unwrapped,
         method="south_pole",
-        diagnostics=_track_diagnostics(track),
+        diagnostics=track._reductions().diagnostics,
     )
 
 

@@ -699,6 +699,22 @@ def test_console_script_help_runs(tmp_path):
     assert "COMMAND" in proc.stdout
 
 
+def test_cli_import_leaves_the_row_pool_unloaded():
+    # concurrent.futures pulls in logging, queue and traceback; only a sweep
+    # that starts its row pool imports it, so a fresh process does not pay
+    # for it on import.
+    code = "import sys, frustra_gp.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_module_entry_point_help_runs():
     proc = _module_run(["--help"])
     assert proc.returncode == 0

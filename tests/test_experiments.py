@@ -26,6 +26,7 @@ from frustra_gp import (
     strategy_compare,
     verify_suite,
 )
+from frustra_gp import experiments, phase
 from frustra_gp.phase import R_TOL
 
 UNITARY_CFG = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
@@ -146,6 +147,31 @@ def test_equal_coupling_rows_are_bit_identical():
             for row in arr:
                 assert len({cell.tobytes() for cell in row}) == 1, (surf.config, row)
     assert np.all(angular_distance(surfaces[0].gamma[3], math.pi) < 1e-12)
+
+
+def test_shared_track_makes_its_passes_once_per_row(monkeypatch):
+    # alpha1 = alpha2: the factored cells of a row share one track, which
+    # keeps its connection sum, so the quadrature runs once for such a row;
+    # each pole cell falls back to a track of its own.  Every cell still
+    # makes its own gp_closed_form call.
+    cfg = SystemConfig(omega=2.0, alpha1=0.4, alpha2=0.4, bath_size=3)
+    grid = AngleGrid(n_theta=5, n_phi=6, theta_min=0.0, theta_max=math.pi)
+    quadrature, closed_form = phase._trapezoid_on_chi, experiments.gp_closed_form
+    sums, cells = [], []
+
+    def quadrature_spy(dchi, integrand):
+        sums.append(1)
+        return quadrature(dchi, integrand)
+
+    def closed_form_spy(track, *args, **kwargs):
+        cells.append(1)
+        return closed_form(track, *args, **kwargs)
+
+    monkeypatch.setattr(phase, "_trapezoid_on_chi", quadrature_spy)
+    monkeypatch.setattr(experiments, "gp_closed_form", closed_form_spy)
+    gp_surface(cfg, grid, 5.0, time_steps=301, threads=1)
+    assert len(cells) == grid.n_theta * grid.n_phi
+    assert len(sums) == (grid.n_theta - 2) + 2 * grid.n_phi
 
 
 def test_surface_resolution_error_names_cell():

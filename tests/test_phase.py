@@ -461,8 +461,12 @@ def test_closed_form_angle_cross_check():
         UNITARY_CFG, InitialStateAngles(theta=1.2, phi=0.5), TimeGrid(math.pi, 801)
     )
     track = polar_track(traj)
-    with pytest.raises(PreconditionError):
-        gp_closed_form(track, angles=InitialStateAngles(theta=0.3))
+    # The track keeps its reductions after the first call; the cross-check
+    # still runs on every call.
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="does not start at the stated"):
+            gp_closed_form(track, angles=InitialStateAngles(theta=0.3))
+        assert math.isfinite(gp_closed_form(track, angles=InitialStateAngles(theta=1.2)).gamma)
 
 
 def test_closed_form_purity_precondition():
@@ -480,10 +484,15 @@ def test_closed_form_purity_precondition():
         singular=np.array(base.singular),
         unwrap_jumps=base.unwrap_jumps,
     )
-    with pytest.raises(PreconditionError):
-        gp_closed_form(scaled)
-    res = gp_closed_form(scaled, require_pure=False)
-    assert math.isfinite(res.gamma)
+    # Purity is checked before the angles, and on every call, also once the
+    # track keeps its reductions.
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="initial state not pure"):
+            gp_closed_form(scaled)
+        with pytest.raises(PreconditionError, match="initial state not pure"):
+            gp_closed_form(scaled, angles=InitialStateAngles(theta=0.3))
+        res = gp_closed_form(scaled, require_pure=False)
+        assert math.isfinite(res.gamma)
 
 
 def test_closed_form_scale_invariance():
@@ -523,6 +532,28 @@ def test_closed_form_scale_invariance():
         assert angular_distance(near.gamma, ref.gamma) < 1e-12
 
 
+def test_track_keeps_its_closed_form_reductions(monkeypatch):
+    # A track keeps what the closed form derives from it alone, so a second
+    # call on it makes no n-node pass; dataclasses.replace builds a new
+    # track, which computes its own and never reads a stale value.
+    track = polar_track(_spiral_trajectory(n_steps=2001))
+    quadrature = phase._trapezoid_on_chi
+    calls = []
+
+    def spy(dchi, integrand):
+        calls.append(1)
+        return quadrature(dchi, integrand)
+
+    monkeypatch.setattr(phase, "_trapezoid_on_chi", spy)
+    first = gp_closed_form(track)
+    assert gp_closed_form(track) == first
+    assert gp_closed_form(dataclasses.replace(track)) == first
+    assert len(calls) == 2
+    reversed_track = dataclasses.replace(track, dchi=-track.dchi)
+    assert gp_closed_form(reversed_track).gamma_unwrapped != first.gamma_unwrapped
+    assert len(calls) == 3
+
+
 def test_closed_form_rejects_vanishing_polarization():
     grid = TimeGrid(1.0, 3)
     dead = PolarTrack(
@@ -534,8 +565,9 @@ def test_closed_form_rejects_vanishing_polarization():
         singular=np.ones(3, dtype=bool),
         unwrap_jumps=0,
     )
-    with pytest.raises(IndeterminatePhaseError):
-        gp_closed_form(dead, require_pure=False)
+    for _ in range(2):  # also once the track keeps its reductions
+        with pytest.raises(IndeterminatePhaseError, match="initial polarization vanishes"):
+            gp_closed_form(dead, require_pure=False)
 
 
 def test_closed_form_indeterminate_on_equator_half_turn():
@@ -544,8 +576,9 @@ def test_closed_form_indeterminate_on_equator_half_turn():
     chi = np.linspace(0.0, math.pi, 5)
     pts = np.column_stack([np.cos(chi), np.sin(chi), np.zeros(5)])
     track = polar_track(BlochTrajectory(grid=grid, points=pts))
-    with pytest.raises(IndeterminatePhaseError):
-        gp_closed_form(track)
+    for _ in range(2):  # also once the track keeps its reductions
+        with pytest.raises(IndeterminatePhaseError, match="indeterminate phase"):
+            gp_closed_form(track)
 
 
 def test_south_pole_requires_pole_start():
