@@ -62,6 +62,7 @@ from .oracle import (
     oracle_trajectory,
 )
 from .phase import (
+    Azimuth,
     GpDiagnostics,
     GpResult,
     PolarTrack,
@@ -79,6 +80,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleGrid",
+    "Azimuth",
     "BlochTrajectory",
     "BlochVector",
     "ConfigError",

@@ -11,9 +11,12 @@ folded rotation map has M_xz = M_yz = M_zx = M_zy = 0 exactly, so the cell
 (theta, phi) has an in-plane series sin(theta) times a theta-free column
 series, and a polarization A = cos(theta) M_zz(t) shared by its row.
 The column's azimuth increments and the unwrap guard are therefore
-computed once per column (phase.unwrap_azimuth).  From the column's
-squared norm rho2 a cell computes only eps_plus = sqrt(sin^2(theta) rho2 +
-A^2) and sin2_half.  A cell falls back to PolarTrack.from_points on its own
+computed once per column (phase.unwrap_azimuth) and kept as a
+phase.Azimuth, which sums the increments once for the column's closed-form
+bracket.  From the column's squared norm rho2 a cell computes only
+eps_plus = sqrt(sin^2(theta) rho2 + A^2) and sin2_half, and builds its
+track on the column's azimuth (Azimuth.track), which checks only those
+series and A.  A cell falls back to PolarTrack.from_points on its own
 projected points when sin(theta) min(rho) / 2 < 2 R_TOL, with rho the
 column norm sqrt(rho2) (a node singular or close to it), or when its
 column's azimuth step reaches the unwrap limit.  The map is a contraction,
@@ -75,6 +78,7 @@ from .model import (
 from .oracle import oracle_trajectory
 from .phase import (
     R_TOL,
+    Azimuth,
     PolarTrack,
     angular_distance,
     gp_closed_form,
@@ -181,18 +185,21 @@ class _ColumnSweep:
     in-plane start (see the module docstring).  Each stored series c has
     its squared norm rho2[c], the smallest norm rho_min[c] =
     sqrt(min rho2[c]) (sqrt is monotone and correctly rounded, so this is
-    the minimum of the node norms bit for bit), its azimuth increments
-    dchi[c] and its unwrap_jumps jumps[c], None where the unwrap guard
-    trips; column j reads series c = j.  When M_xx = M_yy bit for bit, only
-    column 0's series is stored and every column reads c = 0 (see the
-    module docstring).
+    the minimum of the node norms bit for bit) and its azimuth
+    azimuths[c], a phase.Azimuth of its increments, its unwrap count and no
+    singular node, or None where the unwrap guard trips; column j reads
+    series c = j.  When M_xx = M_yy bit for bit, only column 0's series is
+    stored and every column reads c = 0 (see the module docstring).  Only
+    these are kept per column, never a track.
 
     A factored track makes five elementwise passes over its n nodes
     (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and the first
-    gp_closed_form call on it five more (1 - sin2_half, pair sums, products
-    with dchi, and two sums), which the track keeps: ten per cell, or ten
-    per row when the track is shared.  A, A/2 and A^2 are formed once per
-    row.
+    gp_closed_form call on it four more (1 - sin2_half, pair sums, products
+    with dchi, and their sum), which the track keeps: nine per cell, or
+    nine per row when the track is shared.  The sum of dchi and the
+    singular count are the column's, made once when its Azimuth is built.
+    A, A/2 and A^2 are formed once per row, and a row's results are
+    collected in lists that the caller converts once.
     """
 
     def __init__(self, rot: np.ndarray, phis: np.ndarray, grid: TimeGrid):
@@ -205,18 +212,18 @@ class _ColumnSweep:
         )
         self.shared = np.array_equal(self.mxx, self.myy)
         n_series = 1 if self.shared else phis.size
-        self.regular = np.zeros(grid.n_steps, dtype=bool)
+        regular = np.zeros(grid.n_steps, dtype=bool)
         self.rho2 = np.empty((n_series, grid.n_steps))
-        self.dchi = np.empty((n_series, grid.n_steps - 1))
-        self.jumps = []
+        self.azimuths = []
         for j in range(n_series):
             x, y = self._in_plane(j, 1.0)
             np.add(x * x, y * y, out=self.rho2[j])
             try:
-                self.dchi[j], jumps = unwrap_azimuth(np.arctan2(y, x))
+                dchi, jumps = unwrap_azimuth(np.arctan2(y, x))
             except ResolutionError:
-                jumps = None
-            self.jumps.append(jumps)
+                self.azimuths.append(None)
+            else:
+                self.azimuths.append(Azimuth(grid, dchi, regular, jumps))
         self.rho_min = np.sqrt(self.rho2.min(axis=1)).tolist()
 
     def _in_plane(self, j: int, st: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,25 +242,15 @@ class _ColumnSweep:
         # bit for bit (1 + A/eps)/2, since halving is exact.
         s = a_half / eps
         s += 0.5
-        return PolarTrack(
-            grid=self.grid,
-            A=a,
-            dchi=self.dchi[c],
-            sin2_half=s,
-            eps_plus=eps,
-            singular=self.regular,
-            unwrap_jumps=self.jumps[c],
-        )
+        return self.azimuths[c].track(a, s, eps)
 
-    def row(self, theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def row(self, theta: float) -> tuple[list[float], list[float], list[int]]:
         """gamma, gamma_unwrapped and singular_count of one constant-theta row."""
         st, ct = math.sin(theta), math.cos(theta)
         a = ct * self.mzz
         a_half = a / 2.0
         a2 = a * a
-        gam = np.empty(self.phis.size)
-        unw = np.empty(self.phis.size)
-        sing = np.empty(self.phis.size, dtype=int)
+        gam, unw, sing = [], [], []
         shared_track = None
         for j in range(self.phis.size):
             c = 0 if self.shared else j
@@ -262,7 +259,7 @@ class _ColumnSweep:
             # R >= 2 R_TOL, eps is far above the range where its squares
             # underflow.
             factored = (
-                self.jumps[c] is not None
+                self.azimuths[c] is not None
                 and st * self.rho_min[c] / 2.0 >= 2.0 * R_TOL
             )
             try:
@@ -276,12 +273,13 @@ class _ColumnSweep:
                     if self.shared:
                         shared_track = track
                 res = gp_closed_form(track)
-                gam[j] = res.gamma
-                unw[j] = res.gamma_unwrapped
-                sing[j] = res.diagnostics.singular_nodes
+                gam.append(res.gamma)
+                unw.append(res.gamma_unwrapped)
+                sing.append(res.diagnostics.singular_nodes)
             except IndeterminatePhaseError:
-                gam[j] = unw[j] = math.nan
-                sing[j] = int(np.count_nonzero(track.singular))
+                gam.append(math.nan)
+                unw.append(math.nan)
+                sing.append(track.azimuth.singular_nodes)
             except ResolutionError as exc:
                 raise ResolutionError(
                     f"cell theta={theta:.6f}, phi={self.phis[j]:.6f}: {exc}"

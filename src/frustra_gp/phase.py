@@ -15,6 +15,10 @@ as the singular flag and not stored: nodes with R below R_TOL have an
 indeterminate azimuth; chi is propagated flat (zero increments) across them
 and they are flagged singular.  The increments and their guard are
 `unwrap_azimuth`, which the surface sweep also applies to its azimuth columns.
+The azimuth half of a track (dchi, the singular flags, the unwrap count and
+the two totals the closed form reads of them) is an `Azimuth`, which tracks
+that share it, such as a surface column's cells, share by
+`Azimuth.track`.
 
 The geometric phase of the dominant spectral branch is then
 
@@ -53,7 +57,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -135,6 +139,67 @@ def unwrap_azimuth(azimuth: np.ndarray) -> tuple[np.ndarray, int]:
     return d, int(np.count_nonzero(turns))
 
 
+def _series(name: str, value, shape: tuple[int]) -> np.ndarray:
+    """value as a read-only ndarray of the given shape, else ConfigError.
+
+    An ndarray is kept as given, at no cost; any other array-like is
+    converted.
+    """
+    arr = np.asarray(value)
+    if arr.shape != shape:
+        raise ConfigError(f"{name} must have shape {shape}")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class Azimuth:
+    """Azimuth half of a polar track, shared by the tracks built on it.
+
+    dchi holds the n - 1 increments chi_{i+1} - chi_i of grid's n nodes,
+    each inside (-pi, pi); singular one flag per node, marking nodes whose
+    azimuth was propagated from a neighbor; unwrap_jumps the increments
+    that needed a 2 pi turn.  Both arrays are kept read-only (any other
+    shape raises ConfigError).  The two totals the closed form reads of
+    them, dchi_total = dchi.sum() and singular_nodes, are computed once
+    here, so starts that share an azimuth (a surface column's cells) do not
+    sum it again: `track` builds each start's PolarTrack on it and checks
+    only the start's own three series.
+    """
+
+    grid: TimeGrid
+    dchi: np.ndarray
+    singular: np.ndarray
+    unwrap_jumps: int
+    dchi_total: float = field(init=False)
+    singular_nodes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = self.grid.n_steps
+        dchi = _series("dchi", self.dchi, (n - 1,))
+        singular = _series("singular", self.singular, (n,))
+        object.__setattr__(self, "dchi", dchi)
+        object.__setattr__(self, "singular", singular)
+        object.__setattr__(self, "dchi_total", float(dchi.sum()))
+        object.__setattr__(self, "singular_nodes", int(np.count_nonzero(singular)))
+
+    def track(self, A, sin2_half, eps_plus) -> PolarTrack:
+        """The PolarTrack of one start on this azimuth.
+
+        A, sin2_half and eps_plus are checked and kept as by the PolarTrack
+        constructor; the azimuth's arrays are not checked again.
+        """
+        node = (self.grid.n_steps,)
+        track = object.__new__(PolarTrack)  # frozen: its fields are set by _attach
+        track._attach(
+            self,
+            _series("A", A, node),
+            _series("sin2_half", sin2_half, node),
+            _series("eps_plus", eps_plus, node),
+        )
+        return track
+
+
 @dataclass(frozen=True)
 class PolarTrack:
     """Polar-decomposition series of a Bloch trajectory.
@@ -145,6 +210,14 @@ class PolarTrack:
     dchi holds the increments chi_{i+1} - chi_i, each inside (-pi, pi);
     sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1];
     singular marks nodes whose azimuth was propagated from a neighbor.
+    Of the [0, 1] range only the two end values, whose square roots the
+    closed form takes, are enforced: a track whose sin2_half at t = 0 or at
+    t = tau lies outside it (or is NaN) makes gp_closed_form and
+    gp_south_pole raise ConfigError; nodes in between are not checked.
+
+    `azimuth` is the track's Azimuth: dchi, singular and unwrap_jumps with
+    their totals.  The constructor builds it from those three fields;
+    from_points and Azimuth.track build the track on one.
 
     The arrays are read-only and the dataclass is frozen (dataclasses.replace
     builds a new track), so the scalars gp_closed_form and gp_south_pole
@@ -160,18 +233,30 @@ class PolarTrack:
     eps_plus: np.ndarray
     singular: np.ndarray
     unwrap_jumps: int
+    azimuth: Azimuth = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        node = (self.grid.n_steps,)  # built once: a sweep makes a track per cell
-        for name in ("A", "dchi", "sin2_half", "eps_plus", "singular"):
-            value = getattr(self, name)
-            arr = np.asarray(value)
-            shape = (node[0] - 1,) if name == "dchi" else node
-            if arr.shape != shape:
-                raise ConfigError(f"{name} must have shape {shape}")
-            arr.setflags(write=False)
-            if arr is not value:  # an ndarray is kept as given, at no cost
-                object.__setattr__(self, name, arr)
+        node = (self.grid.n_steps,)
+        start = [
+            _series(name, getattr(self, name), node) for name in ("A", "sin2_half", "eps_plus")
+        ]
+        azimuth = Azimuth(self.grid, self.dchi, self.singular, self.unwrap_jumps)
+        self._attach(azimuth, *start)
+
+    def _attach(
+        self, azimuth: Azimuth, A: np.ndarray, sin2_half: np.ndarray, eps_plus: np.ndarray
+    ) -> None:
+        """Set every field from an azimuth and a start's checked series."""
+        vars(self).update(
+            grid=azimuth.grid,
+            A=A,
+            dchi=azimuth.dchi,
+            sin2_half=sin2_half,
+            eps_plus=eps_plus,
+            singular=azimuth.singular,
+            unwrap_jumps=azimuth.unwrap_jumps,
+            azimuth=azimuth,
+        )
 
     @property
     def n_steps(self) -> int:
@@ -192,8 +277,13 @@ class PolarTrack:
         # which keeps the arg exactly invariant under positive rescalings of
         # the polarization.
         s_start, s_end = float(self.sin2_half[0]), float(self.sin2_half[-1])
+        if not (0.0 <= s_start <= 1.0 and 0.0 <= s_end <= 1.0):
+            raise ConfigError(
+                "sin2_half must lie in [0, 1] at both ends of the track,"
+                f" got {s_start!r} at t = 0 and {s_end!r} at t = tau"
+            )
         c0, s0 = math.sqrt(s_start), math.sqrt(1.0 - s_start)
-        dchi = float(self.dchi.sum())
+        dchi = self.azimuth.dchi_total
         bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
         reductions = _Reductions(
             a0=float(self.A[0]),
@@ -206,7 +296,7 @@ class PolarTrack:
             connection=_trapezoid_on_chi(self.dchi, 1.0 - self.sin2_half),
             diagnostics=GpDiagnostics(
                 n_steps=self.n_steps,
-                singular_nodes=int(np.count_nonzero(self.singular)),
+                singular_nodes=self.azimuth.singular_nodes,
                 unwrap_jumps=self.unwrap_jumps,
                 lambda_plus_end=(1.0 + float(self.eps_plus[-1])) / 2.0,
             ),
@@ -257,15 +347,8 @@ class PolarTrack:
             filled = raw[idx]
 
         dchi, jumps = unwrap_azimuth(filled)
-        return cls(
-            grid=grid,
-            A=a,
-            dchi=dchi,
-            sin2_half=np.clip((1.0 + ratio) / 2.0, 0.0, 1.0),
-            eps_plus=eps,
-            singular=singular,
-            unwrap_jumps=jumps,
-        )
+        azimuth = Azimuth(grid, dchi, singular, jumps)
+        return azimuth.track(a, np.clip((1.0 + ratio) / 2.0, 0.0, 1.0), eps)
 
 
 @dataclass(frozen=True)

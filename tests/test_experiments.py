@@ -23,11 +23,12 @@ from frustra_gp import (
     gp_unitary_reference,
     max_sector_freq,
     polar_track,
+    rotation_matrices,
     strategy_compare,
     verify_suite,
 )
 from frustra_gp import experiments, phase
-from frustra_gp.phase import R_TOL
+from frustra_gp.phase import R_TOL, unwrap_azimuth
 
 UNITARY_CFG = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
 MIXED_CFG = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
@@ -172,6 +173,66 @@ def test_shared_track_makes_its_passes_once_per_row(monkeypatch):
     gp_surface(cfg, grid, 5.0, time_steps=301, threads=1)
     assert len(cells) == grid.n_theta * grid.n_phi
     assert len(sums) == (grid.n_theta - 2) + 2 * grid.n_phi
+
+
+def test_column_azimuth_is_summed_once_per_column(monkeypatch):
+    # alpha1 != alpha2: each column builds one Azimuth, which sums its chi
+    # increments and counts its singular nodes once; every factored cell of
+    # the column builds its track on it.  No row of SMALL_GRID is a pole
+    # row, so no cell falls back to a track of its own.  Every cell still
+    # makes its own gp_closed_form call.
+    azimuth_init, closed_form = phase.Azimuth.__post_init__, experiments.gp_closed_form
+    sums, azimuths = [], []
+
+    def azimuth_spy(self):
+        sums.append(1)
+        azimuth_init(self)
+
+    def closed_form_spy(track, *args, **kwargs):
+        azimuths.append(track.azimuth)
+        return closed_form(track, *args, **kwargs)
+
+    monkeypatch.setattr(phase.Azimuth, "__post_init__", azimuth_spy)
+    monkeypatch.setattr(experiments, "gp_closed_form", closed_form_spy)
+    gp_surface(MIXED_CFG, SMALL_GRID, 5.0, time_steps=301, threads=1)
+    assert len(sums) == SMALL_GRID.n_phi
+    assert len(azimuths) == SMALL_GRID.n_theta * SMALL_GRID.n_phi
+    assert len({id(azimuth) for azimuth in azimuths}) == SMALL_GRID.n_phi
+
+
+def test_unequal_coupling_cells_equal_hand_built_tracks_bit_for_bit():
+    # alpha1 != alpha2: every cell's phase is gp_closed_form on a hand-built
+    # PolarTrack of its factored series, the column's in-plane series scaled
+    # by sin(theta) and A = cos(theta) M_zz (see the experiments module
+    # docstring), bit for bit.
+    cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=6)
+    grid = AngleGrid(n_theta=5, n_phi=6)
+    surf = gp_surface(cfg, grid, 20.0)
+    tg = TimeGrid(20.0, surf.time_steps)
+    rot = rotation_matrices(cfg, tg.times())
+    mxx, mxy, myy, mzz = rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 1], rot[:, 2, 2]
+    ux, uy = -np.sin(grid.phis()), np.cos(grid.phis())
+    regular = np.zeros(tg.n_steps, dtype=bool)
+    for j in range(grid.n_phi):
+        x, y = ux[j] * mxx + uy[j] * mxy, uy[j] * myy - ux[j] * mxy
+        rho2 = x * x + y * y
+        dchi, jumps = unwrap_azimuth(np.arctan2(y, x))
+        for i, theta in enumerate(grid.thetas()):
+            st, a = math.sin(theta), math.cos(theta) * mzz
+            eps = np.sqrt((st * st) * rho2 + a * a)
+            track = PolarTrack(
+                grid=tg,
+                A=a,
+                dchi=dchi,
+                sin2_half=(a / 2.0) / eps + 0.5,
+                eps_plus=eps,
+                singular=regular,
+                unwrap_jumps=jumps,
+            )
+            want = gp_closed_form(track)
+            assert surf.gamma[i, j] == want.gamma, (i, j)
+            assert surf.gamma_unwrapped[i, j] == want.gamma_unwrapped, (i, j)
+            assert surf.singular_count[i, j] == 0
 
 
 def test_surface_resolution_error_names_cell():

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frustra_gp import (
+    Azimuth,
     ConfigError,
     IndeterminatePhaseError,
     InitialStateAngles,
@@ -552,6 +553,62 @@ def test_track_keeps_its_closed_form_reductions(monkeypatch):
     reversed_track = dataclasses.replace(track, dchi=-track.dchi)
     assert gp_closed_form(reversed_track).gamma_unwrapped != first.gamma_unwrapped
     assert len(calls) == 3
+
+
+def test_tracks_on_one_azimuth_share_it():
+    # Azimuth.track builds a start's track on a shared azimuth: the
+    # azimuth's arrays and totals are the track's, not copies, and the phase
+    # equals the hand-built track's bit for bit.
+    base = polar_track(_spiral_trajectory(n_steps=2001))
+    azimuth = base.azimuth
+    assert azimuth.dchi is base.dchi and azimuth.singular is base.singular
+    assert azimuth.dchi_total == float(base.dchi.sum())
+    assert azimuth.singular_nodes == int(np.count_nonzero(base.singular)) == 1
+    shared = azimuth.track(base.A, base.sin2_half, base.eps_plus)
+    assert shared.azimuth is azimuth and shared.dchi is base.dchi
+    assert shared.unwrap_jumps == base.unwrap_jumps and shared.grid is base.grid
+    want = gp_closed_form(
+        PolarTrack(
+            grid=base.grid,
+            A=list(base.A),
+            dchi=list(base.dchi),
+            sin2_half=list(base.sin2_half),
+            eps_plus=list(base.eps_plus),
+            singular=list(base.singular),
+            unwrap_jumps=base.unwrap_jumps,
+        )
+    )
+    assert gp_closed_form(shared) == want
+    # the start's own series are checked and frozen as by the constructor
+    a = np.array(base.A)
+    assert azimuth.track(a, base.sin2_half, base.eps_plus).A is a and not a.flags.writeable
+    starts = {"A": base.A, "sin2_half": base.sin2_half, "eps_plus": base.eps_plus}
+    for name, series in starts.items():
+        with pytest.raises(ConfigError, match=rf"^{name} must have shape \(2001,\)$"):
+            azimuth.track(**{**starts, name: series[1:]})
+    with pytest.raises(ConfigError, match=r"^dchi must have shape \(2000,\)$"):
+        Azimuth(base.grid, base.dchi[1:], base.singular, 0)
+    with pytest.raises(ConfigError, match=r"^singular must have shape \(2001,\)$"):
+        Azimuth(base.grid, base.dchi, base.singular[1:], 0)
+
+
+def test_closed_form_refuses_sin2_half_ends_outside_unit_interval():
+    # The closed form takes square roots of sin2_half and 1 - sin2_half at
+    # both ends; an end value outside [0, 1] is refused by name, not by a
+    # math domain error.  The bounds themselves are valid.
+    base = PolarTrack.from_points(_arc_points(5), TimeGrid(1.0, 5))
+    for end in (0, -1):
+        for bad in (1.5, -0.1, math.nan):
+            s = np.array(base.sin2_half)
+            s[end] = bad
+            track = dataclasses.replace(base, sin2_half=s)
+            for _ in range(2):  # nothing is kept from a refused track
+                with pytest.raises(ConfigError, match=r"^sin2_half must lie in \[0, 1\]"):
+                    gp_closed_form(track)
+        for edge in (0.0, 1.0):
+            s = np.array(base.sin2_half)
+            s[end] = edge
+            assert math.isfinite(gp_closed_form(dataclasses.replace(base, sin2_half=s)).gamma)
 
 
 def test_closed_form_rejects_vanishing_polarization():
