@@ -140,12 +140,8 @@ def gamma_freq(config: SystemConfig, m1: float, m2: float) -> float:
     """
     m1, m2 = check_real("m1", m1), check_real("m2", m2)
     b1, b2 = config.alpha1 * m1, config.alpha2 * m2
-    # x**2 is kept rather than x * x: libm's pow(x, 2) can differ from x * x in
-    # the last bit for some x, and max_sector_freq sizes every auto grid.
-    try:
-        gamma2 = config.omega**2 + b1**2 + b2**2
-    except OverflowError:  # a float ** raises where a product gives inf
-        gamma2 = math.inf
+    # The order of _sector_tables' Gamma^2, so Gamma_max is the map's bit for bit.
+    gamma2 = b1 * b1 + b2 * b2 + config.omega * config.omega
     if math.isinf(gamma2):
         raise ConfigError(f"m1 = {m1!r}, m2 = {m2!r} too large: Gamma^2 overflows")
     return math.sqrt(gamma2)
@@ -207,7 +203,7 @@ def _sector_tables(config: SystemConfig):
     w = np.array([s.w if s.m == 0.0 else 2.0 * s.w for s in ladder])
     bx2 = np.repeat((config.alpha1 * m) ** 2, m.size)
     by2 = np.tile((config.alpha2 * m) ** 2, m.size)
-    bz2 = config.omega**2
+    bz2 = config.omega * config.omega
     gammas2 = bx2 + by2 + bz2
     weights = np.repeat(w, w.size) * np.tile(w, w.size)
     # w (1 - n_i^2) for i = x, y, z against 1 - cos, then w n_z against sin.
@@ -448,9 +444,11 @@ def literal_points(
         sz = cosv * ct + s_over * st * (a1m * cp - a2m * sp) + omega * common * c_over
         sx = cosv * st * sp - s_over * (omega * st * cp - a2m * ct) + a1m * common * c_over
         sy = cosv * st * cp - s_over * (-omega * st * sp + a1m * ct) + a2m * common * c_over
-        out[i, 0] = -0.5 * float(np.dot(weights, sx))
-        out[i, 1] = -0.5 * float(np.dot(weights, sy))
-        out[i, 2] = -0.5 * float(np.dot(weights, sz))
+        # Pairwise sums, not np.dot, whose OpenBLAS split over threads
+        # rounds differently with each thread count (see phase._trapezoid_on_chi).
+        out[i, 0] = -0.5 * float((weights * sx).sum())
+        out[i, 1] = -0.5 * float((weights * sy).sum())
+        out[i, 2] = -0.5 * float((weights * sz).sum())
     return out
 
 

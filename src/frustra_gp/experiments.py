@@ -11,15 +11,16 @@ folded rotation map has M_xz = M_yz = M_zx = M_zy = 0 exactly, so the cell
 (theta, phi) has an in-plane series sin(theta) times a theta-free column
 series, and a polarization A = cos(theta) M_zz(t) shared by its row.
 The column's azimuth increments and the unwrap guard are therefore
-computed once per column (phase.unwrap_azimuth) and kept as a
-phase.Azimuth, which sums the increments once for the column's closed-form
-bracket.  From the column's squared norm rho2 a cell computes only
-eps_plus = sqrt(sin^2(theta) rho2 + A^2) and sin2_half, and builds its
-track on the column's azimuth (Azimuth.track), which checks only those
-series and A.  A cell falls back to PolarTrack.from_points on its own
-projected points when sin(theta) min(rho) / 2 < 2 R_TOL, with rho the
-column norm sqrt(rho2) (a node singular or close to it), or when its
-column's azimuth step reaches the unwrap limit.  The map is a contraction,
+computed once per column (phase.Azimuth.from_xy, the builder that
+PolarTrack.from_points uses) and kept as a phase.Azimuth, which sums the
+increments once for the column's closed-form bracket.  From the column's
+squared norm rho2 a cell computes only eps_plus = sqrt(sin^2(theta) rho2 +
+A^2) and sin2_half, and its track is PolarTrack(column azimuth, A,
+sin2_half, eps_plus), which checks only those three series.  A cell falls
+back to PolarTrack.from_points on its own projected points when
+sin(theta) min(rho) / 2 < 2 R_TOL, with rho the column norm sqrt(rho2) (a
+node singular or close to it), or when its column's azimuth step reaches
+the unwrap limit.  The map is a contraction,
 so rho and |A| are at most about 1 and the squares in eps_plus cannot
 overflow.  NaN cells, singular counts and the ResolutionError text are
 thus those of the per-cell route; values move from it by the rounding of
@@ -86,7 +87,6 @@ from .phase import (
     gp_south_pole,
     gp_unitary_reference,
     polar_track,
-    unwrap_azimuth,
 )
 
 COMPARE_METRICS = ("mean_dist_to_unitary", "mean_abs_gp")
@@ -186,11 +186,12 @@ class _ColumnSweep:
     its squared norm rho2[c], the smallest norm rho_min[c] =
     sqrt(min rho2[c]) (sqrt is monotone and correctly rounded, so this is
     the minimum of the node norms bit for bit) and its azimuth
-    azimuths[c], a phase.Azimuth of its increments, its unwrap count and no
+    azimuths[c], the phase.Azimuth that Azimuth.from_xy builds of it with no
     singular node, or None where the unwrap guard trips; column j reads
-    series c = j.  When M_xx = M_yy bit for bit, only column 0's series is
-    stored and every column reads c = 0 (see the module docstring).  Only
-    these are kept per column, never a track.
+    series c = j.  A cell's singular count is read from its track's
+    azimuth, whether its phase resolves or not.  When M_xx = M_yy bit for
+    bit, only column 0's series is stored and every column reads c = 0 (see
+    the module docstring).  Only these are kept per column, never a track.
 
     A factored track makes five elementwise passes over its n nodes
     (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and the first
@@ -219,11 +220,9 @@ class _ColumnSweep:
             x, y = self._in_plane(j, 1.0)
             np.add(x * x, y * y, out=self.rho2[j])
             try:
-                dchi, jumps = unwrap_azimuth(np.arctan2(y, x))
+                self.azimuths.append(Azimuth.from_xy(grid, x, y, regular))
             except ResolutionError:
                 self.azimuths.append(None)
-            else:
-                self.azimuths.append(Azimuth(grid, dchi, regular, jumps))
         self.rho_min = np.sqrt(self.rho2.min(axis=1)).tolist()
 
     def _in_plane(self, j: int, st: float) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +241,7 @@ class _ColumnSweep:
         # bit for bit (1 + A/eps)/2, since halving is exact.
         s = a_half / eps
         s += 0.5
-        return self.azimuths[c].track(a, s, eps)
+        return PolarTrack(self.azimuths[c], a, s, eps)
 
     def row(self, theta: float) -> tuple[list[float], list[float], list[int]]:
         """gamma, gamma_unwrapped and singular_count of one constant-theta row."""
@@ -273,17 +272,17 @@ class _ColumnSweep:
                     if self.shared:
                         shared_track = track
                 res = gp_closed_form(track)
-                gam.append(res.gamma)
-                unw.append(res.gamma_unwrapped)
-                sing.append(res.diagnostics.singular_nodes)
             except IndeterminatePhaseError:
                 gam.append(math.nan)
                 unw.append(math.nan)
-                sing.append(track.azimuth.singular_nodes)
             except ResolutionError as exc:
                 raise ResolutionError(
                     f"cell theta={theta:.6f}, phi={self.phis[j]:.6f}: {exc}"
                 ) from exc
+            else:
+                gam.append(res.gamma)
+                unw.append(res.gamma_unwrapped)
+            sing.append(track.azimuth.singular_nodes)
         return gam, unw, sing
 
 

@@ -14,11 +14,13 @@ to [-pi, pi)), the only form in which it reads the azimuth.  R is read only
 as the singular flag and not stored: nodes with R below R_TOL have an
 indeterminate azimuth; chi is propagated flat (zero increments) across them
 and they are flagged singular.  The increments and their guard are
-`unwrap_azimuth`, which the surface sweep also applies to its azimuth columns.
-The azimuth half of a track (dchi, the singular flags, the unwrap count and
-the two totals the closed form reads of them) is an `Azimuth`, which tracks
-that share it, such as a surface column's cells, share by
-`Azimuth.track`.
+`unwrap_azimuth`.  The azimuth half of a track (dchi, the singular flags,
+the unwrap count and the two totals the closed form reads of them) is an
+`Azimuth`, which `Azimuth.from_xy` builds from in-plane samples for
+`PolarTrack.from_points` and for the surface sweep's azimuth columns alike.
+A `PolarTrack` is an Azimuth plus one start's A, sin2_half and eps_plus, so
+the tracks of starts that share an azimuth, such as a surface column's
+cells, share one Azimuth.
 
 The geometric phase of the dominant spectral branch is then
 
@@ -163,8 +165,7 @@ class Azimuth:
     shape raises ConfigError).  The two totals the closed form reads of
     them, dchi_total = dchi.sum() and singular_nodes, are computed once
     here, so starts that share an azimuth (a surface column's cells) do not
-    sum it again: `track` builds each start's PolarTrack on it and checks
-    only the start's own three series.
+    sum it again: each start's PolarTrack checks only its own three series.
     """
 
     grid: TimeGrid
@@ -178,46 +179,56 @@ class Azimuth:
         n = self.grid.n_steps
         dchi = _series("dchi", self.dchi, (n - 1,))
         singular = _series("singular", self.singular, (n,))
-        object.__setattr__(self, "dchi", dchi)
-        object.__setattr__(self, "singular", singular)
-        object.__setattr__(self, "dchi_total", float(dchi.sum()))
-        object.__setattr__(self, "singular_nodes", int(np.count_nonzero(singular)))
-
-    def track(self, A, sin2_half, eps_plus) -> PolarTrack:
-        """The PolarTrack of one start on this azimuth.
-
-        A, sin2_half and eps_plus are checked and kept as by the PolarTrack
-        constructor; the azimuth's arrays are not checked again.
-        """
-        node = (self.grid.n_steps,)
-        track = object.__new__(PolarTrack)  # frozen: its fields are set by _attach
-        track._attach(
-            self,
-            _series("A", A, node),
-            _series("sin2_half", sin2_half, node),
-            _series("eps_plus", eps_plus, node),
+        vars(self).update(
+            dchi=dchi,
+            singular=singular,
+            dchi_total=float(dchi.sum()),
+            singular_nodes=int(np.count_nonzero(singular)),
         )
-        return track
+
+    @classmethod
+    def from_xy(
+        cls, grid: TimeGrid, x: np.ndarray, y: np.ndarray, singular: np.ndarray
+    ) -> Azimuth:
+        """Azimuth of in-plane samples (x, y) taken on `grid`.
+
+        chi = arctan2(y, x) at each node, except that a singular node takes
+        the previous valid node's chi (flat continuation; a singular prefix
+        borrows the first valid chi, and an all-singular series is 0).  The
+        increments and their guard are unwrap_azimuth's, so a step at the
+        unwrap limit raises ResolutionError.
+        """
+        raw = np.arctan2(y, x)
+        n_singular = int(np.count_nonzero(singular))
+        if n_singular == 0:
+            filled = raw
+        elif n_singular == raw.size:
+            filled = np.zeros_like(raw)
+        else:
+            valid = ~singular
+            idx = np.where(valid, np.arange(raw.size), -1)
+            idx = np.maximum.accumulate(idx)
+            idx[idx < 0] = int(np.flatnonzero(valid)[0])
+            filled = raw[idx]
+        dchi, jumps = unwrap_azimuth(filled)
+        return cls(grid, dchi, singular, jumps)
 
 
 @dataclass(frozen=True)
 class PolarTrack:
-    """Polar-decomposition series of a Bloch trajectory.
+    """Polar-decomposition series of a Bloch trajectory: an azimuth and a start.
 
-    A, sin2_half, eps_plus and singular hold one value per node of grid and
-    dchi one per step (any other shape raises ConfigError); each is kept as
-    a read-only ndarray, converted from whatever array-like it was given.
-    dchi holds the increments chi_{i+1} - chi_i, each inside (-pi, pi);
-    sin2_half is sin^2(theta_t/2) = (1 + A/eps_plus)/2 and lies in [0, 1];
-    singular marks nodes whose azimuth was propagated from a neighbor.
-    Of the [0, 1] range only the two end values, whose square roots the
-    closed form takes, are enforced: a track whose sin2_half at t = 0 or at
-    t = tau lies outside it (or is NaN) makes gp_closed_form and
-    gp_south_pole raise ConfigError; nodes in between are not checked.
-
-    `azimuth` is the track's Azimuth: dchi, singular and unwrap_jumps with
-    their totals.  The constructor builds it from those three fields;
-    from_points and Azimuth.track build the track on one.
+    `azimuth` is the track's Azimuth (its grid, the chi increments dchi, the
+    singular flags and the unwrap count), which tracks of several starts,
+    such as a surface column's cells, can share.  A, sin2_half and eps_plus
+    are the start's series, one value per node of azimuth.grid (any other
+    shape raises ConfigError), each kept as a read-only ndarray converted
+    from whatever array-like it was given.  sin2_half is sin^2(theta_t/2) =
+    (1 + A/eps_plus)/2 and lies in [0, 1].  Of that range only the two end
+    values, whose square roots the closed form takes, are enforced: a track
+    whose sin2_half at t = 0 or at t = tau lies outside it (or is NaN) makes
+    gp_closed_form and gp_south_pole raise ConfigError; nodes in between are
+    not checked.
 
     The arrays are read-only and the dataclass is frozen (dataclasses.replace
     builds a new track), so the scalars gp_closed_form and gp_south_pole
@@ -226,41 +237,26 @@ class PolarTrack:
     makes their n-node passes once for the row.
     """
 
-    grid: TimeGrid
+    azimuth: Azimuth
     A: np.ndarray
-    dchi: np.ndarray
     sin2_half: np.ndarray
     eps_plus: np.ndarray
-    singular: np.ndarray
-    unwrap_jumps: int
-    azimuth: Azimuth = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        node = (self.grid.n_steps,)
-        start = [
-            _series(name, getattr(self, name), node) for name in ("A", "sin2_half", "eps_plus")
-        ]
-        azimuth = Azimuth(self.grid, self.dchi, self.singular, self.unwrap_jumps)
-        self._attach(azimuth, *start)
-
-    def _attach(
-        self, azimuth: Azimuth, A: np.ndarray, sin2_half: np.ndarray, eps_plus: np.ndarray
-    ) -> None:
-        """Set every field from an azimuth and a start's checked series."""
+        node = (self.azimuth.grid.n_steps,)
         vars(self).update(
-            grid=azimuth.grid,
-            A=A,
-            dchi=azimuth.dchi,
-            sin2_half=sin2_half,
-            eps_plus=eps_plus,
-            singular=azimuth.singular,
-            unwrap_jumps=azimuth.unwrap_jumps,
-            azimuth=azimuth,
+            A=_series("A", self.A, node),
+            sin2_half=_series("sin2_half", self.sin2_half, node),
+            eps_plus=_series("eps_plus", self.eps_plus, node),
         )
 
     @property
+    def grid(self) -> TimeGrid:
+        return self.azimuth.grid
+
+    @property
     def n_steps(self) -> int:
-        return self.grid.n_steps
+        return self.azimuth.grid.n_steps
 
     def _reductions(self) -> _Reductions:
         """The track's closed-form reductions, computed on first use.
@@ -282,8 +278,9 @@ class PolarTrack:
                 "sin2_half must lie in [0, 1] at both ends of the track,"
                 f" got {s_start!r} at t = 0 and {s_end!r} at t = tau"
             )
+        azimuth = self.azimuth
         c0, s0 = math.sqrt(s_start), math.sqrt(1.0 - s_start)
-        dchi = self.azimuth.dchi_total
+        dchi = azimuth.dchi_total
         bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
         reductions = _Reductions(
             a0=float(self.A[0]),
@@ -293,11 +290,11 @@ class PolarTrack:
             # by node.  dchi - _trapezoid_on_chi(dchi, sin2_half) saves that
             # pass but rounds the sum differently, which moves phases that
             # sit on the +-pi cut.
-            connection=_trapezoid_on_chi(self.dchi, 1.0 - self.sin2_half),
+            connection=_trapezoid_on_chi(azimuth.dchi, 1.0 - self.sin2_half),
             diagnostics=GpDiagnostics(
-                n_steps=self.n_steps,
-                singular_nodes=self.azimuth.singular_nodes,
-                unwrap_jumps=self.unwrap_jumps,
+                n_steps=azimuth.grid.n_steps,
+                singular_nodes=azimuth.singular_nodes,
+                unwrap_jumps=azimuth.unwrap_jumps,
                 lambda_plus_end=(1.0 + float(self.eps_plus[-1])) / 2.0,
             ),
         )
@@ -328,27 +325,8 @@ class PolarTrack:
             rxy = np.hypot(x, y)
             eps = np.hypot(a, rxy)
             ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
-        singular = rxy / 2.0 < R_TOL
-
-        raw = np.arctan2(y, x)
-        n_singular = int(np.count_nonzero(singular))
-        if n_singular == 0:
-            filled = raw
-        elif n_singular == raw.size:
-            filled = np.zeros_like(raw)
-        else:
-            # Flat continuation: copy the previous valid azimuth forward; a
-            # singular prefix borrows the first valid azimuth.
-            valid = ~singular
-            idx = np.where(valid, np.arange(raw.size), -1)
-            idx = np.maximum.accumulate(idx)
-            first_valid = int(np.flatnonzero(valid)[0])
-            idx[idx < 0] = first_valid
-            filled = raw[idx]
-
-        dchi, jumps = unwrap_azimuth(filled)
-        azimuth = Azimuth(grid, dchi, singular, jumps)
-        return azimuth.track(a, np.clip((1.0 + ratio) / 2.0, 0.0, 1.0), eps)
+        azimuth = Azimuth.from_xy(grid, x, y, rxy / 2.0 < R_TOL)
+        return cls(azimuth, a, np.clip((1.0 + ratio) / 2.0, 0.0, 1.0), eps)
 
 
 @dataclass(frozen=True)
@@ -469,7 +447,7 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
             "south-pole form requires theta0 = pi (initial <sigma_z> = -1),"
             f" got <sigma_z(0)> = {a0:.12f}"
         )
-    unwrapped = _trapezoid_on_chi(track.dchi, track.sin2_half)
+    unwrapped = _trapezoid_on_chi(track.azimuth.dchi, track.sin2_half)
     return GpResult(
         gamma=principal_value(unwrapped),
         gamma_unwrapped=unwrapped,

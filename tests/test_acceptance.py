@@ -13,6 +13,7 @@ import numpy as np
 
 from frustra_gp import (
     AngleGrid,
+    Azimuth,
     InitialStateAngles,
     PolarTrack,
     SystemConfig,
@@ -339,14 +340,14 @@ def test_criterion_8_invariant_bundle():
     ref = gp_closed_form(base)
     scale_ok = True
     for lam in (0.5, 8.0):
+        azimuth = Azimuth(
+            base.grid,
+            np.array(base.azimuth.dchi),
+            np.array(base.azimuth.singular),
+            base.azimuth.unwrap_jumps,
+        )
         scaled = PolarTrack(
-            grid=base.grid,
-            A=lam * base.A,
-            dchi=np.array(base.dchi),
-            sin2_half=np.array(base.sin2_half),
-            eps_plus=lam * base.eps_plus,
-            singular=np.array(base.singular),
-            unwrap_jumps=base.unwrap_jumps,
+            azimuth, lam * base.A, np.array(base.sin2_half), lam * base.eps_plus
         )
         rebuilt = PolarTrack.from_points(lam * trajectories[0].points, base.grid)
         for track in (scaled, rebuilt):

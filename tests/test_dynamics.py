@@ -447,13 +447,20 @@ def test_rotation_matrices_peak_memory_is_bounded(bath_size, alpha1, alpha2, t_e
 
 def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
     # N = 400 on 2298 nodes: 398 sector chunks, each one GEMM of the
-    # (49, 174) anchor block with the (174, 376) offset table
+    # (49, 174) anchor block with the (174, 376) offset table; and the
+    # literal series at N = 150, whose 22801 sectors np.dot would split
+    # over the BLAS threads
     code = (
         "import hashlib, numpy as np\n"
-        "from frustra_gp import SystemConfig, rotation_matrices\n"
+        "from frustra_gp import InitialStateAngles, SystemConfig, rotation_matrices\n"
+        "from frustra_gp.dynamics import literal_points\n"
         "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=400)\n"
         "m = rotation_matrices(cfg, np.linspace(0.0, 5.0, 2298))\n"
         "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+        "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=150)\n"
+        "ang = InitialStateAngles(theta=1.1, phi=0.4)\n"
+        "p = literal_points(cfg, ang, np.linspace(0.0, 5.0, 50))\n"
+        "print(hashlib.sha256(p.tobytes()).hexdigest())\n"
     )
 
     def digest(threads):
@@ -468,7 +475,12 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
     assert one == digest("2")
     cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=400)
     mats = rotation_matrices(cfg, np.linspace(0.0, 5.0, 2298))
-    assert hashlib.sha256(mats.tobytes()).hexdigest() == one
+    lit = literal_points(
+        SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=150),
+        InitialStateAngles(theta=1.1, phi=0.4),
+        np.linspace(0.0, 5.0, 50),
+    )
+    assert [hashlib.sha256(x.tobytes()).hexdigest() for x in (mats, lit)] == one.split()
 
 
 def test_single_x_bath_map_commutes_with_half_turn_about_z():

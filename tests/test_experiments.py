@@ -27,8 +27,8 @@ from frustra_gp import (
     strategy_compare,
     verify_suite,
 )
-from frustra_gp import experiments, phase
-from frustra_gp.phase import R_TOL, unwrap_azimuth
+from frustra_gp import dynamics, experiments, phase
+from frustra_gp.phase import R_TOL, Azimuth, unwrap_azimuth
 
 UNITARY_CFG = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
 MIXED_CFG = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
@@ -64,10 +64,13 @@ def test_max_sector_freq_frozen():
     cfg = SystemConfig(omega=2.0, alpha1=1.0, alpha2=0.0, bath_size=4)
     assert max_sector_freq(cfg) == pytest.approx(math.sqrt(8.0), abs=1e-15)
     # glibc's pow(x, 2) and x * x differ in the last bit here; every auto
-    # grid is sized from this value, so it keeps the float power's bits
+    # grid is sized from this value, so it squares as the map's sector
+    # tables do (x * x, in their order) and is the map's Gamma_max bit for bit
     cfg = SystemConfig(omega=1.0, alpha1=0.23, alpha2=0.05, bath_size=57)
     b1, b2 = 0.23 * 28.5, 0.05 * 28.5
-    assert max_sector_freq(cfg) == math.sqrt(1.0**2 + b1**2 + b2**2)
+    assert max_sector_freq(cfg) == math.sqrt(b1 * b1 + b2 * b2 + 1.0 * 1.0)
+    assert max_sector_freq(cfg) == float(dynamics._sector_tables(cfg)[1][-1])
+    assert max_sector_freq(cfg).hex() == "0x1.b2101057ea492p+2"
 
 
 def test_auto_time_grid_resolves_fastest_sector():
@@ -217,18 +220,11 @@ def test_unequal_coupling_cells_equal_hand_built_tracks_bit_for_bit():
         x, y = ux[j] * mxx + uy[j] * mxy, uy[j] * myy - ux[j] * mxy
         rho2 = x * x + y * y
         dchi, jumps = unwrap_azimuth(np.arctan2(y, x))
+        azimuth = Azimuth(tg, dchi, regular, jumps)
         for i, theta in enumerate(grid.thetas()):
             st, a = math.sin(theta), math.cos(theta) * mzz
             eps = np.sqrt((st * st) * rho2 + a * a)
-            track = PolarTrack(
-                grid=tg,
-                A=a,
-                dchi=dchi,
-                sin2_half=(a / 2.0) / eps + 0.5,
-                eps_plus=eps,
-                singular=regular,
-                unwrap_jumps=jumps,
-            )
+            track = PolarTrack(azimuth, a, (a / 2.0) / eps + 0.5, eps)
             want = gp_closed_form(track)
             assert surf.gamma[i, j] == want.gamma, (i, j)
             assert surf.gamma_unwrapped[i, j] == want.gamma_unwrapped, (i, j)
@@ -303,12 +299,12 @@ def test_surface_cells_match_single_trajectory_route(monkeypatch):
                 track = polar_track(traj)
                 near = np.hypot(traj.points[:, 0], traj.points[:, 1]).min() / 2.0 < 2.0 * R_TOL
                 deferred += near
-                margin_only += near and not track.singular.any()
+                margin_only += near and not track.azimuth.singular.any()
                 try:
                     res = gp_closed_form(track)
                 except IndeterminatePhaseError:
                     assert np.isnan(surf.gamma[i, j]) and np.isnan(surf.gamma_unwrapped[i, j])
-                    singular = int(np.count_nonzero(track.singular))
+                    singular = int(np.count_nonzero(track.azimuth.singular))
                 else:
                     assert abs(surf.gamma_unwrapped[i, j] - res.gamma_unwrapped) <= 1e-12
                     singular = res.diagnostics.singular_nodes

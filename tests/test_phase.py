@@ -124,9 +124,9 @@ def test_polar_track_precession_frozen():
     # the track keeps increments only; the start azimuth is read off the points
     x0, y0 = traj.points[0, :2]
     assert math.atan2(y0, x0) == pytest.approx(0.5 + math.pi / 2.0, abs=1e-12)
-    assert np.max(np.abs(track.dchi - 2.0 * np.diff(traj.grid.times()))) < 1e-12
-    assert float(np.sum(track.dchi)) == pytest.approx(2.0 * math.pi, abs=1e-10)
-    assert not track.singular.any()
+    assert np.max(np.abs(track.azimuth.dchi - 2.0 * np.diff(traj.grid.times()))) < 1e-12
+    assert float(np.sum(track.azimuth.dchi)) == pytest.approx(2.0 * math.pi, abs=1e-10)
+    assert not track.azimuth.singular.any()
 
 
 def test_polar_track_unwrap_recovers_linear_azimuth():
@@ -135,10 +135,10 @@ def test_polar_track_unwrap_recovers_linear_azimuth():
     )
     track = polar_track(traj)
     times = traj.grid.times()
-    assert np.max(np.abs(track.dchi - 2.0 * np.diff(times))) < 1e-9
+    assert np.max(np.abs(track.azimuth.dchi - 2.0 * np.diff(times))) < 1e-9
     # the running sum of the increments is the linear azimuth from its start
-    assert np.max(np.abs(np.cumsum(track.dchi) - 2.0 * (times[1:] - times[0]))) < 1e-9
-    assert track.unwrap_jumps >= 2
+    assert np.max(np.abs(np.cumsum(track.azimuth.dchi) - 2.0 * (times[1:] - times[0]))) < 1e-9
+    assert track.azimuth.unwrap_jumps >= 2
 
 
 def test_polar_track_eps_identity():
@@ -175,6 +175,11 @@ def _arc_points(n):
     return np.column_stack([np.cos(chi), np.sin(chi), np.zeros(n)])
 
 
+def _with_azimuth(track, **changes):
+    """track on a copy of its azimuth with `changes` to the azimuth's fields."""
+    return dataclasses.replace(track, azimuth=dataclasses.replace(track.azimuth, **changes))
+
+
 def test_from_points_rejects_non_finite_and_miscounted_points():
     grid = TimeGrid(1.0, 5)
     pts = _arc_points(5)
@@ -195,42 +200,44 @@ def test_polar_track_rejects_misshapen_dchi():
         # n entries is the old absolute-azimuth length, one too many
         for dchi in (np.zeros(n), np.zeros(n - 2), np.zeros((n - 1, 1)), np.zeros((1, n - 1))):
             with pytest.raises(ConfigError):
-                dataclasses.replace(base, dchi=dchi)
-        assert dataclasses.replace(base, dchi=np.zeros(n - 1)).dchi.shape == (n - 1,)
+                _with_azimuth(base, dchi=dchi)
+        assert _with_azimuth(base, dchi=np.zeros(n - 1)).azimuth.dchi.shape == (n - 1,)
 
 
 def test_polar_track_stores_array_likes_as_read_only_arrays():
     base = polar_track(_spiral_trajectory(n_steps=801))
-    listed = dataclasses.replace(base, dchi=list(base.dchi))
-    assert isinstance(listed.dchi, np.ndarray) and not listed.dchi.flags.writeable
-    assert np.array_equal(listed.dchi, base.dchi)
+    listed = _with_azimuth(base, dchi=list(base.azimuth.dchi))
+    assert isinstance(listed.azimuth.dchi, np.ndarray)
+    assert not listed.azimuth.dchi.flags.writeable
+    assert np.array_equal(listed.azimuth.dchi, base.azimuth.dchi)
     want, got = gp_closed_form(base), gp_closed_form(listed)
     assert (got.gamma, got.gamma_unwrapped) == (want.gamma, want.gamma_unwrapped)
     # an ndarray is stored as given, frozen
-    dchi = np.array(base.dchi)
-    assert dataclasses.replace(base, dchi=dchi).dchi is dchi and not dchi.flags.writeable
+    dchi = np.array(base.azimuth.dchi)
+    assert _with_azimuth(base, dchi=dchi).azimuth.dchi is dchi and not dchi.flags.writeable
 
 
 def test_polar_track_rejects_node_arrays_that_miss_its_grid():
     base = PolarTrack.from_points(_arc_points(5), TimeGrid(1.0, 5))
     three = PolarTrack.from_points(_arc_points(3), TimeGrid(1.0, 3))
     cases = (
-        ("A", three, dict(grid=base.grid)),  # every array 3 nodes, grid 5
+        ("A", three, dict(azimuth=base.azimuth)),  # every start series 3 nodes, grid 5
         ("eps_plus", base, dict(eps_plus=base.eps_plus[:1])),
-        ("singular", base, dict(singular=np.zeros(7, dtype=bool))),
         ("sin2_half", base, dict(sin2_half=base.sin2_half[:4])),
     )
     for name, track, changes in cases:
         with pytest.raises(ConfigError, match=rf"^{name} must have shape \(5,\)$"):
             gp_closed_form(dataclasses.replace(track, **changes))
+    with pytest.raises(ConfigError, match=r"^singular must have shape \(5,\)$"):
+        gp_closed_form(_with_azimuth(base, singular=np.zeros(7, dtype=bool)))
     assert gp_closed_form(base).diagnostics.n_steps == 5
 
 
 def test_polar_track_singular_prefix_back_fills_azimuth():
     track = polar_track(_spiral_trajectory(n_steps=801))
-    assert track.singular[0]
-    assert not track.singular[1:].any()
-    assert track.dchi[0] == 0.0
+    assert track.azimuth.singular[0]
+    assert not track.azimuth.singular[1:].any()
+    assert track.azimuth.dchi[0] == 0.0
 
 
 def _reference_track_series(points):
@@ -327,11 +334,11 @@ def test_from_points_matches_reference_route(pts):
         assert str(got.value) == str(exc)
         return
     track = PolarTrack.from_points(pts, grid)
-    assert np.array_equal(track.singular, want["singular"])
-    assert track.unwrap_jumps == want["unwrap_jumps"]
+    assert np.array_equal(track.azimuth.singular, want["singular"])
+    assert track.azimuth.unwrap_jumps == want["unwrap_jumps"]
     for name in ("A", "eps_plus"):
         np.testing.assert_allclose(getattr(track, name), want[name], rtol=0, atol=1e-15)
-    assert np.array_equal(track.dchi, want["dchi"])
+    assert np.array_equal(track.azimuth.dchi, want["dchi"])
     # A one-ulp change of eps moves sin2_half = (1 + A/eps)/2 by about an
     # ulp, so sin2_half is compared to 1e-15 everywhere and bit for bit
     # wherever eps came out identical.  The derived theta_t magnifies that
@@ -348,7 +355,7 @@ def test_stationary_pole_gives_zero_phase():
     cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
     traj = bloch_trajectory(cfg, InitialStateAngles(theta=math.pi, phi=0.7), TimeGrid(5.0, 801))
     track = polar_track(traj)
-    assert track.singular.all()
+    assert track.azimuth.singular.all()
     assert gp_south_pole(track).gamma == 0.0
     assert gp_closed_form(track).gamma == 0.0
 
@@ -386,15 +393,8 @@ def _pure_start_tracks(draw):
     steps = st.one_of(st.just(0.0), st.floats(1e-6, 3.1), st.floats(-3.1, -1e-6))
     dchi = np.array(draw(st.lists(steps, min_size=n - 1, max_size=n - 1)))
     a = 2.0 * s - 1.0
-    return PolarTrack(
-        grid=TimeGrid(1.0, n),
-        A=a,
-        dchi=dchi,
-        sin2_half=s,
-        eps_plus=np.ones(n),
-        singular=np.zeros(n, dtype=bool),
-        unwrap_jumps=0,
-    )
+    azimuth = Azimuth(TimeGrid(1.0, n), dchi, np.zeros(n, dtype=bool), 0)
+    return PolarTrack(azimuth, a, s, np.ones(n))
 
 
 @settings(max_examples=300, deadline=None)
@@ -403,7 +403,7 @@ def test_closed_form_quadrature_is_the_literal_trapezoid(track):
     # The literal trapezoid sum_i dchi_i (f_i + f_{i+1}) / 2 on
     # f = 1 - sin2_half, and the bracket exactly as the formula reads; the
     # closed form only regroups exact halvings, so it must match bit for bit.
-    s, dchi = track.sin2_half, track.dchi
+    s, dchi = track.sin2_half, track.azimuth.dchi
     f = 1.0 - s
     connection = float(np.sum(dchi * ((f[:-1] + f[1:]) / 2.0)))
     total = float(np.sum(dchi))
@@ -425,7 +425,7 @@ def test_closed_form_and_south_pole_share_one_quadrature(monkeypatch):
     integrands = []
 
     def spy(dchi, integrand):
-        assert dchi is track.dchi
+        assert dchi is track.azimuth.dchi
         integrands.append(integrand)
         return quadrature(dchi, integrand)
 
@@ -470,6 +470,12 @@ def test_closed_form_angle_cross_check():
         assert math.isfinite(gp_closed_form(track, angles=InitialStateAngles(theta=1.2)).gamma)
 
 
+def _copied_azimuth(track):
+    """A new Azimuth on copies of the track's azimuth arrays."""
+    az = track.azimuth
+    return Azimuth(az.grid, np.array(az.dchi), np.array(az.singular), az.unwrap_jumps)
+
+
 def test_closed_form_purity_precondition():
     base = polar_track(
         bloch_trajectory(
@@ -477,13 +483,7 @@ def test_closed_form_purity_precondition():
         )
     )
     scaled = PolarTrack(
-        grid=base.grid,
-        A=0.5 * base.A,
-        dchi=np.array(base.dchi),
-        sin2_half=np.array(base.sin2_half),
-        eps_plus=0.5 * base.eps_plus,
-        singular=np.array(base.singular),
-        unwrap_jumps=base.unwrap_jumps,
+        _copied_azimuth(base), 0.5 * base.A, np.array(base.sin2_half), 0.5 * base.eps_plus
     )
     # Purity is checked before the angles, and on every call, also once the
     # track keeps its reductions.
@@ -510,13 +510,7 @@ def test_closed_form_scale_invariance():
     def rescaled(lam):
         # hand-built: A and eps_plus scale, sin2_half is copied as is
         return PolarTrack(
-            grid=base.grid,
-            A=lam * base.A,
-            dchi=np.array(base.dchi),
-            sin2_half=np.array(base.sin2_half),
-            eps_plus=lam * base.eps_plus,
-            singular=np.array(base.singular),
-            unwrap_jumps=base.unwrap_jumps,
+            _copied_azimuth(base), lam * base.A, np.array(base.sin2_half), lam * base.eps_plus
         )
 
     def rebuilt(lam):
@@ -550,46 +544,47 @@ def test_track_keeps_its_closed_form_reductions(monkeypatch):
     assert gp_closed_form(track) == first
     assert gp_closed_form(dataclasses.replace(track)) == first
     assert len(calls) == 2
-    reversed_track = dataclasses.replace(track, dchi=-track.dchi)
+    reversed_track = _with_azimuth(track, dchi=-track.azimuth.dchi)
     assert gp_closed_form(reversed_track).gamma_unwrapped != first.gamma_unwrapped
     assert len(calls) == 3
 
 
 def test_tracks_on_one_azimuth_share_it():
-    # Azimuth.track builds a start's track on a shared azimuth: the
-    # azimuth's arrays and totals are the track's, not copies, and the phase
-    # equals the hand-built track's bit for bit.
-    base = polar_track(_spiral_trajectory(n_steps=2001))
+    # A track is its azimuth plus one start: a start's track built on a
+    # shared azimuth reads the azimuth's arrays and totals, not copies, and
+    # its phase equals that of a track hand-built from lists bit for bit.
+    assert [f.name for f in dataclasses.fields(PolarTrack)] == [
+        "azimuth", "A", "sin2_half", "eps_plus"
+    ]
+    traj = _spiral_trajectory(n_steps=2001)
+    base = polar_track(traj)
     azimuth = base.azimuth
-    assert azimuth.dchi is base.dchi and azimuth.singular is base.singular
-    assert azimuth.dchi_total == float(base.dchi.sum())
-    assert azimuth.singular_nodes == int(np.count_nonzero(base.singular)) == 1
-    shared = azimuth.track(base.A, base.sin2_half, base.eps_plus)
-    assert shared.azimuth is azimuth and shared.dchi is base.dchi
-    assert shared.unwrap_jumps == base.unwrap_jumps and shared.grid is base.grid
+    assert azimuth.dchi_total == float(azimuth.dchi.sum())
+    assert azimuth.singular_nodes == int(np.count_nonzero(azimuth.singular)) == 1
+    # the surface sweep's columns are built by the same rule as from_points
+    rebuilt = Azimuth.from_xy(base.grid, traj.points[:, 0], traj.points[:, 1], azimuth.singular)
+    assert np.array_equal(rebuilt.dchi, azimuth.dchi)
+    assert rebuilt.unwrap_jumps == azimuth.unwrap_jumps
+    shared = PolarTrack(azimuth, base.A, base.sin2_half, base.eps_plus)
+    assert shared.azimuth is azimuth and shared.grid is base.grid
+    assert shared.n_steps == base.grid.n_steps == 2001
+    listed = Azimuth(base.grid, list(azimuth.dchi), list(azimuth.singular), azimuth.unwrap_jumps)
     want = gp_closed_form(
-        PolarTrack(
-            grid=base.grid,
-            A=list(base.A),
-            dchi=list(base.dchi),
-            sin2_half=list(base.sin2_half),
-            eps_plus=list(base.eps_plus),
-            singular=list(base.singular),
-            unwrap_jumps=base.unwrap_jumps,
-        )
+        PolarTrack(listed, list(base.A), list(base.sin2_half), list(base.eps_plus))
     )
     assert gp_closed_form(shared) == want
-    # the start's own series are checked and frozen as by the constructor
+    # the start's own series are checked and frozen by the constructor
     a = np.array(base.A)
-    assert azimuth.track(a, base.sin2_half, base.eps_plus).A is a and not a.flags.writeable
+    assert PolarTrack(azimuth, a, base.sin2_half, base.eps_plus).A is a
+    assert not a.flags.writeable
     starts = {"A": base.A, "sin2_half": base.sin2_half, "eps_plus": base.eps_plus}
     for name, series in starts.items():
         with pytest.raises(ConfigError, match=rf"^{name} must have shape \(2001,\)$"):
-            azimuth.track(**{**starts, name: series[1:]})
+            PolarTrack(azimuth, **{**starts, name: series[1:]})
     with pytest.raises(ConfigError, match=r"^dchi must have shape \(2000,\)$"):
-        Azimuth(base.grid, base.dchi[1:], base.singular, 0)
+        Azimuth(base.grid, azimuth.dchi[1:], azimuth.singular, 0)
     with pytest.raises(ConfigError, match=r"^singular must have shape \(2001,\)$"):
-        Azimuth(base.grid, base.dchi, base.singular[1:], 0)
+        Azimuth(base.grid, azimuth.dchi, azimuth.singular[1:], 0)
 
 
 def test_closed_form_refuses_sin2_half_ends_outside_unit_interval():
@@ -613,15 +608,8 @@ def test_closed_form_refuses_sin2_half_ends_outside_unit_interval():
 
 def test_closed_form_rejects_vanishing_polarization():
     grid = TimeGrid(1.0, 3)
-    dead = PolarTrack(
-        grid=grid,
-        A=np.zeros(3),
-        dchi=np.zeros(2),
-        sin2_half=np.full(3, 0.5),
-        eps_plus=np.zeros(3),
-        singular=np.ones(3, dtype=bool),
-        unwrap_jumps=0,
-    )
+    azimuth = Azimuth(grid, np.zeros(2), np.ones(3, dtype=bool), 0)
+    dead = PolarTrack(azimuth, np.zeros(3), np.full(3, 0.5), np.zeros(3))
     for _ in range(2):  # also once the track keeps its reductions
         with pytest.raises(IndeterminatePhaseError, match="initial polarization vanishes"):
             gp_closed_form(dead, require_pure=False)
@@ -718,4 +706,4 @@ def test_guards_are_fixed_constants():
     rxy = 2.0 * phase.R_TOL
     pts = np.array([[0.0, 0.0, 1.0], [0.99 * rxy, 0.0, 1.0], [1.01 * rxy, 0.0, 1.0]])
     track = PolarTrack.from_points(pts, TimeGrid(1.0, 3))
-    assert track.singular.tolist() == [True, True, False]
+    assert track.azimuth.singular.tolist() == [True, True, False]
