@@ -6,7 +6,8 @@ The reduced dynamics is an exact finite convex sum of Bloch rotations over
 bath magnetization sectors; on top of it the package computes the
 kinematic geometric phase of the decohering qubit by three routes (closed
 form, south-pole special case, discrete holonomy), validates everything
-against an exact dense-evolution oracle, and exposes parameter sweeps
+against an exact oracle that evolves the full Hilbert space block by
+block in the baths' total spins, and exposes parameter sweeps
 that contrast coupling allocations where splitting the coupling between two
 baths preserves the phase better than spending it on one.
 """

@@ -1,33 +1,33 @@
-"""Exact dense evolution on the full qubit + bath + bath Hilbert space.
+"""Exact evolution on the full qubit + bath + bath Hilbert space.
 
 Ground truth for the sector-sum dynamics, independent of the sector
-formula: the full Hamiltonian on dimension D = 2 * 2^N * 2^N in the
-ordering qubit (x) bath1 (x) bath2, numerical eigenvectors, and a literal
-partial trace of
+formula.  A bath of N spins-1/2 holds d_j = C(N, N/2 - j) - C(N, N/2 - j - 1)
+copies of each total spin j, and bath 1 enters H only through J_x, bath 2
+only through J_y.  So H is block-diagonal in (j1, j2): d_j1 d_j2 copies of
+a block of size D = 2 (2 j1 + 1)(2 j2 + 1), ordered qubit (x) spin j1 (x)
+spin j2 (Breuer, Burgarth & Petruccione, PRB 70, 045323 (2004)).  Every
+copy starts in rho_S(0) (x) 1 / 4^N, so the reduced state is the sum over
+blocks of the block's bath trace with weight w = d_j1 d_j2 / 4^N.  A block
+is real in the sigma_z (x) J_z basis (sigma_y (x) J_y = -(i sigma_y) (x)
+(i J_y)), built from the cached spin-j ladder matrices, and evolved by:
 
-    rho(0) = rho_S(0) (x) 1/2^N (x) 1/2^N
-
-over both baths.  H is real in this sigma_z (x) J_z product basis
-(sigma_y (x) J_y is a product of two imaginary matrices), so:
-
-* per bath size, the real operators sigma_z, sigma_x (x) J_x and
-  sigma_y (x) J_y = -(i sigma_y) (x) (i J_y), cached; per config, H is
-  their real linear combination;
-* per trajectory, one real eigh, H = V diag(E) V^T, with V = [V_0; V_1]
-  split by the qubit index; only E and the Gram blocks K_ab = V_a^T V_b
-  (K_00, K_01, K_11, with K_10 = K_01^T) are kept.  O(D^3);
-* per trajectory, rho0_eig = V^T rho(0) V = 4^-N sum_ab rho_S(0)[a, b] K_ab.
-  O(D^2);
-* per time node, rho_S(t)[a, b] = sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t}
+* one real eigh, H = V diag(E) V^T, with V = [V_0; V_1] split by the qubit
+  index; only E and the Gram blocks K_ab = V_a^T V_b are kept.  O(D^3);
+* rho0_eig = V^T rho(0) V = w sum_ab rho_S(0)[a, b] K_ab.  O(D^2);
+* per time node, rho_S(t)[a, b] += sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t}
   K_ab[k, l], the bath trace of V e^{-iEt} rho0_eig e^{iEt} V^T.  O(D^2),
-  nodes taken in chunks of at most D so no temporary exceeds D^2 elements.
+  nodes taken in chunks of at most D.
 
-Memory scales as D^2, so builds are refused above MAX_BATH_SIZE = 4
-(D = 512).
+Equal-size blocks share one batched eigh, up to _STACK_ELEMENTS elements
+(a larger block goes alone).  The evolution routes are refused above
+MAX_EVOLUTION_BATH_SIZE = 20 (largest block D = 882); build_hamiltonian,
+the dense 2 * 4^N matrix the blocks are tested against, above
+MAX_BATH_SIZE = 4 (D = 512).
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -47,6 +47,10 @@ from .model import (
 
 # Largest bath size the dense builder accepts: D = 2 * 4^4 = 512.
 MAX_BATH_SIZE = 4
+# Largest bath size the evolution routes accept: largest block 2 * 21^2 = 882.
+MAX_EVOLUTION_BATH_SIZE = 20
+# Equal-size blocks share one batched eigh up to this many elements.
+_STACK_ELEMENTS = 2**18
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 _SIGMA_X_REAL = SIGMA_X.real
 # i sigma_y, real: sigma_y = -i (i sigma_y).
@@ -64,7 +68,7 @@ def _collective(single: np.ndarray, n_spins: int) -> np.ndarray:
 
 @lru_cache(maxsize=MAX_BATH_SIZE)
 def _coupling_operators(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The config-independent real parts of H at bath size n_spins.
+    """The config-independent real parts of the dense H at bath size n_spins.
 
     Returns the diagonal of sigma_z (x) 1 (x) 1, then sigma_x (x) J_x (x) 1
     and sigma_y (x) 1 (x) J_y, the last written as -(i sigma_y) (x) 1 (x)
@@ -99,44 +103,117 @@ def build_hamiltonian(config: SystemConfig) -> np.ndarray:
     return h
 
 
-def _diagonalized(config: SystemConfig):
-    """Energies and the qubit-block Gram matrices of one real eigh.
+def _spin_multiplicities(n_spins: int) -> list[tuple[int, int]]:
+    """(2j, d_j) for each total spin j of n_spins spins-1/2, largest j first."""
+    return [
+        (n_spins - 2 * k, math.comb(n_spins, k) - (math.comb(n_spins, k - 1) if k else 0))
+        for k in range(n_spins // 2 + 1)
+    ]
 
-    With V = [V_0; V_1] split by the qubit index, returns E and
-    (K_00, K_01, K_11) with K_ab = V_a^T V_b; V itself is dropped.
+
+@lru_cache(maxsize=MAX_EVOLUTION_BATH_SIZE + 1)
+def _spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """J_x and i J_y of spin j = two_j / 2 in the J_z basis, both real.
+
+    From the ladder J_+ |m> = sqrt((j - m)(j + m + 1)) |m + 1>:
+    J_x = (J_+ + J_-)/2 and i J_y = (J_+ - J_-)/2.  Read-only.
+    """
+    k = np.arange(two_j, dtype=float)
+    ladder = np.diag(np.sqrt((two_j - k) * (k + 1.0)) / 2.0, -1)
+    jx, ijy = ladder + ladder.T, ladder - ladder.T
+    for op in (jx, ijy):
+        op.setflags(write=False)
+    return jx, ijy
+
+
+def _block_stacks(n_spins: int):
+    """Stacks of equal-size (j1, j2) blocks at bath size n_spins.
+
+    Yields (weights, pairs): each block's d_j1 d_j2 / 4^N and (2 j1, 2 j2);
+    a stack holds at most _STACK_ELEMENTS matrix elements, or one block.
+    """
+    spins = _spin_multiplicities(n_spins)
+    by_dim: dict[int, list] = {}
+    for tj1, d1 in spins:
+        for tj2, d2 in spins:
+            by_dim.setdefault((tj1 + 1) * (tj2 + 1), []).append((d1 * d2, (tj1, tj2)))
+    for dim, blocks in by_dim.items():
+        per_stack = max(1, _STACK_ELEMENTS // (2 * dim) ** 2)
+        for start in range(0, len(blocks), per_stack):
+            counts, pairs = zip(*blocks[start : start + per_stack])
+            yield np.array(counts) * 4.0**-n_spins, pairs
+
+
+def _block_hamiltonians(config: SystemConfig, pairs) -> np.ndarray:
+    """H of each (2 j1, 2 j2) block in pairs, stacked: shape (k, D, D).
+
+    H = [[omega/2, B], [B^T, -omega/2]], B = (alpha1/2) J_x (x) 1 -
+    (alpha2/2) 1 (x) i J_y: the blocks of (alpha1/2) sigma_x (x) J_x (x) 1
+    and (alpha2/2) sigma_y (x) 1 (x) J_y.
+    """
+    dim = (pairs[0][0] + 1) * (pairs[0][1] + 1)
+    h = np.zeros((len(pairs), 2 * dim, 2 * dim))
+    for block, (tj1, tj2) in zip(h, pairs):
+        jx = _spin_matrices(tj1)[0] * (config.alpha1 / 2.0)
+        ijy = _spin_matrices(tj2)[1] * (config.alpha2 / 2.0)
+        coupling = block[:dim, dim:].reshape(tj1 + 1, tj2 + 1, tj1 + 1, tj2 + 1)
+        for i in range(tj2 + 1):
+            coupling[:, i, :, i] = jx
+        for i in range(tj1 + 1):
+            coupling[i, :, i, :] -= ijy
+        block[dim:, :dim] = block[:dim, dim:].T
+    h.reshape(len(pairs), -1)[:, :: 2 * dim + 1] = np.repeat(
+        [config.omega / 2.0, -config.omega / 2.0], dim
+    )
+    return h
+
+
+def _diagonalized(config: SystemConfig, pairs):
+    """Energies and qubit-block Gram matrices of one stack of blocks.
+
+    With each block's V = [V_0; V_1] split by the qubit index, returns E,
+    shape (k, D), and K with K[:, a, b] = V_a^T V_b, shape (k, 2, 2, D, D);
+    V itself is dropped.
     """
     try:
-        energies, vectors = np.linalg.eigh(build_hamiltonian(config))
+        energies, vectors = np.linalg.eigh(_block_hamiltonians(config, pairs))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise OracleError(f"dense eigensolver failed: {exc}") from exc
-    v0, v1 = np.split(vectors, 2)
-    return energies, (v0.T @ v0, v0.T @ v1, v1.T @ v1)
+        raise OracleError(f"block eigensolver failed: {exc}") from exc
+    k, dim = energies.shape
+    halves = vectors.reshape(k, 1, 2, dim // 2, dim)
+    return energies, halves.swapaxes(2, 1).swapaxes(-1, -2) @ halves
 
 
-def _prepared(config: SystemConfig, angles: InitialStateAngles):
-    """Per trajectory: E, the four K_ab in the order 00, 01, 10, 11, and rho0_eig."""
-    energies, (k00, k01, k11) = _diagonalized(config)
-    blocks = (k00, k01, k01.T, k11)
-    rho_s = initial_density(angles).matrix
-    rho0_eig = sum(r * k for r, k in zip(rho_s.flat, blocks)) / (energies.size // 2)
-    return energies, blocks, rho0_eig
+def _reduced_series(
+    config: SystemConfig, angles: InitialStateAngles, times: np.ndarray
+) -> np.ndarray:
+    """Reduced qubit states at `times`, shape (n, 2, 2), summed block by block.
 
-
-def _reduced_series(energies, blocks, rho0_eig, times: np.ndarray) -> np.ndarray:
-    """Reduced qubit states at `times`, shape (n, 2, 2).
-
-    rho_S(t)[a, b] = sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t} K_ab[k, l],
-    as ((P @ W_ab) * conj(P)).sum(1) with P = e^{-iEt} and W_ab = rho0_eig o K_ab.
-    Nodes go in chunks of at most D, so no temporary exceeds D^2 elements.
+    Per stack, rho_S(t)[a, b] += sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t}
+    K_ab[k, l], as ((P @ W_ab) * conj(P)).sum() over blocks and columns,
+    with P = e^{-iEt} and W_ab = rho0_eig o K_ab.  Nodes go in chunks of at
+    most D.  Refused above MAX_EVOLUTION_BATH_SIZE before anything is built.
     """
-    dim = energies.size
-    out = np.empty((times.size, 4), dtype=complex)
-    for start in range(0, times.size, dim):
-        phase = np.exp(-1.0j * np.outer(times[start : start + dim], energies))
-        back = phase.conj()
-        for i, k in enumerate(blocks):
-            out[start : start + dim, i] = ((phase @ (rho0_eig * k)) * back).sum(1)
-    return out.reshape(-1, 2, 2)
+    n_spins = config.bath_size
+    if n_spins > MAX_EVOLUTION_BATH_SIZE:
+        raise DimensionCapError(
+            f"bath_size {n_spins} exceeds cap {MAX_EVOLUTION_BATH_SIZE}"
+            f" (largest block would be {2 * (n_spins + 1) ** 2})"
+        )
+    rho_s = initial_density(angles).matrix
+    out = np.zeros((2, 2, times.size), dtype=complex)
+    for weights, pairs in _block_stacks(n_spins):
+        energies, gram = _diagonalized(config, pairs)
+        rho0_eig = np.tensordot(gram, rho_s, ((1, 2), (0, 1)))
+        rho0_eig *= weights[:, None, None]
+        # W_ab replaces K_ab, so the real Gram blocks are freed.
+        gram = gram * rho0_eig[:, None, None]
+        dim = energies.shape[1]
+        for start in range(0, times.size, dim):
+            phase = np.exp(-1.0j * times[start : start + dim, None] * energies[:, None, :])
+            chunk = (phase[:, None, None] @ gram) * phase.conj()[:, None, None]
+            out[..., start : start + dim] += chunk.sum((0, 4))
+    return out.transpose(2, 0, 1)
 
 
 def evolve_reduced(
@@ -144,7 +221,7 @@ def evolve_reduced(
 ) -> QubitDensity:
     """Exact reduced qubit density matrix at time t >= 0."""
     t = check_time("t", t)
-    reduced = _reduced_series(*_prepared(config, angles), np.array([t]))[0]
+    reduced = _reduced_series(config, angles, np.array([t]))[0]
     # Symmetrize away eigensolver round-off before validation.
     reduced = (reduced + reduced.conj().T) / 2.0
     return QubitDensity(reduced)
@@ -153,8 +230,8 @@ def evolve_reduced(
 def oracle_trajectory(
     config: SystemConfig, angles: InitialStateAngles, grid: TimeGrid
 ) -> BlochTrajectory:
-    """Exact reduced Bloch trajectory, reusing one eigendecomposition."""
-    reduced = _reduced_series(*_prepared(config, angles), grid.times())
+    """Exact reduced Bloch trajectory, one eigendecomposition per block."""
+    reduced = _reduced_series(config, angles, grid.times())
     pts = np.einsum("nab,iba->ni", reduced, _PAULI).real
     return BlochTrajectory(grid=grid, points=pts)
 

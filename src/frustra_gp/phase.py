@@ -214,7 +214,7 @@ class Azimuth:
         return cls(grid, dchi, singular, jumps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolarTrack:
     """Polar-decomposition series of a Bloch trajectory: an azimuth and a start.
 
@@ -242,12 +242,14 @@ class PolarTrack:
     sin2_half: np.ndarray
     eps_plus: np.ndarray
 
-    def __post_init__(self) -> None:
-        node = (self.azimuth.grid.n_steps,)
+    def __init__(self, azimuth: Azimuth, A, sin2_half, eps_plus) -> None:
+        # Each field is stored once, the three series checked and frozen.
+        node = (azimuth.grid.n_steps,)
         vars(self).update(
-            A=_series("A", self.A, node),
-            sin2_half=_series("sin2_half", self.sin2_half, node),
-            eps_plus=_series("eps_plus", self.eps_plus, node),
+            azimuth=azimuth,
+            A=_series("A", A, node),
+            sin2_half=_series("sin2_half", sin2_half, node),
+            eps_plus=_series("eps_plus", eps_plus, node),
         )
 
     @property

@@ -1,15 +1,20 @@
-"""Tests for the dense full-Hilbert-space reference evolution.
+"""Tests for the exact reference evolution by total-spin blocks.
 
-The Hamiltonian spectrum test derives the expected eigenvalues from
+The Hamiltonian spectrum tests derive the expected eigenvalues from
 binomial counting alone (each magnetization sector contributes a pair
 +/- Gamma(m1, m2)/2 with multiplicity zeta1 * zeta2), which never touches
-the sector-sum code path under test elsewhere.
+the sector-sum code path under test elsewhere.  The block route is checked
+against the dense builder and a literal partial trace of the complex kron
+construction at N <= 4, and against the sector sum at N = 10 and 20.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frustra_gp import (
     ConfigError,
@@ -25,7 +30,13 @@ from frustra_gp import (
     oracle_trajectory,
 )
 from frustra_gp.model import SIGMA_X, SIGMA_Y, SIGMA_Z
-from frustra_gp.oracle import MAX_BATH_SIZE
+from frustra_gp.oracle import (
+    MAX_EVOLUTION_BATH_SIZE,
+    _block_hamiltonians,
+    _block_stacks,
+    _reduced_series,
+    _spin_multiplicities,
+)
 
 
 def test_build_refused_above_cap():
@@ -46,8 +57,10 @@ def test_evolution_refused_above_cap_before_allocating(run, monkeypatch):
     def no_allocation(*args):
         raise AssertionError("operators built above the cap")
 
-    monkeypatch.setattr("frustra_gp.oracle._coupling_operators", no_allocation)
-    cfg = SystemConfig(omega=1.0, alpha1=0.5, alpha2=0.5, bath_size=MAX_BATH_SIZE + 1)
+    monkeypatch.setattr("frustra_gp.oracle._block_hamiltonians", no_allocation)
+    cfg = SystemConfig(
+        omega=1.0, alpha1=0.5, alpha2=0.5, bath_size=MAX_EVOLUTION_BATH_SIZE + 1
+    )
     with pytest.raises(DimensionCapError):
         run(cfg, InitialStateAngles(theta=1.0))
 
@@ -67,6 +80,30 @@ def test_free_qubit_spectrum_frozen():
     assert np.allclose(np.sort(energies), [-1.0] * 4 + [1.0] * 4, atol=1e-14)
 
 
+def _sector_spectrum(cfg):
+    """+/- Gamma(m1, m2)/2 with multiplicity zeta1 * zeta2, sorted."""
+    n = cfg.bath_size
+    parts = []
+    for k1 in range(n + 1):
+        m1 = -n / 2.0 + k1
+        for k2 in range(n + 1):
+            m2 = -n / 2.0 + k2
+            gamma = math.sqrt(cfg.omega**2 + (cfg.alpha1 * m1) ** 2 + (cfg.alpha2 * m2) ** 2)
+            parts.append(np.repeat([-gamma / 2.0, gamma / 2.0], math.comb(n, k1) * math.comb(n, k2)))
+    return np.sort(np.concatenate(parts))
+
+
+def _block_spectrum(cfg):
+    """Every (j1, j2) block's eigenvalues, each repeated d_j1 * d_j2 times, sorted."""
+    parts = []
+    for weights, pairs in _block_stacks(cfg.bath_size):
+        energies = np.linalg.eigvalsh(_block_hamiltonians(cfg, pairs))
+        counts = weights * 4**cfg.bath_size
+        assert np.array_equal(counts, np.rint(counts))
+        parts.extend(np.repeat(e, int(c)) for e, c in zip(energies, counts))
+    return np.sort(np.concatenate(parts))
+
+
 def test_spectrum_matches_sector_frequencies():
     rng = np.random.default_rng(71)
     for n in (1, 2, 3):
@@ -76,22 +113,38 @@ def test_spectrum_matches_sector_frequencies():
             alpha2=float(rng.uniform(0.0, 1.5)),
             bath_size=n,
         )
-        expected = []
-        for k1 in range(n + 1):
-            m1 = -n / 2.0 + k1
-            zeta1 = math.comb(n, k1)
-            for k2 in range(n + 1):
-                m2 = -n / 2.0 + k2
-                zeta2 = math.comb(n, k2)
-                gamma = math.sqrt(
-                    cfg.omega**2
-                    + (cfg.alpha1 * m1) ** 2
-                    + (cfg.alpha2 * m2) ** 2
-                )
-                expected.extend([-gamma / 2.0] * (zeta1 * zeta2))
-                expected.extend([+gamma / 2.0] * (zeta1 * zeta2))
         energies = np.linalg.eigh(build_hamiltonian(cfg))[0]
-        assert np.max(np.abs(np.sort(energies) - np.sort(expected))) < 1e-12
+        assert np.max(np.abs(np.sort(energies) - _sector_spectrum(cfg))) < 1e-12
+
+
+def test_block_spectra_match_dense_spectrum():
+    rng = np.random.default_rng(73)
+    for n in (1, 2, 3, 4):
+        cfg = SystemConfig(
+            omega=float(rng.uniform(0.3, 2.0)),
+            alpha1=float(rng.uniform(0.0, 1.5)),
+            alpha2=float(rng.uniform(0.0, 1.5)),
+            bath_size=n,
+        )
+        dense = np.linalg.eigh(build_hamiltonian(cfg))[0]
+        assert np.max(np.abs(_block_spectrum(cfg) - dense)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    omega=st.floats(0.1, 3.0),
+    alpha1=st.floats(0.0, 2.0),
+    alpha2=st.floats(0.0, 2.0),
+)
+def test_block_spectra_match_sector_frequencies(n, omega, alpha1, alpha2):
+    cfg = SystemConfig(omega=omega, alpha1=alpha1, alpha2=alpha2, bath_size=n)
+    assert np.max(np.abs(_block_spectrum(cfg) - _sector_spectrum(cfg))) < 1e-12
+
+
+@given(n=st.integers(0, 200))
+def test_spin_multiplicities_count_every_state(n):
+    assert sum(d * (two_j + 1) for two_j, d in _spin_multiplicities(n)) == 2**n
 
 
 def test_evolve_reduced_identity_at_zero():
@@ -123,28 +176,47 @@ def test_evolve_reduced_matches_sector_sum():
 def test_oracle_trajectory_matches_sector_sum():
     ang = InitialStateAngles(theta=1.1, phi=0.4)
     grid = TimeGrid(5.0, 41)
-    for n in (2, 4):  # D = 32 (the 41 nodes take two chunks) and D = 512
+    for n in (2, 4):  # largest blocks D = 18 and 50; 41 nodes take several chunks
         cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=n)
         exact = oracle_trajectory(cfg, ang, grid)
         fast = bloch_trajectory(cfg, ang, grid)
         assert np.max(np.abs(exact.points - fast.points)) < 1e-12
 
 
-def _literal_reduced(cfg, ang, t):
+@pytest.mark.parametrize("n, nodes", [(10, 21), (20, 3)])
+def test_block_route_matches_sector_sum_at_headline_sizes(n, nodes):
+    # At N = 20 the largest block is 882 x 882; its batch must not keep
+    # every block's operators (measured traced peak: 84 MiB).
+    cfg = SystemConfig(omega=2.0, alpha1=2.0 * 1.8 / math.sqrt(n), alpha2=0.5, bath_size=n)
+    ang = InitialStateAngles(theta=1.1, phi=0.4)
+    grid = TimeGrid(3.0, nodes)
+    tracemalloc.start()
+    try:
+        exact = oracle_trajectory(cfg, ang, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fast = bloch_trajectory(cfg, ang, grid)
+    assert np.max(np.abs(exact.points - fast.points)) < 1e-12
+    assert peak < 100 * 2**20
+
+
+def _literal_reduced(cfg, ang, times):
     """V e^{-iEt} V^dag rho(0) V e^{iEt} V^dag from a complex eigh, bath-traced."""
     energies, vectors = np.linalg.eigh(_kron_hamiltonian(cfg))
     bath_dim = 2**cfg.bath_size
     eye_mixed = np.eye(bath_dim) / bath_dim
     rho0 = np.kron(initial_density(ang).matrix, np.kron(eye_mixed, eye_mixed))
-    u = (vectors * np.exp(-1.0j * energies * t)) @ vectors.conj().T
-    full = (u @ rho0 @ u.conj().T).reshape(2, bath_dim, bath_dim, 2, bath_dim, bath_dim)
-    return np.einsum("aijbij->ab", full)
+    for t in times:
+        u = (vectors * np.exp(-1.0j * energies * t)) @ vectors.conj().T
+        full = (u @ rho0 @ u.conj().T).reshape(2, bath_dim, bath_dim, 2, bath_dim, bath_dim)
+        yield np.einsum("aijbij->ab", full)
 
 
 def test_projected_series_matches_literal_partial_trace():
     rng = np.random.default_rng(113)
     grid = TimeGrid(19.0, 6)
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         cfg = SystemConfig(
             omega=float(rng.uniform(0.3, 2.0)),
             alpha1=float(rng.uniform(0.0, 1.5)),
@@ -156,8 +228,8 @@ def test_projected_series_matches_literal_partial_trace():
             phi=float(rng.uniform(0.0, 2.0 * math.pi)),
         )
         points = oracle_trajectory(cfg, ang, grid).points
-        for t, point in zip(grid.times(), points):
-            literal = _literal_reduced(cfg, ang, t)
+        literals = _literal_reduced(cfg, ang, grid.times())
+        for t, point, literal in zip(grid.times(), points, literals):
             projected = evolve_reduced(cfg, ang, float(t)).matrix
             assert np.max(np.abs(projected - literal)) < 1e-13
             expected = [np.trace(literal @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
@@ -227,6 +299,26 @@ def test_reduced_state_stays_physical():
         assert abs(np.trace(m).real - 1.0) < 1e-12
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         assert rho.purity() <= 1.0 + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    alpha1=st.floats(0.0, 2.0),
+    alpha2=st.floats(0.0, 2.0),
+    theta=st.floats(0.0, math.pi),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    t_end=st.floats(0.1, 50.0),
+)
+def test_block_reduced_state_is_physical(n, alpha1, alpha2, theta, phi, t_end):
+    cfg = SystemConfig(omega=1.3, alpha1=alpha1, alpha2=alpha2, bath_size=n)
+    ang = InitialStateAngles(theta=theta, phi=phi)
+    grid = TimeGrid(t_end, 5)
+    reduced = _reduced_series(cfg, ang, grid.times())
+    assert np.max(np.abs(np.trace(reduced, axis1=1, axis2=2) - 1.0)) < 1e-12
+    assert np.max(np.abs(reduced - reduced.conj().transpose(0, 2, 1))) < 1e-12
+    points = oracle_trajectory(cfg, ang, grid).points
+    assert np.max(np.linalg.norm(points, axis=1)) <= 1.0 + 1e-12
 
 
 def test_evolve_reduced_rejects_bad_time():
