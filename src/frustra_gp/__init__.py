@@ -57,11 +57,7 @@ from .model import (
     sector_weights,
     validate_config,
 )
-from .oracle import (
-    build_hamiltonian,
-    evolve_reduced,
-    oracle_trajectory,
-)
+from .oracle import evolve_reduced, oracle_trajectory
 from .phase import (
     Azimuth,
     GpDiagnostics,
@@ -109,7 +105,6 @@ __all__ = [
     "auto_time_grid",
     "bloch_at",
     "bloch_trajectory",
-    "build_hamiltonian",
     "evolve_reduced",
     "gamma_freq",
     "gp_closed_form",

@@ -3,9 +3,9 @@
 Subcommands: `bloch` (trajectory dump), `gp` (single geometric-phase value),
 `surface` (phase over an angle grid), `compare` (coupling-strategy report),
 `verify` (cross-validation suite).  Exit status: 0 success, 1 usage or
-configuration error, 2 numerical/refinement error (also used by `verify`
-when a check fails), 141 when the reader closes stdout before the output
-is written.
+configuration error (an `--out` file that cannot be written included),
+2 numerical/refinement error (also used by `verify` when a check fails),
+141 when the reader closes stdout before the output is written.
 
 File config: flat `key=value` lines, `#` comments, keys identical to the
 long flag names; explicit flags override file values which override
@@ -425,13 +425,9 @@ def _json(payload, indent: int | None = None) -> str:
     return json.dumps(_strict(payload), indent=indent, allow_nan=False) + "\n"
 
 
-def _write_lines(sink, header: str, rows) -> int:
-    """Write `header`, then each row, to `sink`; returns the UTF-8 bytes written."""
-    written = 0
-    for line in itertools.chain((header,), rows):
-        sink.write(line)
-        written += len(line.encode("utf-8"))
-    return written
+def _write_lines(sink, header: str, rows) -> None:
+    """Write `header`, then each row, to `sink`."""
+    sink.writelines(itertools.chain((header,), rows))
 
 
 def _surface_rows(surface: GpSurface):
@@ -445,10 +441,10 @@ def _surface_rows(surface: GpSurface):
     return (cell + value for cell, value in zip(cells, values))
 
 
-def write_surface_csv(surface: GpSurface, sink) -> int:
-    """Emit the canonical CSV (theta outer, phi inner); returns bytes written."""
+def write_surface_csv(surface: GpSurface, sink) -> None:
+    """Emit the canonical CSV (theta outer, phi inner)."""
     rows = map(_csv_line, _surface_rows(surface))
-    return _write_lines(sink, SURFACE_CSV_HEADER + "\n", rows)
+    _write_lines(sink, SURFACE_CSV_HEADER + "\n", rows)
 
 
 def surface_to_json(surface: GpSurface) -> dict:
@@ -468,13 +464,13 @@ def _bloch_rows(trajectory: BlochTrajectory) -> list:
     return np.column_stack((trajectory.grid.times(), trajectory.points)).tolist()
 
 
-def write_bloch_csv(trajectory: BlochTrajectory, sink) -> int:
-    """Emit t,x,y,z rows with 17 significant digits; returns bytes written."""
+def write_bloch_csv(trajectory: BlochTrajectory, sink) -> None:
+    """Emit t,x,y,z rows with 17 significant digits."""
     rows = map(_csv_line, _bloch_rows(trajectory))
-    return _write_lines(sink, BLOCH_CSV_HEADER + "\n", rows)
+    _write_lines(sink, BLOCH_CSV_HEADER + "\n", rows)
 
 
-def write_compare_csv(report: StrategyReport, sink) -> int:
+def write_compare_csv(report: StrategyReport, sink) -> None:
     """Ranked strategy table, prefixed by metric/winner comment lines.
 
     The columns are the keys of each `report.to_dict()` entry, in order.
@@ -483,21 +479,27 @@ def write_compare_csv(report: StrategyReport, sink) -> int:
     by_label = {entry["label"]: entry.values() for entry in entries}
     table = [entries[0].keys(), *(by_label[label] for label in report.ranking)]
     header = f"# metric={report.metric}\n# winner={report.winner}\n"
-    return _write_lines(sink, header, map(_csv_line, table))
+    _write_lines(sink, header, map(_csv_line, table))
 
 
 def _emit(p: dict, writer, payload) -> None:
     """Write `--out` ('-' is stdout) through `writer(sink)`, or, under
-    `--format json`, write `payload()` as one strict JSON line."""
+    `--format json`, write `payload()` as one strict JSON line.
+
+    A file that cannot be opened or written raises ConfigError; errors on
+    stdout (a closed pipe) propagate unchanged."""
     if p.get("format") == "json":
         text = _json(payload())
         writer = lambda sink: sink.write(text)
     if p["out"] == "-":
         writer(sys.stdout)
         sys.stdout.flush()
-    else:
+        return
+    try:
         with open(p["out"], "w", encoding="utf-8", newline="") as fh:
             writer(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {p['out']}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ class UsageError(FrustraGpError):
 
 
 class DimensionCapError(FrustraGpError):
-    """Requested full-Hilbert-space build exceeds the allowed dimension cap."""
+    """Requested exact evolution exceeds the oracle's bath-size cap."""
 
 
 class ResolutionError(FrustraGpError):
@@ -35,4 +35,4 @@ class PreconditionError(FrustraGpError):
 
 
 class OracleError(FrustraGpError):
-    """Dense eigensolver failure inside the exact-evolution reference."""
+    """Block eigensolver failure inside the exact-evolution reference."""

@@ -19,10 +19,10 @@ is real in the sigma_z (x) J_z basis (sigma_y (x) J_y = -(i sigma_y) (x)
   nodes taken in chunks of at most D.
 
 Equal-size blocks share one batched eigh, up to _STACK_ELEMENTS elements
-(a larger block goes alone).  The evolution routes are refused above
-MAX_EVOLUTION_BATH_SIZE = 20 (largest block D = 882); build_hamiltonian,
-the dense 2 * 4^N matrix the blocks are tested against, above
-MAX_BATH_SIZE = 4 (D = 512).
+(a larger block goes alone).  Both evolution routes are refused above
+MAX_EVOLUTION_BATH_SIZE = 20 (largest block D = 882) before anything is
+built.  No dense 2 * 4^N matrix is ever formed; the tests build one from
+complex kron chains at N <= 4 and check the blocks against it.
 """
 
 from __future__ import annotations
@@ -45,62 +45,11 @@ from .model import (
     initial_density,
 )
 
-# Largest bath size the dense builder accepts: D = 2 * 4^4 = 512.
-MAX_BATH_SIZE = 4
 # Largest bath size the evolution routes accept: largest block 2 * 21^2 = 882.
 MAX_EVOLUTION_BATH_SIZE = 20
 # Equal-size blocks share one batched eigh up to this many elements.
 _STACK_ELEMENTS = 2**18
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-_SIGMA_X_REAL = SIGMA_X.real
-# i sigma_y, real: sigma_y = -i (i sigma_y).
-_I_SIGMA_Y = (1.0j * SIGMA_Y).real
-
-
-def _collective(single: np.ndarray, n_spins: int) -> np.ndarray:
-    """sum_k 1 (x) ... (x) single_k (x) ... (x) 1 over n_spins sites."""
-    dim = 2**n_spins
-    total = np.zeros((dim, dim))
-    for k in range(n_spins):
-        total += np.kron(np.kron(np.eye(2**k), single), np.eye(2 ** (n_spins - k - 1)))
-    return total
-
-
-@lru_cache(maxsize=MAX_BATH_SIZE)
-def _coupling_operators(n_spins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The config-independent real parts of the dense H at bath size n_spins.
-
-    Returns the diagonal of sigma_z (x) 1 (x) 1, then sigma_x (x) J_x (x) 1
-    and sigma_y (x) 1 (x) J_y, the last written as -(i sigma_y) (x) 1 (x)
-    (i J_y): i sigma_y and i J_y are real matrices.  The cache holds two
-    dense D x D arrays per bath size (4 MB at N = 4).
-    """
-    eye = np.eye(2**n_spins)
-    z = np.repeat([1.0, -1.0], 4**n_spins)
-    x = np.kron(_SIGMA_X_REAL, np.kron(_collective(_SIGMA_X_REAL / 2.0, n_spins), eye))
-    y = -np.kron(_I_SIGMA_Y, np.kron(eye, _collective(_I_SIGMA_Y / 2.0, n_spins)))
-    for op in (z, x, y):
-        op.setflags(write=False)
-    return z, x, y
-
-
-def build_hamiltonian(config: SystemConfig) -> np.ndarray:
-    """H as a real dense matrix: (omega/2) Z + (alpha1/2) X + (alpha2/2) Y.
-
-    Each entry of H comes from one of the three operators alone, so the sum
-    has the bits of the complex kron construction's real part (its
-    imaginary part is zero).  Refused above MAX_BATH_SIZE.
-    """
-    if config.bath_size > MAX_BATH_SIZE:
-        raise DimensionCapError(
-            f"bath_size {config.bath_size} exceeds cap {MAX_BATH_SIZE}"
-            f" (full dimension would be {2 * 4**config.bath_size})"
-        )
-    z, x, y = _coupling_operators(config.bath_size)
-    h = np.diag((config.omega / 2.0) * z)
-    h += (config.alpha1 / 2.0) * x
-    h += (config.alpha2 / 2.0) * y
-    return h
 
 
 def _spin_multiplicities(n_spins: int) -> list[tuple[int, int]]:
@@ -237,7 +186,6 @@ def oracle_trajectory(
 
 
 __all__ = [
-    "build_hamiltonian",
     "evolve_reduced",
     "oracle_trajectory",
 ]

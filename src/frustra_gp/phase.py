@@ -91,8 +91,11 @@ def principal_value(angle):
 
     Rounding in angle - 2*pi*k can overshoot either boundary by a few ulp
     for large inputs, so the result is folded once more where needed.
-    Scalar input (including np.float64) gives a built-in float; array input
-    gives an array.
+    From |angle| ~ 1e17 on, one ulp of angle exceeds 2*pi and the product
+    2*pi*k is off by more than a turn; where the folds leave such a value
+    out of range, it is reduced by the exact remainder fmod(angle, 2*pi)
+    and one more fold instead.  Scalar input (including np.float64) gives a
+    built-in float; array input gives an array.
     """
     if isinstance(angle, (float, int)):
         # Same arithmetic as the array path below, without its per-call cost.
@@ -104,11 +107,22 @@ def principal_value(angle):
             wrapped -= TWO_PI
         if wrapped < -math.pi:
             wrapped += TWO_PI
+        if not -math.pi <= wrapped < math.pi:
+            wrapped = math.fmod(angle, TWO_PI)
+            if wrapped >= math.pi:
+                wrapped -= TWO_PI
+            elif wrapped < -math.pi:
+                wrapped += TWO_PI
         return wrapped
     angle = np.asarray(angle, dtype=float)
     wrapped = angle - TWO_PI * np.floor((angle + math.pi) / TWO_PI)
     wrapped = np.where(wrapped >= math.pi, wrapped - TWO_PI, wrapped)
     wrapped = np.where(wrapped < -math.pi, wrapped + TWO_PI, wrapped)
+    huge = (wrapped >= math.pi) | (wrapped < -math.pi)
+    if huge.any():
+        rest = np.fmod(angle[huge], TWO_PI)
+        rest = np.where(rest >= math.pi, rest - TWO_PI, rest)
+        wrapped[huge] = np.where(rest < -math.pi, rest + TWO_PI, rest)
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped

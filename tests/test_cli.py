@@ -184,13 +184,12 @@ def test_surface_csv_contract(tmp_path):
     assert np.array_equal(principal_value(np.array(unws)), np.array(prins))
 
 
-def test_write_surface_csv_returns_byte_count():
+def test_write_surface_csv_ends_with_newline():
     cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=2)
     grid = AngleGrid(n_theta=4, n_phi=3, theta_min=0.3, theta_max=2.8)
     surface = gp_surface(cfg, grid, 5.0, time_steps=301)
     sink = io.StringIO()
-    written = write_surface_csv(surface, sink)
-    assert written == len(sink.getvalue().encode("utf-8"))
+    write_surface_csv(surface, sink)
     assert sink.getvalue().endswith("\n")
 
 
@@ -525,6 +524,27 @@ def test_closed_stdout_ends_the_cli_without_a_traceback():
     _, err = proc.communicate(timeout=120)
     assert err == b""
     assert proc.returncode == 141
+
+
+# One small invocation per subcommand, for the `--out` error paths.
+SMALL_ARGS = {
+    "bloch": ["bloch", "--bath-size", "1", "--steps", "5"],
+    "gp": ["gp", "--bath-size", "1"],
+    "surface": ["surface", "--bath-size", "2", "--n-theta", "3", "--n-phi", "3"],
+    "compare": ["compare", "--bath-size", "1", "--n-theta", "3", "--n-phi", "3"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing_directory", "directory"])
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_unwritable_out_is_config_error(tmp_path, capsys, subcommand, kind):
+    out = tmp_path / "absent" / "x.csv" if kind == "missing_directory" else tmp_path
+    assert run([*SMALL_ARGS[subcommand], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"frustra-gp: error: cannot write output file {out}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_every_other_package_error_is_a_numerical_error(monkeypatch, capsys):

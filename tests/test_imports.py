@@ -2,8 +2,9 @@
 private names, no module keeps a private name that it never reads, no
 function takes a parameter that its body never reads, no dataclass keeps a
 field that no module reads, no module but model decides by hand whether a
-value is a bool, and the package re-exports exactly the public names its
-modules declare.
+value is a bool, every call of the builtin open sits in a try that catches
+OSError, and the package re-exports exactly the public names its modules
+declare.
 
 Each source file is parsed with ast, so the checks need no import side
 effects.  A private name is one with a single leading underscore; dunder
@@ -368,4 +369,80 @@ def test_guard_flags_bool_tests():
     assert _bool_tests(ast.parse(source)) == [
         "line 2: isinstance(n, bool)",
         "line 4: isinstance(x, (bool, str))",
+    ]
+
+
+def _catches_oserror(node: ast.Try) -> bool:
+    for handler in node.handlers:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        if any(isinstance(t, ast.Name) and t.id == "OSError" for t in types):
+            return True
+    return False
+
+
+def _unguarded_opens(tree: ast.Module) -> list[str]:
+    """Calls of the builtin open outside the body of a try that catches OSError.
+
+    A path that cannot be opened is a caller's mistake, reported as one
+    error line, not a traceback.  A function body starts unguarded: a try
+    around the definition does not cover its calls.
+    """
+    found = []
+
+    def visit(node, guarded):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            guarded = False
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "open"
+            and not guarded
+        ):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if isinstance(node, ast.Try):
+            for stmt in node.body:
+                visit(stmt, guarded or _catches_oserror(node))
+            for part in (*node.handlers, *node.orelse, *node.finalbody):
+                visit(part, guarded)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, guarded)
+
+    visit(tree, False)
+    return found
+
+
+def test_every_open_is_guarded_against_oserror():
+    offenders = {
+        path.name: opens
+        for path in SOURCES
+        if (opens := _unguarded_opens(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert offenders == {}
+
+
+def test_guard_flags_unguarded_opens():
+    source = (
+        "def read(path):\n"
+        "    try:\n"
+        "        with open(path) as fh:\n"
+        "            return fh.read()\n"
+        "    except (OSError, UnicodeDecodeError):\n"
+        "        return open(path + '.bak').read()\n"
+        "def write(path):\n"
+        "    try:\n"
+        "        open(path, 'w').close()\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "try:\n"
+        "    def later(path):\n"
+        "        return open(path)\n"
+        "    fd = os.open(path, 0)\n"
+        "except OSError:\n"
+        "    pass\n"
+    )
+    assert _unguarded_opens(ast.parse(source)) == [
+        "line 6: open(path + '.bak')",
+        "line 9: open(path, 'w')",
+        "line 14: open(path)",
     ]

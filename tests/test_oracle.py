@@ -4,8 +4,9 @@ The Hamiltonian spectrum tests derive the expected eigenvalues from
 binomial counting alone (each magnetization sector contributes a pair
 +/- Gamma(m1, m2)/2 with multiplicity zeta1 * zeta2), which never touches
 the sector-sum code path under test elsewhere.  The block route is checked
-against the dense builder and a literal partial trace of the complex kron
-construction at N <= 4, and against the sector sum at N = 10 and 20.
+against the dense Hamiltonian of complex kron chains (`_kron_hamiltonian`,
+its spectrum and a literal partial trace of its evolution) at N <= 4, and
+against the sector sum at N = 10 and 20.
 """
 
 import math
@@ -24,7 +25,6 @@ from frustra_gp import (
     TimeGrid,
     bloch_at,
     bloch_trajectory,
-    build_hamiltonian,
     evolve_reduced,
     initial_density,
     oracle_trajectory,
@@ -37,12 +37,6 @@ from frustra_gp.oracle import (
     _reduced_series,
     _spin_multiplicities,
 )
-
-
-def test_build_refused_above_cap():
-    cfg = SystemConfig(omega=1.0, alpha1=0.5, alpha2=0.5, bath_size=5)
-    with pytest.raises(DimensionCapError):
-        build_hamiltonian(cfg)
 
 
 @pytest.mark.parametrize(
@@ -67,17 +61,37 @@ def test_evolution_refused_above_cap_before_allocating(run, monkeypatch):
 
 def test_hamiltonian_shape_and_hermiticity():
     cfg = SystemConfig(omega=2.0, alpha1=0.7, alpha2=0.3, bath_size=2)
-    ham = build_hamiltonian(cfg)
-    assert ham.shape == (2 * 4**2, 2 * 4**2)
-    assert ham.dtype == np.float64
-    assert np.array_equal(ham, ham.T)
+    for _, pairs in _block_stacks(cfg.bath_size):
+        ham = _block_hamiltonians(cfg, pairs)
+        dim = 2 * (pairs[0][0] + 1) * (pairs[0][1] + 1)
+        assert ham.shape == (len(pairs), dim, dim)
+        assert ham.dtype == np.float64
+        assert np.array_equal(ham, ham.transpose(0, 2, 1))
 
 
 def test_free_qubit_spectrum_frozen():
     # omega=2, no coupling, N=1: energies +/-1, each 4-fold (bath dim 4)
     cfg = SystemConfig(omega=2.0, alpha1=0.0, alpha2=0.0, bath_size=1)
-    energies = np.linalg.eigh(build_hamiltonian(cfg))[0]
-    assert np.allclose(np.sort(energies), [-1.0] * 4 + [1.0] * 4, atol=1e-14)
+    energies = _block_spectrum(cfg)
+    assert np.allclose(energies, [-1.0] * 4 + [1.0] * 4, atol=1e-14)
+
+
+def _kron_hamiltonian(cfg):
+    """H from complex kron chains, one collective spin operator per bath."""
+    n = cfg.bath_size
+    eye = np.eye(2**n, dtype=complex)
+
+    def collective(single):
+        total = np.zeros((2**n, 2**n), dtype=complex)
+        for k in range(n):
+            op = np.kron(np.eye(2**k, dtype=complex), single)
+            total += np.kron(op, np.eye(2 ** (n - k - 1), dtype=complex))
+        return total
+
+    h = (cfg.omega / 2.0) * np.kron(SIGMA_Z, np.kron(eye, eye))
+    h += (cfg.alpha1 / 2.0) * np.kron(SIGMA_X, np.kron(collective(SIGMA_X / 2.0), eye))
+    h += (cfg.alpha2 / 2.0) * np.kron(SIGMA_Y, np.kron(eye, collective(SIGMA_Y / 2.0)))
+    return h
 
 
 def _sector_spectrum(cfg):
@@ -113,8 +127,8 @@ def test_spectrum_matches_sector_frequencies():
             alpha2=float(rng.uniform(0.0, 1.5)),
             bath_size=n,
         )
-        energies = np.linalg.eigh(build_hamiltonian(cfg))[0]
-        assert np.max(np.abs(np.sort(energies) - _sector_spectrum(cfg))) < 1e-12
+        energies = np.linalg.eigvalsh(_kron_hamiltonian(cfg))
+        assert np.max(np.abs(energies - _sector_spectrum(cfg))) < 1e-12
 
 
 def test_block_spectra_match_dense_spectrum():
@@ -126,7 +140,7 @@ def test_block_spectra_match_dense_spectrum():
             alpha2=float(rng.uniform(0.0, 1.5)),
             bath_size=n,
         )
-        dense = np.linalg.eigh(build_hamiltonian(cfg))[0]
+        dense = np.linalg.eigvalsh(_kron_hamiltonian(cfg))
         assert np.max(np.abs(_block_spectrum(cfg) - dense)) < 1e-12
 
 
@@ -238,8 +252,8 @@ def test_projected_series_matches_literal_partial_trace():
 
 def test_hamiltonian_is_real_in_product_basis():
     # sigma_y (x) J_y is a product of two imaginary matrices, so H is exactly
-    # real and the oracle diagonalizes it with a real eigensolver.  Checked
-    # on the complex kron construction, independent of the real builder.
+    # real and the oracle diagonalizes its blocks with a real eigensolver.
+    # Checked on the complex kron construction, independent of the blocks.
     rng = np.random.default_rng(29)
     for n in (1, 2, 3):
         for _ in range(3):
@@ -250,44 +264,6 @@ def test_hamiltonian_is_real_in_product_basis():
                 bath_size=n,
             )
             assert not np.any(_kron_hamiltonian(cfg).imag)
-
-
-def _kron_hamiltonian(cfg):
-    """H from complex kron chains, one collective spin operator per bath."""
-    n = cfg.bath_size
-    eye = np.eye(2**n, dtype=complex)
-
-    def collective(single):
-        total = np.zeros((2**n, 2**n), dtype=complex)
-        for k in range(n):
-            op = np.kron(np.eye(2**k, dtype=complex), single)
-            total += np.kron(op, np.eye(2 ** (n - k - 1), dtype=complex))
-        return total
-
-    h = (cfg.omega / 2.0) * np.kron(SIGMA_Z, np.kron(eye, eye))
-    h += (cfg.alpha1 / 2.0) * np.kron(SIGMA_X, np.kron(collective(SIGMA_X / 2.0), eye))
-    h += (cfg.alpha2 / 2.0) * np.kron(SIGMA_Y, np.kron(eye, collective(SIGMA_Y / 2.0)))
-    return h
-
-
-def test_hamiltonian_bytes_match_kron_construction():
-    # H is assembled from cached real operators; every entry comes from one
-    # term alone, so the bytes equal those of the complex kron chains' real
-    # part, which is all of them (test_hamiltonian_is_real_in_product_basis).
-    rng = np.random.default_rng(31)
-    for n in (1, 2, 3, 4):
-        couplings = [(0.0, 0.0), (0.8, 0.0), (0.0, 0.8)]
-        couplings += [tuple(rng.uniform(0.0, 2.0, 2)) for _ in range(2)]
-        for a1, a2 in couplings:
-            cfg = SystemConfig(
-                omega=float(rng.uniform(0.1, 3.0)),
-                alpha1=float(a1),
-                alpha2=float(a2),
-                bath_size=n,
-            )
-            ham = build_hamiltonian(cfg)
-            assert ham.dtype == np.float64
-            assert ham.tobytes() == _kron_hamiltonian(cfg).real.tobytes()
 
 
 def test_reduced_state_stays_physical():

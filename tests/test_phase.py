@@ -16,10 +16,11 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frustra_gp import (
@@ -98,6 +99,49 @@ def test_principal_value_scalar_is_builtin_float():
                 "passed": principal_value(np.float64(7.0)) <= 1.0})
     assert math.isnan(principal_value(math.nan))
     assert math.isnan(principal_value(math.inf))
+
+
+def _two_fold_reference(x):
+    """principal_value's arithmetic before the fmod reduction for huge inputs."""
+    wrapped = x - 2.0 * math.pi * math.floor((x + math.pi) / (2.0 * math.pi))
+    if wrapped >= math.pi:
+        wrapped -= 2.0 * math.pi
+    if wrapped < -math.pi:
+        wrapped += 2.0 * math.pi
+    return wrapped
+
+
+def _check_principal_value(x):
+    out = principal_value(x)
+    assert np.float64(out).tobytes() == principal_value(np.array([x]))[0].tobytes()
+    assert -math.pi <= out < math.pi
+    reference = _two_fold_reference(x)
+    if -math.pi <= reference < math.pi:
+        assert np.float64(out).tobytes() == np.float64(reference).tobytes()
+
+
+# The two folds left 1.1430261876889298e17 at -9.7.  5020369408244.841
+# needs the first fold (wrapped >= pi); a log-uniform search found no such
+# input below 1e12.
+@example(x=1.1430261876889298e17)
+@example(x=-1.1430261876889298e17)
+@example(x=5020369408244.841)
+@example(x=sys.float_info.max)
+@example(x=-sys.float_info.max)
+@example(x=5e-324)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_principal_value_of_any_finite_float(x):
+    _check_principal_value(x)
+
+
+@example(k=0)
+@example(k=-1)
+@example(k=2**52)
+@given(k=st.integers(-(2**60), 2**60))
+def test_principal_value_beside_odd_multiples_of_pi(k):
+    odd = (2 * k + 1) * math.pi
+    for x in (math.nextafter(odd, -math.inf), odd, math.nextafter(odd, math.inf)):
+        _check_principal_value(x)
 
 
 def test_angular_distance_properties():
