@@ -482,6 +482,16 @@ def write_compare_csv(report: StrategyReport, sink) -> None:
     _write_lines(sink, header, map(_csv_line, table))
 
 
+def _write_file(path: str, mode: str, writer) -> None:
+    """Open `path` in `mode` and hand it to `writer(fh)`; a file that cannot
+    be opened or written raises ConfigError."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            writer(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+
+
 def _emit(p: dict, writer, payload) -> None:
     """Write `--out` ('-' is stdout) through `writer(sink)`, or, under
     `--format json`, write `payload()` as one strict JSON line.
@@ -495,11 +505,7 @@ def _emit(p: dict, writer, payload) -> None:
         writer(sys.stdout)
         sys.stdout.flush()
         return
-    try:
-        with open(p["out"], "w", encoding="utf-8", newline="") as fh:
-            writer(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {p['out']}: {exc}") from exc
+    _write_file(p["out"], "w", writer)
 
 
 # ---------------------------------------------------------------------------
@@ -654,6 +660,10 @@ def run(argv=None) -> int:
             return int(exc.code or 0)
         run_cfg = _resolve(namespace)
         params = _materialize(run_cfg)
+        if params["out"] != "-":
+            # An unwritable file fails here, not after the run.  Append mode
+            # creates a missing file but never truncates an existing one.
+            _write_file(params["out"], "a", lambda fh: fh.write(""))
         return _HANDLERS[run_cfg.subcommand](params)
     except (UsageError, ConfigError) as exc:
         print(f"frustra-gp: error: {exc}", file=sys.stderr)

@@ -464,3 +464,16 @@ def literal_polarizations(
     """
     pts = literal_points(config, angles, np.array([check_time("t", t)]))
     return BlochVector.from_array(pts[0])
+
+
+__all__ = [
+    "BlochTrajectory",
+    "TimeGrid",
+    "bloch_at",
+    "bloch_trajectory",
+    "gamma_freq",
+    "literal_points",
+    "literal_polarizations",
+    "rotation_matrices",
+    "sector_rotation",
+]

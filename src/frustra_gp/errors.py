@@ -36,3 +36,15 @@ class PreconditionError(FrustraGpError):
 
 class OracleError(FrustraGpError):
     """Block eigensolver failure inside the exact-evolution reference."""
+
+
+__all__ = [
+    "ConfigError",
+    "DimensionCapError",
+    "FrustraGpError",
+    "IndeterminatePhaseError",
+    "OracleError",
+    "PreconditionError",
+    "ResolutionError",
+    "UsageError",
+]

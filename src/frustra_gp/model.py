@@ -270,3 +270,16 @@ def sector_weights(bath_size: int) -> list[SectorWeight]:
         out.append(SectorWeight(m=k - n / 2.0, zeta=zeta, w=zeta / denom))
         zeta = zeta * (n - k) // (k + 1)
     return out
+
+
+__all__ = [
+    "BlochVector",
+    "InitialStateAngles",
+    "QubitDensity",
+    "SectorWeight",
+    "SystemConfig",
+    "initial_bloch",
+    "initial_density",
+    "sector_weights",
+    "validate_config",
+]

@@ -107,13 +107,9 @@ def principal_value(angle):
             wrapped -= TWO_PI
         if wrapped < -math.pi:
             wrapped += TWO_PI
-        if not -math.pi <= wrapped < math.pi:
-            wrapped = math.fmod(angle, TWO_PI)
-            if wrapped >= math.pi:
-                wrapped -= TWO_PI
-            elif wrapped < -math.pi:
-                wrapped += TWO_PI
-        return wrapped
+        if -math.pi <= wrapped < math.pi:
+            return wrapped
+        angle = np.array(angle)  # out of range: the array path's fmod fold
     angle = np.asarray(angle, dtype=float)
     wrapped = angle - TWO_PI * np.floor((angle + math.pi) / TWO_PI)
     wrapped = np.where(wrapped >= math.pi, wrapped - TWO_PI, wrapped)
@@ -330,8 +326,9 @@ class PolarTrack:
             raise ConfigError(f"points must be finite, of shape ({grid.n_steps}, 3)")
         x, y = pts[:, 0], pts[:, 1]
         a = pts[:, 2].copy()
-        rxy2 = x * x + y * y
-        eps = np.sqrt(rxy2 + a * a)
+        with np.errstate(over="ignore"):  # the hypot route below takes over
+            rxy2 = x * x + y * y
+            eps = np.sqrt(rxy2 + a * a)
         if _SQUARES_EXACT_MIN <= eps.min() and eps.max() < math.inf:
             rxy = np.sqrt(rxy2)
             ratio = a / eps
@@ -342,7 +339,9 @@ class PolarTrack:
             eps = np.hypot(a, rxy)
             ratio = np.divide(a, eps, out=np.zeros_like(a), where=eps > 0.0)
         azimuth = Azimuth.from_xy(grid, x, y, rxy / 2.0 < R_TOL)
-        return cls(azimuth, a, np.clip((1.0 + ratio) / 2.0, 0.0, 1.0), eps)
+        # eps >= |a| on both routes (fl(a*a) has square root |a|, and hypot
+        # is faithfully rounded), so |ratio| <= 1 and no clip is needed.
+        return cls(azimuth, a, (1.0 + ratio) / 2.0, eps)
 
 
 @dataclass(frozen=True)
@@ -563,3 +562,19 @@ def gp_unitary_reference(theta0: float) -> float:
     if not (0.0 <= theta0 <= math.pi):
         raise ConfigError("theta0 must lie in [0, pi]")
     return principal_value(-math.pi * (1.0 - math.cos(theta0)))
+
+
+__all__ = [
+    "Azimuth",
+    "GpDiagnostics",
+    "GpResult",
+    "PolarTrack",
+    "angular_distance",
+    "gp_closed_form",
+    "gp_discrete_holonomy",
+    "gp_south_pole",
+    "gp_unitary_reference",
+    "pancharatnam_phase",
+    "polar_track",
+    "principal_value",
+]

@@ -380,6 +380,19 @@ def test_config_file_error_reporting(tmp_path):
     with pytest.raises(ConfigError, match="does not declare a subcommand"):
         load_config(bad)
 
+    bad.write_text("subcommand=gp\n = 3\n")
+    with pytest.raises(ConfigError, match=r"line 2: missing key before '='"):
+        load_config(bad)
+
+    bad.write_text("subcommand=plot\n")
+    with pytest.raises(ConfigError, match=r"line 1: unknown subcommand 'plot'"):
+        load_config(bad)
+
+    # blank and comment-only lines are skipped but keep their line numbers
+    bad.write_text("# a gp run\n\n   # indented comment\nsubcommand=gp\nomega=abc\n")
+    with pytest.raises(ConfigError, match=r"line 5: invalid value for omega"):
+        load_config(bad)
+
 
 def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     # a byte sequence that is no UTF-8 is a caller mistake like a missing
@@ -416,6 +429,12 @@ def test_run_config_round_trip(tmp_path):
     assert reloaded == cfg  # provenance excluded from equality
     assert reloaded is not cfg
     assert isinstance(cfg, RunConfig)
+
+
+def test_serialize_config_omits_unset_values():
+    # a required key still unset (None) has no file form; it is left out
+    cfg = RunConfig("gp", {"theta": "1.25", "bath-size": None, "out": "-"})
+    assert serialize_config(cfg) == "subcommand=gp\nout=-\ntheta=1.25\n"
 
 
 @pytest.mark.parametrize("out", ["res#1.txt", " padded.txt ", "padded.txt\t", "two\nlines"])
@@ -536,15 +555,40 @@ SMALL_ARGS = {
 }
 
 
+# The computation each subcommand hands to its writer.
+COMPUTE_ENTRY = {
+    "bloch": "bloch_trajectory",
+    "gp": "bloch_trajectory",
+    "surface": "gp_surface",
+    "compare": "strategy_compare",
+    "verify": "verify_suite",
+}
+
+
 @pytest.mark.parametrize("kind", ["missing_directory", "directory"])
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
-def test_unwritable_out_is_config_error(tmp_path, capsys, subcommand, kind):
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch, subcommand, kind):
+    # the path is refused before the run: the computation is never called
+    def never(*args, **kwargs):
+        raise AssertionError(f"{COMPUTE_ENTRY[subcommand]} ran before --out was checked")
+
+    monkeypatch.setattr(cli, COMPUTE_ENTRY[subcommand], never)
     out = tmp_path / "absent" / "x.csv" if kind == "missing_directory" else tmp_path
     assert run([*SMALL_ARGS[subcommand], "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"frustra-gp: error: cannot write output file {out}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_failed_run_leaves_an_existing_out_file_unchanged(tmp_path, capsys):
+    # the --out probe opens for append, so a run that fails after it keeps
+    # the old bytes of the file
+    out = tmp_path / "gp.txt"
+    out.write_bytes(b"earlier result\n")
+    assert run(["gp", "--bath-size", "1", "--method", "south_pole", "--out", str(out)]) == 2
+    assert "south-pole form requires theta0 = pi" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier result\n"
 
 
 def test_every_other_package_error_is_a_numerical_error(monkeypatch, capsys):
@@ -646,6 +690,26 @@ def test_compare_labels_couplings_that_agree_to_six_digits(tmp_path):
         "alpha1=0.1234568 alpha2=0",
         "alpha1=1e-07 alpha2=2.5",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gp", "--omega", "nan"], "invalid value for omega: 'nan' (must be finite)"),
+        (
+            ["gp", "--steps", "1"],
+            "invalid value for steps: '1' (must be 'auto' or an integer >= 2)",
+        ),
+        (
+            ["compare", "--couplings", "1;0,1"],
+            "invalid value for couplings: '1;0,1' (bad coupling pair '1'; expected 'a1,a2;...')",
+        ),
+    ],
+    ids=["non-finite-float", "too-few-steps", "bad-coupling-pair"],
+)
+def test_flag_value_refused_by_its_converter(capsys, argv, message):
+    assert run([*argv, "--bath-size", "1"]) == 1
+    assert capsys.readouterr().err == f"frustra-gp: error: {message}\n"
 
 
 def test_compare_rejects_single_coupling(capsys):

@@ -564,3 +564,6 @@ def test_trajectory_validation():
     mixed_start = np.array([[0.0, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.5, 0.0]])
     with pytest.raises(ConfigError):
         BlochTrajectory(grid=grid, points=mixed_start)
+    not_finite = np.array([[0.0, 1.0, 0.0], [0.0, math.nan, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ConfigError, match="non-finite points"):
+        BlochTrajectory(grid=grid, points=not_finite)

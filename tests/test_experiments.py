@@ -24,6 +24,7 @@ from frustra_gp import (
     max_sector_freq,
     polar_track,
     rotation_matrices,
+    sector_weights,
     strategy_compare,
     verify_suite,
 )
@@ -405,6 +406,17 @@ def test_strategy_compare_metrics_and_winner():
 def test_verify_suite_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         verify_suite(seed=-1)
+
+
+def test_verify_suite_records_a_wrong_zeta_total(monkeypatch):
+    # a ladder whose zeta do not sum to 2^N fails the normalization check
+    # with an infinite measure; the other checks do not read that ladder
+    monkeypatch.setattr(experiments, "sector_weights", lambda n: sector_weights(n)[1:])
+    report = verify_suite()
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.name for c in failed] == ["sector_weight_normalization"]
+    assert failed[0].measured == math.inf
+    assert not report.all_passed
 
 
 def test_verify_suite_passes():

@@ -4,7 +4,7 @@ function takes a parameter that its body never reads, no dataclass keeps a
 field that no module reads, no module but model decides by hand whether a
 value is a bool, every call of the builtin open sits in a try that catches
 OSError, and the package re-exports exactly the public names its modules
-declare.
+declare, each declared once: in its module's literal __all__ list.
 
 Each source file is parsed with ast, so the checks need no import side
 effects.  A private name is one with a single leading underscore; dunder
@@ -100,6 +100,90 @@ def test_package_all_matches_module_all():
         if declared.get(home) and name not in declared[home]:
             undeclared.append(name)
     assert undeclared == []
+
+
+def _literal_all(tree: ast.Module) -> bool:
+    """Whether the module binds __all__ once, at top level, to a list of strings."""
+    bindings = [
+        node
+        for node in tree.body
+        if any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+        )
+    ]
+    return (
+        len(bindings) == 1
+        and isinstance(bindings[0], ast.Assign)
+        and isinstance(bindings[0].value, ast.List)
+        and all(
+            isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            for elt in bindings[0].value.elts
+        )
+    )
+
+
+def _second_declarations(init: ast.Module, modules: dict[str, ast.Module]) -> list[str]:
+    """Imports by which the package's __init__ would declare a name a second time.
+
+    A public name is declared once, in its module's __all__.  So __init__
+    takes a sibling only as `from .x import *`, which re-exports that list,
+    or as `from . import x`, to add x.__all__ to its own; and each sibling
+    it star-imports binds __all__ to a literal list, which static checkers
+    can read.  `modules` maps sibling names to their parsed source.
+    """
+    found = []
+    for node in ast.walk(init):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = _sibling(node.module, node.level)
+        if source is None:
+            continue
+        names = ", ".join(
+            alias.name + (f" as {alias.asname}" if alias.asname else "") for alias in node.names
+        )
+        if source == "":
+            if not all(a.name in SIBLINGS and a.asname is None for a in node.names):
+                found.append(f"line {node.lineno}: from . import {names}")
+        elif names != "*":
+            found.append(f"line {node.lineno}: from {source} import {names}")
+        elif source not in modules or not _literal_all(modules[source]):
+            found.append(f"line {node.lineno}: {source} has no literal __all__ list")
+    return found
+
+
+def test_package_declares_each_public_name_once():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    assert _second_declarations(trees.pop("__init__"), trees) == []
+
+
+def test_guard_flags_second_declarations():
+    init = (
+        "from . import dynamics, phase\n"
+        "from .dynamics import *\n"
+        "from .phase import gp_closed_form, polar_track\n"
+        "from frustra_gp.errors import ConfigError as Refused\n"
+        "from .model import *\n"
+        "from .oracle import *\n"
+        "from .errors import *\n"
+        "from . import dynamics as dyn, __version__\n"
+        "from numpy import *\n"
+    )
+    modules = {
+        "dynamics": "__all__ = ['TimeGrid', 'bloch_trajectory']\n",
+        "model": "__all__ = sorted(['SystemConfig'])\n",
+        "oracle": "__all__ = ['evolve_reduced']\n__all__ += ['oracle_trajectory']\n",
+        "errors": "NAMES = ['ConfigError']\n",
+    }
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    assert _second_declarations(ast.parse(init), trees) == [
+        "line 3: from phase import gp_closed_form, polar_track",
+        "line 4: from errors import ConfigError as Refused",
+        "line 5: model has no literal __all__ list",
+        "line 6: oracle has no literal __all__ list",
+        "line 7: errors has no literal __all__ list",
+        "line 8: from . import dynamics as dyn, __version__",
+    ]
 
 
 def test_guard_flags_private_imports_and_attribute_reads():

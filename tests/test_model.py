@@ -196,6 +196,10 @@ def test_qubit_density_validation():
         QubitDensity(np.array([[0.7, 0.0], [0.0, 0.7]]))  # trace != 1
     with pytest.raises(ConfigError):
         QubitDensity(np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+    with pytest.raises(ConfigError, match=r"must be 2x2, got \(3, 3\)"):
+        QubitDensity(np.eye(3) / 3.0)
+    with pytest.raises(ConfigError, match="non-finite entries"):
+        QubitDensity(np.array([[0.5, math.nan], [0.0, 0.5]]))
     mixed = QubitDensity(np.array([[0.75, 0.0], [0.0, 0.25]]))
     assert mixed.purity() == pytest.approx(0.625, abs=1e-15)
     assert np.allclose(mixed.bloch_vector().as_array(), [0.0, 0.0, 0.5], atol=1e-15)
@@ -246,6 +250,8 @@ def test_bloch_vector_roundtrip():
     v = BlochVector(0.3, -0.4, 0.5)
     w = BlochVector.from_array(v.as_array())
     assert (w.x, w.y, w.z) == (0.3, -0.4, 0.5)
+    with pytest.raises(ConfigError, match=r"must have shape \(3,\), got \(1, 3\)"):
+        BlochVector.from_array(np.array([[0.3, -0.4, 0.5]]))
 
 
 _CFG = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=2)

@@ -17,6 +17,7 @@ import inspect
 import json
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -94,6 +95,9 @@ def test_principal_value_scalar_is_builtin_float():
             assert out == expected
             assert -math.pi <= out < math.pi
     assert principal_value(3) == principal_value(3.0)
+    # a 0-d array is a scalar too
+    zero_d = principal_value(np.array(7.0))
+    assert type(zero_d) is float and zero_d == principal_value(7.0)
     # Comparisons of the result are plain bools, so reports stay JSON.
     json.dumps({"gamma": principal_value(np.float64(7.0)),
                 "passed": principal_value(np.float64(7.0)) <= 1.0})
@@ -393,6 +397,26 @@ def test_from_points_matches_reference_route(pts):
     assert np.array_equal(track.theta_t[same_eps], want["theta_t"][same_eps])
 
 
+# Components up to 1e308 keep |v| below the float maximum; x, y >= 0 keep
+# the azimuth in one quadrant, so no step is too large to unwrap.
+_ANY_SCALE = st.floats(-1e308, 1e308)
+_QUADRANT = st.floats(0.0, 1e308)
+
+
+@example(rows=[(0.0, 0.0, 0.0), (0.0, 0.0, -0.0)])
+@example(rows=[(5e-324, 0.0, -5e-324), (0.0, 5e-324, 1e-310)])
+@example(rows=[(1e308, 1e308, -1e308), (0.0, 0.0, 1e308), (1e-300, 0.0, -1e308)])
+@example(rows=[(1e-170, 3e-171, -2e-170), (1.0, 0.0, 1e-200)])
+@given(rows=st.lists(st.tuples(_QUADRANT, _QUADRANT, _ANY_SCALE), min_size=2, max_size=12))
+def test_from_points_sin2_half_needs_no_clip(rows):
+    # eps >= |A| on both of from_points' routes, so (1 + A/eps)/2 already
+    # lies in [0, 1]: clipping it changes no bit.
+    pts = np.array(rows, dtype=float)
+    sin2_half = PolarTrack.from_points(pts, TimeGrid(1.0, len(rows))).sin2_half
+    assert np.all((0.0 <= sin2_half) & (sin2_half <= 1.0))
+    assert np.clip(sin2_half, 0.0, 1.0).tobytes() == sin2_half.tobytes()
+
+
 def test_stationary_pole_gives_zero_phase():
     # theta0 = pi pins the polarization to the z axis: every node is
     # azimuth-singular, chi stays flat, and both routes return exactly zero
@@ -684,6 +708,15 @@ def test_discrete_holonomy_rejects_fully_mixed_node():
     traj = BlochTrajectory(grid=grid, points=pts)
     with pytest.raises(PreconditionError):
         gp_discrete_holonomy(traj)
+
+
+def test_discrete_holonomy_rejects_impure_start():
+    # BlochTrajectory itself demands a start within 1e-10 of the sphere, so
+    # the route's own check is reached only by a stand-in that has points.
+    pts = np.array([[0.0, 0.0, 0.5], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    stand_in = types.SimpleNamespace(grid=TimeGrid(1.0, 3), points=pts)
+    with pytest.raises(PreconditionError, match=r"initial state not pure: \|v\(0\)\| = 0\.5"):
+        gp_discrete_holonomy(stand_in)
 
 
 def test_pancharatnam_gauge_invariance():
