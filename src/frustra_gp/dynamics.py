@@ -27,7 +27,9 @@ cancel in pairs, so the summed map has exactly five nonzero entries: the
 diagonal and M_xy = -M_yx.  The map sees a sector only through Gamma and
 its coefficient row, so folded sectors with exactly equal Gamma^2 are
 merged into one row (at N = 48 with alpha1 = alpha2 that takes 625 rows to
-273; with alpha2 = 0 only the m1 ladder is left).
+273; with alpha2 = 0 only the m1 ladder is left).  When alpha1 = alpha2,
+swapping the baths swaps x and y, so M_yy = M_xx and the y sums are not
+taken at all.
 
 One route evaluates the sum: cos and sin are taken only at anchors every K
 nodes and at the K offsets of one block, and angle addition turns them into
@@ -124,7 +126,12 @@ class BlochTrajectory:
             )
         if not np.all(np.isfinite(pts)):
             raise ConfigError("trajectory contains non-finite points")
-        norms = np.linalg.norm(pts, axis=1)
+        # np.linalg.norm(pts, axis=1) bit for bit, by columns: its sum of
+        # three squares runs left to right
+        x, y, z = pts.T
+        norms = x * x + y * y
+        norms += z * z
+        np.sqrt(norms, out=norms)
         if norms.max() > 1.0 + 1e-12:
             raise ConfigError("trajectory leaves the Bloch ball beyond 1e-12")
         if abs(norms[0] - 1.0) > 1e-10:
@@ -168,8 +175,9 @@ def sector_rotation(
 
 
 # Elements in each operand of a sector chunk's product (512 KB of float64):
-# the (2c, 8K) offset table and the (2c, anchors) block, so no buffer but
-# the (anchors, 8K) sums and product grows with S or n (the block holds two
+# the (2c, 2hK) offset table, h = 4 rows of p and of q (h = 3 when
+# alpha1 = alpha2), and the (2c, anchors) block, so no buffer but the
+# (anchors, 2hK) sums and product grows with S or n (the block holds two
 # rows of anchors when one sector alone overfills it, past 32768 anchors).
 # The product is one GEMM, which OpenBLAS may split over its threads.  For
 # the configs of the byte tests (up to 398 chunks at N = 400 in
@@ -178,7 +186,13 @@ def sector_rotation(
 # It does not always: at N = 30, (0.3, 0.7), t = 5 (n = 371, K = 19,
 # S = 254) the (20 x 430) @ (430 x 152) product sums in another order at 2
 # threads, and 937 map entries move by up to 1.3e-15.  The map's bytes can
-# therefore depend on OPENBLAS_NUM_THREADS.
+# therefore depend on OPENBLAS_NUM_THREADS.  The kernel OpenBLAS picks also
+# depends on the product's size, so h = 3 can round differently from h = 4
+# (measured with OpenBLAS 0.3.31 on an AVX-512 Xeon: products of at most 10^6
+# multiply-adds and the larger ones agree bit for bit while 2c <= 384, and
+# differ above).  At N = 48, alpha1 = alpha2 = 1/4, t = 5 (n = 279, K = 16,
+# chunks of 256) the first chunk crosses that size, and 842 map entries
+# differ from the h = 4 sums by up to 1.6e-15.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -188,15 +202,17 @@ def _sector_tables(config: SystemConfig):
 
     Returns (total, gammas, p, q, lift): total is the summed weight (1 up to
     rounding), gammas (S,) the distinct frequencies in ascending order, and
-    p, q (4, S) and lift (8,) the coefficients _sums_by_anchors applies to
+    p, q (h, S) and lift (2h,) the coefficients _sums_by_anchors applies to
     cos(Gamma t), to sin(Gamma t) and to 1.  Each |m| > 0 stands for the
     pair +-m and carries twice its ladder weight.  The map sees a sector
     only through Gamma and its coefficients, so the rows of sectors whose
     Gamma^2 is exactly equal are summed into one: swapped (m1, m2) when
     alpha1 = alpha2, every m2 when alpha2 = 0.  When alpha1 = alpha2 the y
-    coefficients are then the x coefficients, copied, so the map's M_yy is
-    M_xx bit for bit at every N (summed separately they could differ in
-    the last bit).
+    coefficients are the x ones (up to the order their merged rows were
+    summed in), so the tables leave y out (h = 3, x and z) and
+    rotation_matrices reads M_yy from the x sums: M_yy is M_xx bit for bit
+    at every N, and the kernel sums six rows, not eight.  Otherwise h = 4
+    (x, y and z).
     """
     ladder = [s for s in sector_weights(config.bath_size) if s.m >= 0.0]
     m = np.array([s.m for s in ladder])
@@ -206,30 +222,26 @@ def _sector_tables(config: SystemConfig):
     bz2 = config.omega * config.omega
     gammas2 = bx2 + by2 + bz2
     weights = np.repeat(w, w.size) * np.tile(w, w.size)
-    # w (1 - n_i^2) for i = x, y, z against 1 - cos, then w n_z against sin.
-    rows = np.column_stack([
-        weights * ((by2 + bz2) / gammas2),
-        weights * ((bx2 + bz2) / gammas2),
-        weights * ((bx2 + by2) / gammas2),
-        weights * (config.omega / np.sqrt(gammas2)),
-    ])
+    # w (1 - n_i^2) for i = x, y, z against 1 - cos, then w n_z against sin;
+    # no y when alpha1 = alpha2, where M_yy is read from the x sums.
+    rows = [weights * ((by2 + bz2) / gammas2)]
+    if config.alpha1 != config.alpha2:
+        rows.append(weights * ((bx2 + bz2) / gammas2))
+    rows.append(weights * ((bx2 + by2) / gammas2))
+    rows.append(weights * (config.omega / np.sqrt(gammas2)))
     distinct2, sector = np.unique(gammas2, return_inverse=True)
-    merged = np.zeros((distinct2.size, 4))
-    np.add.at(merged, sector, rows)
-    if config.alpha1 == config.alpha2:
-        # Swapped sectors share a row, so the x and y coefficients agree up
-        # to the order np.add.at summed them in; make them agree exactly.
-        merged[:, 1] = merged[:, 0]
+    merged = np.zeros((distinct2.size, len(rows)))
+    np.add.at(merged, sector, np.column_stack(rows))
     gammas = np.sqrt(distinct2)
-    wc, wz = merged[:, :3], merged[:, 3]
-    # The eight sums, in order: d/dt of the xy sum, the x, y, z sums of
-    # w c (1 - cos), the xy sum of w n_z sin, and d/dt of the x, y, z sums.
-    # The first four take cos (p), the last four sin (q), and the constant
-    # part of 1 - cos goes to the lift.
+    wc, wz = merged[:, :-1], merged[:, -1]
+    # The sums, in order: d/dt of the xy sum, the x, (y,) z sums of
+    # w c (1 - cos), the xy sum of w n_z sin, and d/dt of the x, (y,) z
+    # sums.  The first half takes cos (p), the second sin (q), and the
+    # constant part of 1 - cos goes to the lift.
     p = np.column_stack([gammas * wz, -wc]).T
     q = np.column_stack([wz, gammas[:, None] * wc]).T
-    lift = np.zeros(8)
-    lift[1:4] = wc.sum(axis=0)
+    lift = np.zeros(2 * len(rows))
+    lift[1 : len(rows)] = wc.sum(axis=0)
     for arr in (gammas, p, q, lift):
         arr.setflags(write=False)
     return float(weights.sum()), gammas, p, q, lift
@@ -250,10 +262,12 @@ def _offsets_per_anchor(times: np.ndarray) -> int:
 
 
 def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
-    """The x, y, z and xy sector sums at times, shape (4, n), in blocks of k nodes.
+    """The diagonal and xy sector sums at times, shape (h, n), in blocks of k nodes.
 
-    Node j = lo + b is the anchor a = times[lo] plus the offset o = b dt plus
-    a residual r = times[j] - a - o of a few ulp.  The eight sums of
+    p and q hold h rows each (_sector_tables): h = 4 gives the x, y, z and
+    xy sums, h = 3 (alpha1 = alpha2) the x, z and xy sums.  Node
+    j = lo + b is the anchor a = times[lo] plus the offset o = b dt plus a
+    residual r = times[j] - a - o of a few ulp.  The 2h sums of
     _sector_tables at a + o are lift + sum over sectors of
     p cos(Gamma (a + o)) + q sin(Gamma (a + o)), and
 
@@ -261,19 +275,21 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
         sin(a + o) = sin a cos o + cos a sin o
 
     make each sector chunk one product of the (anchors, 2c) block
-    [cos Gamma a | sin Gamma a] with the (2c, 8k) offset table
-    [p cos o, q sin o; -p sin o, q cos o], added to the sums.  The four
+    [cos Gamma a | sin Gamma a] with the (2c, 2hk) offset table
+    [p cos o, q sin o; -p sin o, q cos o], added to the sums.  The h
     derivative sums move each node by r onto times[j].  Each block restarts
     from the actual times[lo], so rounding does not build up from block to
     block.  At k = 1 the offset and r are exactly 0.
     """
-    n = times.size
+    n, h = times.size, p.shape[0]
     # one node per block takes no step (and a single time has none)
     dt = 0.0 if k == 1 else (times[-1] - times[0]) / (n - 1)
     offsets = np.arange(k) * dt
     # Times padded to whole blocks; the padded nodes are computed and dropped.
     seg = np.concatenate((times, np.full(-n % k, times[-1]))).reshape(-1, k)
     n_a = seg.shape[0]
+    # The width is sized for h = 4 at either h: it fixes which sectors each
+    # product sums, and so the map's bytes.
     width = max(1, min(_CHUNK_ELEMENTS // (16 * k), _CHUNK_ELEMENTS // (2 * n_a)))
     width = min(width, gammas.size)
     # The sums, the product and the widest chunk's operands share one
@@ -281,13 +297,14 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
     # Apart, the allocator returns their pages after every call and faults
     # them in again on the next (about 270 minor faults per call at N = 48
     # on 5441 nodes).
-    m = 8 * n_a * k
-    block = np.empty(2 * m + (2 * n_a + 19 * k) * width)
-    sums = block[:m].reshape(n_a, 8, k)
-    prod = block[m : 2 * m].reshape(n_a, 8, k)
+    m = 2 * h * n_a * k
+    block = np.empty(2 * m + (2 * n_a + 3 * k + 4 * h * (k + 1)) * width)
+    sums = block[:m].reshape(n_a, 2 * h, k)
+    prod = block[m : 2 * m].reshape(n_a, 2 * h, k)
     left_buf = block[2 * m :]
     trig_buf = left_buf[2 * n_a * width :]
-    table_buf = trig_buf[3 * k * width :]
+    coef_buf = trig_buf[3 * k * width :]
+    table_buf = coef_buf[4 * h * width :]
     sums[...] = lift[:, None]
     for lo in range(0, gammas.size, width):
         gam = gammas[lo : lo + width]
@@ -297,28 +314,33 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
         np.multiply.outer(gam, seg[:, 0], out=left[1])
         np.cos(left[1], out=left[0])
         np.sin(left[1], out=left[1])
-        # [sin o, cos o, -sin o]: [cos o, -sin o] against p, [sin o, cos o]
-        # against q
-        trig = trig_buf[: 3 * k * c].reshape(k, 3, c)
-        np.multiply.outer(offsets, gam, out=trig[:, 1])
-        np.sin(trig[:, 1], out=trig[:, 0])
-        np.cos(trig[:, 1], out=trig[:, 1])
-        np.negative(trig[:, 0], out=trig[:, 2])
-        # the table transposed, sectors innermost: (8, k, [cos a | sin a], c)
-        table = table_buf[: 16 * k * c].reshape(8, k, 2, c)
-        np.multiply(p[:, None, None, lo : lo + c], trig[:, 1:], out=table[:4])
-        np.multiply(q[:, None, None, lo : lo + c], trig[:, :2], out=table[4:])
+        # [sin o | cos o | -sin o] per offset: [cos o | -sin o] against
+        # [p | p], [sin o | cos o] against [q | q]
+        trig = trig_buf[: 3 * k * c].reshape(k, 3 * c)
+        np.multiply.outer(offsets, gam, out=trig[:, c : 2 * c])
+        np.sin(trig[:, c : 2 * c], out=trig[:, :c])
+        np.cos(trig[:, c : 2 * c], out=trig[:, c : 2 * c])
+        np.negative(trig[:, :c], out=trig[:, 2 * c :])
+        coef = coef_buf[: 4 * h * c].reshape(2, h, 2, c)
+        coef[0] = p[:, None, lo : lo + c]
+        coef[1] = q[:, None, lo : lo + c]
+        coef = coef.reshape(2, h, 1, 2 * c)
+        # the table transposed, sectors innermost: (2h, k, [cos a | sin a] c),
+        # filled in contiguous rows of 2c
+        table = table_buf[: 4 * h * k * c].reshape(2, h, k, 2 * c)
+        np.multiply(coef[0], trig[:, c:], out=table[0])
+        np.multiply(coef[1], trig[:, : 2 * c], out=table[1])
         np.matmul(
             left.reshape(2 * c, n_a).T,
-            table.reshape(8 * k, 2 * c).T,
-            out=prod.reshape(n_a, 8 * k),
+            table.reshape(2 * h * k, 2 * c).T,
+            out=prod.reshape(n_a, 2 * h * k),
         )
         sums += prod
-    # the x, y, z, xy sums moved by r along their derivatives
+    # the diagonal and xy sums moved by r along their derivatives
     r = (seg - seg[:, :1]) - offsets
-    sums[:, 1:4] += r[:, None, :] * sums[:, 5:]
-    sums[:, 4] += r * sums[:, 0]
-    return sums[:, 1:5].transpose(1, 0, 2).reshape(4, -1)[:, :n]
+    sums[:, 1:h] += r[:, None, :] * sums[:, h + 1 :]
+    sums[:, h] += r * sums[:, 0]
+    return sums[:, 1 : h + 1].transpose(1, 0, 2).reshape(h, -1)[:, :n]
 
 
 def _checked_times(times) -> np.ndarray:
@@ -348,8 +370,8 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
         M_ii = sum w - sum w (1 - c) (1 - n_i^2)      for i = x, y, z
         M_xy = -M_yx = -sum w s n_z
 
-    When alpha1 = alpha2, M_yy equals M_xx bit for bit, so the in-plane
-    block is a rotation times a scale.
+    When alpha1 = alpha2, M_yy is read from the x sums, so it equals M_xx
+    bit for bit and the in-plane block is a rotation times a scale.
 
     The sums run over the S distinct frequencies of _sector_tables (folded
     quadrant, equal Gamma merged), by angle addition from anchors every K
@@ -360,22 +382,25 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     included, take K = 1 and cos and sin at every node.  The two agree to
     about the rounding of Gamma t (5.7e-14 at Gamma t = 500).  Each chunk
     of sectors is one matrix product whose operands hold at most
-    _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 8) sums
-    and product is about 1 MB at any S and n.  Empty times give an empty
-    map; a NaN or infinite time, or one at which the fastest sector's
-    Gamma * t overflows, raises ConfigError.
+    _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 8)
+    sums and product ((n, 6) when alpha1 = alpha2) is about 1 MB at any S
+    and n.  Empty times give an empty map; a NaN or infinite time, or one
+    at which the fastest sector's Gamma * t overflows, raises ConfigError.
     """
     times = _checked_times(times)
     if times.size == 0:
         return np.zeros((0, 3, 3))
     total, *tables = _sector_tables(config)
     _check_rotation_angle(tables[0][-1], times)
-    sums = _sums_by_anchors(times, _offsets_per_anchor(times), *tables)
+    *diagonal, xy = _sums_by_anchors(times, _offsets_per_anchor(times), *tables)
+    if len(diagonal) == 2:
+        # alpha1 = alpha2: M_yy is M_xx, read from the same x sums
+        diagonal.insert(1, diagonal[0])
     out = np.zeros((times.size, 3, 3))
-    for i in range(3):
-        out[:, i, i] = total - sums[i]
-    out[:, 0, 1] = -sums[3]
-    out[:, 1, 0] = sums[3]
+    for i, d in enumerate(diagonal):
+        out[:, i, i] = total - d
+    out[:, 0, 1] = -xy
+    out[:, 1, 0] = xy
     return out
 
 

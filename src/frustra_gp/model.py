@@ -197,7 +197,7 @@ class QubitDensity:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):
         raise AttributeError("QubitDensity is immutable")
 
     def bloch_vector(self) -> BlochVector:

@@ -126,7 +126,7 @@ def _diagonalized(config: SystemConfig, pairs):
     """
     try:
         energies, vectors = np.linalg.eigh(_block_hamiltonians(config, pairs))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
+    except np.linalg.LinAlgError as exc:
         raise OracleError(f"block eigensolver failed: {exc}") from exc
     k, dim = energies.shape
     halves = vectors.reshape(k, 1, 2, dim // 2, dim)

@@ -530,13 +530,9 @@ def gp_discrete_holonomy(traj: BlochTrajectory) -> GpResult:
     Independent of the closed form: eigendecomposes each node analytically
     and multiplies normalized neighbor overlaps.  The positive factor
     sqrt(lambda_plus(0) lambda_plus(tau)) cannot move the arg and is only
-    reported as a diagnostic.
+    reported as a diagnostic.  The start is pure: BlochTrajectory refuses
+    one off the sphere by more than 1e-10.
     """
-    eps0 = float(np.linalg.norm(traj.points[0]))
-    if abs(eps0 - 1.0) > 1e-9:
-        raise PreconditionError(
-            f"initial state not pure: |v(0)| = {eps0:.12f}"
-        )
     rxy = np.hypot(traj.points[:, 0], traj.points[:, 1])
     spinors = _branch_spinors(traj.points, rxy)
     gamma, unwrapped, min_overlap = pancharatnam_phase(spinors)

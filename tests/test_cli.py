@@ -647,6 +647,25 @@ def test_compare_csv_contract(tmp_path):
     assert lines[3].split(",")[0] == winner
 
 
+def test_compare_tells_a_terminal_that_it_runs(monkeypatch, capsys, tmp_path):
+    args = [
+        "compare",
+        "--bath-size", "1",
+        "--t-end", "4",
+        "--steps", "201",
+        "--n-theta", "3",
+        "--n-phi", "2",
+        "--theta-min", "0.4",
+        "--theta-max", "2.7",
+        "--out", str(tmp_path / "report.csv"),
+    ]
+    assert run(args) == 0
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    assert run(args) == 0
+    assert capsys.readouterr().err == "comparing 4 strategies...\n"
+
+
 def test_compare_json_report(tmp_path):
     out = tmp_path / "report.json"
     args = [

@@ -420,8 +420,11 @@ def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch, alpha1, alpha2
         # Gamma in 398 sector chunks; building every chunk's offset table
         # up front would take 200 MB here
         (400, 0.3, 0.2, 5.0, 2298),
+        # the auto grid to t = 5 at equal couplings: six rows against 13788
+        # distinct Gamma in 159 sector chunks
+        (400, 0.25, 0.25, 5.0, 2253),
     ],
-    ids=["n48", "n400"],
+    ids=["n48", "n400", "n400-equal"],
 )
 def test_rotation_matrices_peak_memory_is_bounded(bath_size, alpha1, alpha2, t_end, n_nodes):
     cfg = SystemConfig(omega=2.0, alpha1=alpha1, alpha2=alpha2, bath_size=bath_size)
@@ -436,18 +439,21 @@ def test_rotation_matrices_peak_memory_is_bounded(bath_size, alpha1, alpha2, t_e
             tracemalloc.stop()
 
     # The first call also builds the config's sector tables, O(S) and
-    # cached: 7.3 MB at n400, 2.5 MB of it kept.
+    # cached: 7.3 MB at n400, 2.5 MB of it kept; 3.9 MB at n400-equal.
     dynamics._sector_tables.cache_clear()
     assert traced_peak() < 16 * 2**20
     # The sum itself: a 512 KB offset table, an anchor block of at most
-    # 512 KB, the (n, 8) sums and product and the (n, 3, 3) map: 1.7 MB at
-    # n48, 1.1 MB at n400.
+    # 512 KB, the (n, 8) sums and product ((n, 6) at equal couplings) and
+    # the (n, 3, 3) map: 1.3 MB at n48, 1.1 MB at n400, 0.9 MB at
+    # n400-equal.
     assert traced_peak() < 3 * 2**20
 
 
 def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
     # N = 400 on 2298 nodes: 398 sector chunks, each one GEMM of the
-    # (49, 174) anchor block with the (174, 376) offset table; and the
+    # (49, 174) anchor block with the (174, 376) offset table; gp-n48's map
+    # (N = 48, alpha1 = alpha2 = 1/2 on 5441 nodes to t = 50): 5 chunks,
+    # each a (75, 112) block with a (112, 438) six-row table; and the
     # literal series at N = 150, whose 22801 sectors np.dot would split
     # over the BLAS threads
     code = (
@@ -456,6 +462,9 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
         "from frustra_gp.dynamics import literal_points\n"
         "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=400)\n"
         "m = rotation_matrices(cfg, np.linspace(0.0, 5.0, 2298))\n"
+        "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+        "cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48)\n"
+        "m = rotation_matrices(cfg, np.linspace(0.0, 50.0, 5441))\n"
         "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
         "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=150)\n"
         "ang = InitialStateAngles(theta=1.1, phi=0.4)\n"
@@ -475,12 +484,17 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
     assert one == digest("2")
     cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=400)
     mats = rotation_matrices(cfg, np.linspace(0.0, 5.0, 2298))
+    gp_n48 = rotation_matrices(
+        SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48),
+        np.linspace(0.0, 50.0, 5441),
+    )
     lit = literal_points(
         SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=150),
         InitialStateAngles(theta=1.1, phi=0.4),
         np.linspace(0.0, 5.0, 50),
     )
-    assert [hashlib.sha256(x.tobytes()).hexdigest() for x in (mats, lit)] == one.split()
+    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (mats, gp_n48, lit)]
+    assert digests == one.split()
 
 
 def test_single_x_bath_map_commutes_with_half_turn_about_z():
@@ -507,6 +521,56 @@ def test_equal_couplings_give_m_yy_equal_to_m_xx_bit_for_bit(bath_size):
         for times in (uniform, arbitrary):
             mats = rotation_matrices(cfg, times)
             assert mats[:, 1, 1].tobytes() == mats[:, 0, 0].tobytes()
+
+
+def _eight_row_tables(p, q, lift):
+    """An alpha1 = alpha2 config's six-row tables with the x rows copied into y."""
+    rows = [0, 1, 1, 2]
+    return p[rows], q[rows], lift[[0, 1, 1, 2, 3, 4, 4, 5]]
+
+
+def _map_sums(mats):
+    """M_xx, M_yy, M_zz and M_yx: total minus the x, y and z sums, then the xy sum."""
+    return np.stack([mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2], mats[:, 1, 0]])
+
+
+@pytest.mark.parametrize("bath_size", [1, 3, 48, 400])
+def test_equal_couplings_sum_six_rows_to_the_bytes_of_eight(bath_size):
+    # alpha1 = alpha2 drops the y rows; putting copies of the x rows back
+    # must not move a bit of the x, z and xy sums, and both give the map
+    cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=bath_size)
+    total, gammas, p, q, lift = dynamics._sector_tables(cfg)
+    assert p.shape == q.shape == (3, gammas.size) and lift.shape == (6,)
+    rng = np.random.default_rng(bath_size)
+    uniform = np.linspace(0.0, 20.0, 2001)
+    arbitrary = np.sort(rng.uniform(0.0, 20.0, 200))
+    for times in (uniform, arbitrary, TimeGrid(3.0, 2).times()):
+        k = dynamics._offsets_per_anchor(times)
+        x, z, xy = dynamics._sums_by_anchors(times, k, gammas, p, q, lift)
+        eight = dynamics._sums_by_anchors(times, k, gammas, *_eight_row_tables(p, q, lift))
+        mats = _map_sums(rotation_matrices(cfg, times))
+        six = np.stack([total - x, total - x, total - z, xy])
+        assert six.tobytes() == mats.tobytes()
+        eight[:3] = total - eight[:3]
+        assert eight.tobytes() == mats.tobytes()
+
+
+def test_six_rows_round_like_eight_where_the_blas_changes_kernel():
+    # 279 nodes in blocks of 16 against 273 distinct Gamma in chunks of
+    # 256: the first chunk's product is 18 x 512 x 96 multiply-adds with six
+    # rows and 18 x 512 x 128 with eight, and OpenBLAS may pick another
+    # kernel for each size, which sums the 512 terms in another order
+    cfg = SystemConfig(omega=2.0, alpha1=0.25, alpha2=0.25, bath_size=48)
+    times = auto_time_grid(cfg, 5.0).times()
+    assert times.size == 279
+    total, gammas, p, q, lift = dynamics._sector_tables(cfg)
+    k = dynamics._offsets_per_anchor(times)
+    assert k == 16
+    eight = dynamics._sums_by_anchors(times, k, gammas, *_eight_row_tables(p, q, lift))
+    eight[:3] = total - eight[:3]
+    mats = _map_sums(rotation_matrices(cfg, times))
+    assert mats[1].tobytes() == mats[0].tobytes()
+    assert np.max(np.abs(eight - mats)) <= 4e-15
 
 
 def test_literal_points_match_rotation_identity():
@@ -567,3 +631,57 @@ def test_trajectory_validation():
     not_finite = np.array([[0.0, 1.0, 0.0], [0.0, math.nan, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(ConfigError, match="non-finite points"):
         BlochTrajectory(grid=grid, points=not_finite)
+
+
+# Rows of any float components up to 1e150, whose squares sum without
+# overflow, or seeded Gaussian rows at scales 1e-300 to 1e150; most of them
+# rescaled into the ball or to within 3 ulp of the 1 + 1e-12 and 1 -+ 1e-10
+# bounds, where the order of the three squares' sum can move the decision.
+_component = st.floats(min_value=-1e150, max_value=1e150)
+_gaussian_row = st.builds(
+    lambda seed, scale: np.random.default_rng(seed).standard_normal(3) * scale,
+    st.integers(0, 2**32),
+    st.sampled_from([1e-300, 1e-8, 1.0, 1e150]),
+)
+_near_bound = st.builds(
+    lambda b, ulps: b + ulps * np.spacing(b),
+    st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-10, 1.0 + 1e-10]),
+    st.integers(-3, 3),
+)
+_Z = np.array([0.0, 0.0, 1.0])
+
+
+@st.composite
+def _trajectory_row(draw):
+    any_floats = st.tuples(_component, _component, _component).map(np.array)
+    row = draw(st.one_of(any_floats, _gaussian_row))
+    norm = float(np.linalg.norm(row))
+    length = draw(st.one_of(_near_bound, _near_bound, st.floats(0.0, 1.0), st.none()))
+    if 0.0 < norm and length is not None:
+        row = row / norm * length
+    return row
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(_trajectory_row(), min_size=2, max_size=4))
+@example(rows=[np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.0, 1.0 + 1e-12])])
+@example(rows=[np.array([0.0, 0.0, 1.0 - 1e-10]), np.array([0.0, 0.0, 1e-300])])
+@example(rows=[np.array([1e150, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])])
+# rows on either side of a bound whose decision the order of the squares'
+# sum moves: summed in any other order (or by hypot) the first is refused
+# and the second accepted, and likewise for each pair of starts
+@example(rows=[_Z, np.array([-0.5805151768237155, -0.7416639657929774, -0.3360605471095411])])
+@example(rows=[_Z, np.array([0.0734508128983291, 0.779168546156764, 0.6224960680731484])])
+@example(rows=[np.array([-0.6151634096312266, -0.1656866948046576, 0.7707930321529847]), _Z])
+@example(rows=[np.array([0.5233419573686301, 0.19055219242116792, 0.8305438323297918]), _Z])
+@example(rows=[np.array([-0.9711947381301632, -0.20652977807089098, -0.1188538244999806]), _Z])
+@example(rows=[np.array([0.09634965390045612, -0.9951058139073042, -0.021935439843864767]), _Z])
+def test_trajectory_refuses_exactly_what_the_norm_rule_refuses(rows):
+    pts = np.array(rows)
+    norms = np.linalg.norm(pts, axis=1)
+    grid = TimeGrid(1.0, len(rows))
+    if norms.max() > 1.0 + 1e-12 or abs(norms[0] - 1.0) > 1e-10:
+        with pytest.raises(ConfigError, match="Bloch ball|Bloch sphere"):
+            BlochTrajectory(grid=grid, points=pts)
+    else:
+        assert BlochTrajectory(grid=grid, points=pts).points.tobytes() == pts.tobytes()

@@ -205,6 +205,13 @@ def test_qubit_density_validation():
     assert np.allclose(mixed.bloch_vector().as_array(), [0.0, 0.0, 0.5], atol=1e-15)
 
 
+def test_qubit_density_is_immutable():
+    rho = QubitDensity(np.array([[0.75, 0.0], [0.0, 0.25]]))
+    with pytest.raises(AttributeError, match="QubitDensity is immutable"):
+        rho.matrix = np.eye(2) / 2.0
+    assert rho.purity() == pytest.approx(0.625, abs=1e-15)
+
+
 def test_sector_weights_small_n_frozen():
     # zeta(m) = C(N, N/2 + m): the binomial ladder
     ladder = sector_weights(1)

@@ -21,6 +21,7 @@ from frustra_gp import (
     ConfigError,
     DimensionCapError,
     InitialStateAngles,
+    OracleError,
     SystemConfig,
     TimeGrid,
     bloch_at,
@@ -57,6 +58,16 @@ def test_evolution_refused_above_cap_before_allocating(run, monkeypatch):
     )
     with pytest.raises(DimensionCapError):
         run(cfg, InitialStateAngles(theta=1.0))
+
+
+def test_eigensolver_failure_is_an_oracle_error(monkeypatch):
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=2)
+    with pytest.raises(OracleError, match="block eigensolver failed: Eigenvalues did not"):
+        oracle_trajectory(cfg, InitialStateAngles(theta=1.0), TimeGrid(1.0, 3))
 
 
 def test_hamiltonian_shape_and_hermiticity():

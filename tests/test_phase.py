@@ -17,7 +17,6 @@ import inspect
 import json
 import math
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -711,12 +710,11 @@ def test_discrete_holonomy_rejects_fully_mixed_node():
 
 
 def test_discrete_holonomy_rejects_impure_start():
-    # BlochTrajectory itself demands a start within 1e-10 of the sphere, so
-    # the route's own check is reached only by a stand-in that has points.
+    # The route takes only trajectories, and BlochTrajectory refuses a start
+    # off the sphere by more than 1e-10, so an impure start never reaches it.
     pts = np.array([[0.0, 0.0, 0.5], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
-    stand_in = types.SimpleNamespace(grid=TimeGrid(1.0, 3), points=pts)
-    with pytest.raises(PreconditionError, match=r"initial state not pure: \|v\(0\)\| = 0\.5"):
-        gp_discrete_holonomy(stand_in)
+    with pytest.raises(ConfigError, match="must start on the Bloch sphere"):
+        gp_discrete_holonomy(BlochTrajectory(grid=TimeGrid(1.0, 3), points=pts))
 
 
 def test_pancharatnam_gauge_invariance():
