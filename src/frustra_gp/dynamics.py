@@ -32,16 +32,16 @@ swapping the baths swaps x and y, so M_yy = M_xx and the y sums are not
 taken at all.
 
 One route evaluates the sum: cos and sin are taken only at anchors every K
-nodes and at the K offsets of one block, and angle addition turns them into
-every node; a first-order term puts each node on its exact float time.  On
-a uniform grid (times bit for bit equal to np.linspace of their ends, which
-every TimeGrid gives) K = floor(sqrt(n)); any other times, a single time
-included, take K = 1, where every node is its own anchor.  The sectors are
-summed in chunks, each one matrix product: the anchors' [cos | sin] block
-times a table of the chunk's coefficients against the offsets' cos and sin.
-Both operands are held to a fixed element budget, so K does not shrink as
-the sector count grows and temporary memory beyond a few arrays of n rows
-grows with neither S nor n.
+nodes and at the K offsets of one block, angle addition turns them into
+every node, and the sums' central difference moves each node onto its
+exact float time.  On a uniform grid (times bit for bit equal to
+np.linspace of their ends, which every TimeGrid gives) K = floor(sqrt(n));
+any other times, a single time included, take K = 1, where every node is
+its own anchor.  The sectors are summed in chunks, each one matrix product:
+the anchors' [cos | sin] block times a table of the chunk's coefficients
+against the offsets' cos and sin.  Both operands are held to a fixed
+element budget, so K does not shrink as the sector count grows and
+temporary memory beyond a few arrays of n rows grows with neither S nor n.
 
 A SystemConfig is valid once built, so only times, node counts and sector
 eigenvalues are checked here (model.check_real, check_time, check_count):
@@ -174,25 +174,15 @@ def sector_rotation(
     return BlochVector.from_array(rotated)
 
 
-# Elements in each operand of a sector chunk's product (512 KB of float64):
-# the (2c, 2hK) offset table, h = 4 rows of p and of q (h = 3 when
-# alpha1 = alpha2), and the (2c, anchors) block, so no buffer but the
-# (anchors, 2hK) sums and product grows with S or n (the block holds two
-# rows of anchors when one sector alone overfills it, past 32768 anchors).
-# The product is one GEMM, which OpenBLAS may split over its threads.  For
-# the configs of the byte tests (up to 398 chunks at N = 400 in
-# tests/test_dynamics.py; gp, verify and compare in tests/test_cli.py) the
-# split divides the output and the bytes are the same at 1 and 2 threads.
-# It does not always: at N = 30, (0.3, 0.7), t = 5 (n = 371, K = 19,
-# S = 254) the (20 x 430) @ (430 x 152) product sums in another order at 2
-# threads, and 937 map entries move by up to 1.3e-15.  The map's bytes can
-# therefore depend on OPENBLAS_NUM_THREADS.  The kernel OpenBLAS picks also
-# depends on the product's size, so h = 3 can round differently from h = 4
-# (measured with OpenBLAS 0.3.31 on an AVX-512 Xeon: products of at most 10^6
-# multiply-adds and the larger ones agree bit for bit while 2c <= 384, and
-# differ above).  At N = 48, alpha1 = alpha2 = 1/4, t = 5 (n = 279, K = 16,
-# chunks of 256) the first chunk crosses that size, and 842 map entries
-# differ from the h = 4 sums by up to 1.6e-15.
+# Elements in each operand of a sector chunk's product (512 KB of float64),
+# so only the (anchors, hK) sums, product and result grow with S or n.  A
+# chunk holds c = min(2^16 / 32K, 2^16 / 2 anchors) sectors: the (2c,
+# anchors) block fills the budget (two rows of anchors past 32768), the
+# (2c, hK) offset table a quarter.  OpenBLAS may split the product over its
+# threads and sum in another order (0.3.31, 2-core x86-64: products of at
+# most 10^6 multiply-adds never moved, larger ones did for some shapes).
+# At this width the byte tests' maps are the same at 1 and 2 threads; at
+# twice it N = 400 and gp-n48 are not; at N = 200, t = 50 they still move.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -200,19 +190,18 @@ _CHUNK_ELEMENTS = 1 << 16
 def _sector_tables(config: SystemConfig):
     """Sector sum folded onto the m1, m2 >= 0 quadrant, equal Gamma merged.
 
-    Returns (total, gammas, p, q, lift): total is the summed weight (1 up to
-    rounding), gammas (S,) the distinct frequencies in ascending order, and
-    p, q (h, S) and lift (2h,) the coefficients _sums_by_anchors applies to
-    cos(Gamma t), to sin(Gamma t) and to 1.  Each |m| > 0 stands for the
-    pair +-m and carries twice its ladder weight.  The map sees a sector
-    only through Gamma and its coefficients, so the rows of sectors whose
-    Gamma^2 is exactly equal are summed into one: swapped (m1, m2) when
-    alpha1 = alpha2, every m2 when alpha2 = 0.  When alpha1 = alpha2 the y
-    coefficients are the x ones (up to the order their merged rows were
-    summed in), so the tables leave y out (h = 3, x and z) and
-    rotation_matrices reads M_yy from the x sums: M_yy is M_xx bit for bit
-    at every N, and the kernel sums six rows, not eight.  Otherwise h = 4
-    (x, y and z).
+    Returns (total, gammas, coef, lift): total is the summed weight (1 up to
+    rounding), gammas (S,) the distinct frequencies in ascending order, coef
+    (h, S) the rows _sums_by_anchors applies to cos(Gamma t) (to sin(Gamma t)
+    in the last, xy, row) and lift (h,) their constant parts.  Each |m| > 0
+    stands for the pair +-m and carries twice its ladder weight.  The map
+    sees a sector only through Gamma and its coefficients, so the rows of
+    sectors whose Gamma^2 is exactly equal are summed into one: swapped
+    (m1, m2) when alpha1 = alpha2, every m2 when alpha2 = 0.  When
+    alpha1 = alpha2 the y coefficients are the x ones (up to the order their
+    merged rows were summed in), so the tables leave y out (h = 3: x, z and
+    xy; otherwise h = 4) and rotation_matrices reads M_yy from the x sums,
+    bit for bit M_xx at every N.
     """
     ladder = [s for s in sector_weights(config.bath_size) if s.m >= 0.0]
     m = np.array([s.m for s in ladder])
@@ -234,17 +223,12 @@ def _sector_tables(config: SystemConfig):
     np.add.at(merged, sector, np.column_stack(rows))
     gammas = np.sqrt(distinct2)
     wc, wz = merged[:, :-1], merged[:, -1]
-    # The sums, in order: d/dt of the xy sum, the x, (y,) z sums of
-    # w c (1 - cos), the xy sum of w n_z sin, and d/dt of the x, (y,) z
-    # sums.  The first half takes cos (p), the second sin (q), and the
-    # constant part of 1 - cos goes to the lift.
-    p = np.column_stack([gammas * wz, -wc]).T
-    q = np.column_stack([wz, gammas[:, None] * wc]).T
-    lift = np.zeros(2 * len(rows))
-    lift[1 : len(rows)] = wc.sum(axis=0)
-    for arr in (gammas, p, q, lift):
+    # -w c cos for x, (y,) z with w c in the lift, and w n_z sin for xy
+    coef = np.vstack([-wc.T, wz])
+    lift = np.append(wc.sum(axis=0), 0.0)
+    for arr in (gammas, coef, lift):
         arr.setflags(write=False)
-    return float(weights.sum()), gammas, p, q, lift
+    return float(weights.sum()), gammas, coef, lift
 
 
 def _offsets_per_anchor(times: np.ndarray) -> int:
@@ -261,27 +245,25 @@ def _offsets_per_anchor(times: np.ndarray) -> int:
     return 1
 
 
-def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
-    """The diagonal and xy sector sums at times, shape (h, n), in blocks of k nodes.
+def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
+    """The diagonal and xy sector sums at anchored times, shape (h, n).
 
-    p and q hold h rows each (_sector_tables): h = 4 gives the x, y, z and
-    xy sums, h = 3 (alpha1 = alpha2) the x, z and xy sums.  Node
-    j = lo + b is the anchor a = times[lo] plus the offset o = b dt plus a
-    residual r = times[j] - a - o of a few ulp.  The 2h sums of
-    _sector_tables at a + o are lift + sum over sectors of
-    p cos(Gamma (a + o)) + q sin(Gamma (a + o)), and
+    coef has h rows (_sector_tables): x, y, z and xy, or x, z and xy when
+    alpha1 = alpha2.  Node j = lo + b, in blocks of k nodes, is summed at
+    a + o, the anchor a = times[lo] plus the offset o = b dt, a few ulp from
+    times[j] (see _onto_times).  Its sum is the row's lift plus the sum over
+    sectors of coef cos(Gamma (a + o)) (sin for the xy row), and
 
         cos(a + o) = cos a cos o - sin a sin o
         sin(a + o) = sin a cos o + cos a sin o
 
     make each sector chunk one product of the (anchors, 2c) block
-    [cos Gamma a | sin Gamma a] with the (2c, 2hk) offset table
-    [p cos o, q sin o; -p sin o, q cos o], added to the sums.  The h
-    derivative sums move each node by r onto times[j].  Each block restarts
-    from the actual times[lo], so rounding does not build up from block to
-    block.  At k = 1 the offset and r are exactly 0.
+    [cos Gamma a | sin Gamma a] with the (2c, hk) offset table
+    [coef cos o; -coef sin o] ([coef sin o; coef cos o] for xy).  Each block
+    restarts from the actual times[lo], so rounding does not build up from
+    block to block.  At k = 1, a + o = times[j].
     """
-    n, h = times.size, p.shape[0]
+    n, h = times.size, coef.shape[0]
     # one node per block takes no step (and a single time has none)
     dt = 0.0 if k == 1 else (times[-1] - times[0]) / (n - 1)
     offsets = np.arange(k) * dt
@@ -290,22 +272,20 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
     n_a = seg.shape[0]
     # The width is sized for h = 4 at either h: it fixes which sectors each
     # product sums, and so the map's bytes.
-    width = max(1, min(_CHUNK_ELEMENTS // (16 * k), _CHUNK_ELEMENTS // (2 * n_a)))
+    width = max(1, min(_CHUNK_ELEMENTS // (32 * k), _CHUNK_ELEMENTS // (2 * n_a)))
     width = min(width, gammas.size)
-    # The sums, the product and the widest chunk's operands share one
-    # allocation per call, and a narrower last chunk takes the front of each.
-    # Apart, the allocator returns their pages after every call and faults
-    # them in again on the next (about 270 minor faults per call at N = 48
-    # on 5441 nodes).
-    m = 2 * h * n_a * k
-    block = np.empty(2 * m + (2 * n_a + 3 * k + 4 * h * (k + 1)) * width)
-    sums = block[:m].reshape(n_a, 2 * h, k)
-    prod = block[m : 2 * m].reshape(n_a, 2 * h, k)
+    # The result, then one block for the sums, the product and the widest
+    # chunk's operands: apart or in the other order, glibc's malloc returned
+    # their pages after each call (172 minor faults a call at gp-n48's map).
+    vals = np.empty((h, n_a, k))
+    m = h * n_a * k
+    block = np.zeros(2 * m + (2 * n_a + 3 * k + 2 * h * (k + 1)) * width)
+    sums = block[:m].reshape(n_a, h, k)
+    prod = block[m : 2 * m].reshape(n_a, h, k)
     left_buf = block[2 * m :]
     trig_buf = left_buf[2 * n_a * width :]
     coef_buf = trig_buf[3 * k * width :]
-    table_buf = coef_buf[4 * h * width :]
-    sums[...] = lift[:, None]
+    table_buf = coef_buf[2 * h * width :]
     for lo in range(0, gammas.size, width):
         gam = gammas[lo : lo + width]
         c = gam.size
@@ -314,33 +294,51 @@ def _sums_by_anchors(times, k, gammas, p, q, lift) -> np.ndarray:
         np.multiply.outer(gam, seg[:, 0], out=left[1])
         np.cos(left[1], out=left[0])
         np.sin(left[1], out=left[1])
-        # [sin o | cos o | -sin o] per offset: [cos o | -sin o] against
-        # [p | p], [sin o | cos o] against [q | q]
+        # [sin o | cos o | -sin o] per offset: [cos o | -sin o] against the
+        # cos rows, [sin o | cos o] against the xy row
         trig = trig_buf[: 3 * k * c].reshape(k, 3 * c)
         np.multiply.outer(offsets, gam, out=trig[:, c : 2 * c])
         np.sin(trig[:, c : 2 * c], out=trig[:, :c])
         np.cos(trig[:, c : 2 * c], out=trig[:, c : 2 * c])
         np.negative(trig[:, :c], out=trig[:, 2 * c :])
-        coef = coef_buf[: 4 * h * c].reshape(2, h, 2, c)
-        coef[0] = p[:, None, lo : lo + c]
-        coef[1] = q[:, None, lo : lo + c]
-        coef = coef.reshape(2, h, 1, 2 * c)
-        # the table transposed, sectors innermost: (2h, k, [cos a | sin a] c),
+        pair = coef_buf[: 2 * h * c].reshape(h, 2, c)
+        pair[...] = coef[:, None, lo : lo + c]
+        pair = pair.reshape(h, 1, 2 * c)
+        # the table transposed, sectors innermost: (h, k, [cos a | sin a] c),
         # filled in contiguous rows of 2c
-        table = table_buf[: 4 * h * k * c].reshape(2, h, k, 2 * c)
-        np.multiply(coef[0], trig[:, c:], out=table[0])
-        np.multiply(coef[1], trig[:, : 2 * c], out=table[1])
+        table = table_buf[: 2 * h * k * c].reshape(h, k, 2 * c)
+        np.multiply(pair[:-1], trig[:, c:], out=table[:-1])
+        np.multiply(pair[-1], trig[:, : 2 * c], out=table[-1])
         np.matmul(
             left.reshape(2 * c, n_a).T,
-            table.reshape(2 * h * k, 2 * c).T,
-            out=prod.reshape(n_a, 2 * h * k),
+            table.reshape(h * k, 2 * c).T,
+            out=prod.reshape(n_a, h * k),
         )
         sums += prod
-    # the diagonal and xy sums moved by r along their derivatives
-    r = (seg - seg[:, :1]) - offsets
-    sums[:, 1:h] += r[:, None, :] * sums[:, h + 1 :]
-    sums[:, h] += r * sums[:, 0]
-    return sums[:, 1 : h + 1].transpose(1, 0, 2).reshape(h, -1)[:, :n]
+    # the lift, added last (the chunks' partial sums are mostly smaller, and
+    # round less), in node order
+    np.add(sums.transpose(1, 0, 2), lift[:, None, None], out=vals)
+    return vals.reshape(h, -1)[:, :n]
+
+
+def _onto_times(sums, times, k) -> None:
+    """Move the (h, n) sums V of _sums_by_anchors (k > 1) onto times, in place.
+
+    Node j, summed at a + o, moves by r D: r = times[j] - a - o is a few
+    ulp (0 at the first node) and D = (V[j+1] - V[j-1]) / 2dt, second order
+    one-sided at the last node.  The error |r| |D - dV/dt| is at most
+    |r| max|dV/dt| min(2, (Gamma_max dt)^2 / 3) (min(4, ...) at the last
+    node), max over all t: below one ulp of the map on auto grids
+    (Gamma_max dt = 2 pi / 40), and never above the rounding of Gamma t.
+    """
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    b = np.arange(times.size) % k
+    r = ((times - np.repeat(times[::k], k)[: times.size]) - b * dt) / (2.0 * dt)
+    step = np.zeros_like(sums)
+    np.subtract(sums[:, 2:], sums[:, :-2], out=step[:, 1:-1])
+    step[:, -1] = 3.0 * sums[:, -1] - 4.0 * sums[:, -2] + sums[:, -3]
+    step *= r
+    sums += step
 
 
 def _checked_times(times) -> np.ndarray:
@@ -382,9 +380,9 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     included, take K = 1 and cos and sin at every node.  The two agree to
     about the rounding of Gamma t (5.7e-14 at Gamma t = 500).  Each chunk
     of sectors is one matrix product whose operands hold at most
-    _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 8)
-    sums and product ((n, 6) when alpha1 = alpha2) is about 1 MB at any S
-    and n.  Empty times give an empty map; a NaN or infinite time, or one
+    _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 4)
+    sums, product and result ((n, 3) when alpha1 = alpha2) is about 1 MB
+    at any S and n.  Empty times give an empty map; a NaN or infinite time, or one
     at which the fastest sector's Gamma * t overflows, raises ConfigError.
     """
     times = _checked_times(times)
@@ -392,14 +390,18 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
         return np.zeros((0, 3, 3))
     total, *tables = _sector_tables(config)
     _check_rotation_angle(tables[0][-1], times)
-    *diagonal, xy = _sums_by_anchors(times, _offsets_per_anchor(times), *tables)
+    k = _offsets_per_anchor(times)
+    sums = _sums_by_anchors(times, k, *tables)
+    if k > 1:
+        _onto_times(sums, times, k)
+    *diagonal, xy = sums
     if len(diagonal) == 2:
         # alpha1 = alpha2: M_yy is M_xx, read from the same x sums
         diagonal.insert(1, diagonal[0])
     out = np.zeros((times.size, 3, 3))
     for i, d in enumerate(diagonal):
-        out[:, i, i] = total - d
-    out[:, 0, 1] = -xy
+        np.subtract(total, d, out=out[:, i, i])
+    np.negative(xy, out=out[:, 0, 1])
     out[:, 1, 0] = xy
     return out
 

@@ -882,12 +882,25 @@ def test_gp_n100_output_bytes_ignore_blas_threads():
     # 11273 nodes, past the 10^4 beyond which OpenBLAS splits a dot product
     # over its threads (a BLAS dot in the phase quadrature changes the last
     # digit here), and 1031 distinct Gamma, so the rotation map runs blocks
-    # of K = 106 nodes over 28 sector chunks, each one product of at most
-    # (107, 76) x (76, 848).
+    # of K = 106 nodes over 55 sector chunks, each one product of at most
+    # (107, 38) x (38, 318).
     args = [a if a != "48" else "100" for a in GP_N48_ARGS]
     one = _module_run(args, OPENBLAS_NUM_THREADS="1")
     two = _module_run(args, OPENBLAS_NUM_THREADS="2")
     assert one.returncode == 0 and two.returncode == 0
+    assert one.stdout == two.stdout
+
+
+def test_surface_n30_output_bytes_ignore_blas_threads():
+    # 371 nodes in blocks of K = 19 against 254 distinct Gamma.  Map
+    # products of (20 x 430) @ (430 x 152) sum in another order at 2
+    # threads, which changed 78 of the 121 rows.
+    args = ["surface", "--bath-size", "30", "--alpha1", "0.3", "--alpha2", "0.7",
+            "--t-end", "5", "--n-theta", "11", "--n-phi", "11"]
+    one = _module_run(args, OPENBLAS_NUM_THREADS="1")
+    two = _module_run(args, OPENBLAS_NUM_THREADS="2")
+    assert one.returncode == 0 and two.returncode == 0
+    assert len(one.stdout.splitlines()) > 121
     assert one.stdout == two.stdout
 
 

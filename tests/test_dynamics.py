@@ -13,6 +13,9 @@ Oracles used here, independent of the implementation under test:
   and uniform grids (K ~ sqrt(n) nodes per anchor), the latter also against
   single-time calls on long grids, one of them summed in many sector
   chunks;
+- the central-difference move of the anchored sums onto their times is
+  checked against the move along exact derivative sums, which the same
+  kernel sums from the derivative rows of the sector tables;
 - the verbatim polarization transcription is cross-checked against the
   rotation-sum identity it must equal.
 
@@ -439,23 +442,26 @@ def test_rotation_matrices_peak_memory_is_bounded(bath_size, alpha1, alpha2, t_e
             tracemalloc.stop()
 
     # The first call also builds the config's sector tables, O(S) and
-    # cached: 7.3 MB at n400, 2.5 MB of it kept; 3.9 MB at n400-equal.
+    # cached: 6.3 MB at n400, 1.3 MB of it kept; 3.9 MB at n400-equal.
     dynamics._sector_tables.cache_clear()
     assert traced_peak() < 16 * 2**20
-    # The sum itself: a 512 KB offset table, an anchor block of at most
-    # 512 KB, the (n, 8) sums and product ((n, 6) at equal couplings) and
-    # the (n, 3, 3) map: 1.3 MB at n48, 1.1 MB at n400, 0.9 MB at
-    # n400-equal.
+    # The sum itself: an offset table of at most 128 KB, an anchor block of
+    # at most 512 KB, the (n, 4) result, sums and product ((n, 3) at equal
+    # couplings), their move onto the times and the (n, 3, 3) map: 0.72 MB
+    # at n48, 0.56 MB at n400, 0.47 MB at n400-equal.
     assert traced_peak() < 3 * 2**20
 
 
 def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
-    # N = 400 on 2298 nodes: 398 sector chunks, each one GEMM of the
-    # (49, 174) anchor block with the (174, 376) offset table; gp-n48's map
-    # (N = 48, alpha1 = alpha2 = 1/2 on 5441 nodes to t = 50): 5 chunks,
-    # each a (75, 112) block with a (112, 438) six-row table; and the
-    # literal series at N = 150, whose 22801 sectors np.dot would split
-    # over the BLAS threads
+    # N = 400 on 2298 nodes: 806 sector chunks, each one GEMM of the
+    # (49, 86) anchor block with the (86, 188) offset table; gp-n48's map
+    # (N = 48, alpha1 = alpha2 = 1/2 on 5441 nodes to t = 50): 10 chunks,
+    # each a (75, 56) block with a (56, 219) three-row table; N = 30,
+    # (0.3, 0.7) on 371 nodes to t = 5, 3 chunks of (20, 214) @ (214, 76),
+    # where (20, 430) @ (430, 152) products sum in another order at 2
+    # threads; and the literal
+    # series at N = 150, whose 22801 sectors np.dot would split over the
+    # BLAS threads
     code = (
         "import hashlib, numpy as np\n"
         "from frustra_gp import InitialStateAngles, SystemConfig, rotation_matrices\n"
@@ -465,6 +471,9 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
         "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
         "cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48)\n"
         "m = rotation_matrices(cfg, np.linspace(0.0, 50.0, 5441))\n"
+        "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+        "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=30)\n"
+        "m = rotation_matrices(cfg, np.linspace(0.0, 5.0, 371))\n"
         "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
         "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=150)\n"
         "ang = InitialStateAngles(theta=1.1, phi=0.4)\n"
@@ -488,12 +497,16 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
         SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48),
         np.linspace(0.0, 50.0, 5441),
     )
+    n30 = rotation_matrices(
+        SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=30),
+        np.linspace(0.0, 5.0, 371),
+    )
     lit = literal_points(
         SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=150),
         InitialStateAngles(theta=1.1, phi=0.4),
         np.linspace(0.0, 5.0, 50),
     )
-    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (mats, gp_n48, lit)]
+    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (mats, gp_n48, n30, lit)]
     assert digests == one.split()
 
 
@@ -523,10 +536,19 @@ def test_equal_couplings_give_m_yy_equal_to_m_xx_bit_for_bit(bath_size):
             assert mats[:, 1, 1].tobytes() == mats[:, 0, 0].tobytes()
 
 
-def _eight_row_tables(p, q, lift):
-    """An alpha1 = alpha2 config's six-row tables with the x rows copied into y."""
-    rows = [0, 1, 1, 2]
-    return p[rows], q[rows], lift[[0, 1, 1, 2, 3, 4, 4, 5]]
+def _four_row_tables(coef, lift):
+    """An alpha1 = alpha2 config's three-row tables with the x row copied into y."""
+    rows = [0, 0, 1, 2]
+    return coef[rows], lift[rows]
+
+
+def _sums_at(times, gammas, coef, lift):
+    """The sector sums at times, as rotation_matrices takes them."""
+    k = dynamics._offsets_per_anchor(times)
+    sums = dynamics._sums_by_anchors(times, k, gammas, coef, lift)
+    if k > 1:
+        dynamics._onto_times(sums, times, k)
+    return sums
 
 
 def _map_sums(mats):
@@ -535,42 +557,101 @@ def _map_sums(mats):
 
 
 @pytest.mark.parametrize("bath_size", [1, 3, 48, 400])
-def test_equal_couplings_sum_six_rows_to_the_bytes_of_eight(bath_size):
-    # alpha1 = alpha2 drops the y rows; putting copies of the x rows back
+def test_equal_couplings_sum_three_rows_to_the_bytes_of_four(bath_size):
+    # alpha1 = alpha2 drops the y row; putting a copy of the x row back
     # must not move a bit of the x, z and xy sums, and both give the map
     cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=bath_size)
-    total, gammas, p, q, lift = dynamics._sector_tables(cfg)
-    assert p.shape == q.shape == (3, gammas.size) and lift.shape == (6,)
+    total, gammas, coef, lift = dynamics._sector_tables(cfg)
+    assert coef.shape == (3, gammas.size) and lift.shape == (3,)
     rng = np.random.default_rng(bath_size)
     uniform = np.linspace(0.0, 20.0, 2001)
     arbitrary = np.sort(rng.uniform(0.0, 20.0, 200))
     for times in (uniform, arbitrary, TimeGrid(3.0, 2).times()):
-        k = dynamics._offsets_per_anchor(times)
-        x, z, xy = dynamics._sums_by_anchors(times, k, gammas, p, q, lift)
-        eight = dynamics._sums_by_anchors(times, k, gammas, *_eight_row_tables(p, q, lift))
+        x, z, xy = _sums_at(times, gammas, coef, lift)
+        four = _sums_at(times, gammas, *_four_row_tables(coef, lift))
         mats = _map_sums(rotation_matrices(cfg, times))
-        six = np.stack([total - x, total - x, total - z, xy])
-        assert six.tobytes() == mats.tobytes()
-        eight[:3] = total - eight[:3]
-        assert eight.tobytes() == mats.tobytes()
+        three = np.stack([total - x, total - x, total - z, xy])
+        assert three.tobytes() == mats.tobytes()
+        four[:3] = total - four[:3]
+        assert four.tobytes() == mats.tobytes()
 
 
 def test_six_rows_round_like_eight_where_the_blas_changes_kernel():
     # 279 nodes in blocks of 16 against 273 distinct Gamma in chunks of
-    # 256: the first chunk's product is 18 x 512 x 96 multiply-adds with six
-    # rows and 18 x 512 x 128 with eight, and OpenBLAS may pick another
-    # kernel for each size, which sums the 512 terms in another order
+    # 128: each product is 18 x 256 x 48 multiply-adds with the three rows
+    # of alpha1 = alpha2 and 18 x 256 x 64 with four.  OpenBLAS picks its
+    # kernel by the product's size, and kernels may sum in different
+    # orders; at this width both sizes round alike.
     cfg = SystemConfig(omega=2.0, alpha1=0.25, alpha2=0.25, bath_size=48)
     times = auto_time_grid(cfg, 5.0).times()
     assert times.size == 279
-    total, gammas, p, q, lift = dynamics._sector_tables(cfg)
-    k = dynamics._offsets_per_anchor(times)
-    assert k == 16
-    eight = dynamics._sums_by_anchors(times, k, gammas, *_eight_row_tables(p, q, lift))
-    eight[:3] = total - eight[:3]
+    total, gammas, coef, lift = dynamics._sector_tables(cfg)
+    assert dynamics._offsets_per_anchor(times) == 16
+    four = _sums_at(times, gammas, *_four_row_tables(coef, lift))
+    four[:3] = total - four[:3]
     mats = _map_sums(rotation_matrices(cfg, times))
     assert mats[1].tobytes() == mats[0].tobytes()
-    assert np.max(np.abs(eight - mats)) <= 4e-15
+    assert four.tobytes() == mats.tobytes()
+
+
+def _derivative_sums(times, k, gammas, coef):
+    """d/dt of the value rows at the anchored times, by the same kernel.
+
+    A cos row a has the derivative row -a Gamma against sin, and the xy
+    row b (against sin) the row b Gamma against cos; the kernel takes one
+    sin row, the last, so each diagonal row is its own call.
+    """
+    rows = []
+    for a in coef[:-1]:
+        pair = np.stack([coef[-1] * gammas, -a * gammas])
+        d_xy, d_a = dynamics._sums_by_anchors(times, k, gammas, pair, np.zeros(2))
+        rows.append(d_a)
+    return np.stack(rows + [d_xy])
+
+
+@pytest.mark.parametrize(
+    "bath_size, alpha1, alpha2, times",
+    [
+        (48, 0.5, 0.5, np.linspace(0.0, 50.0, 5441)),
+        (400, 0.3, 0.2, np.linspace(0.0, 5.0, 2298)),
+        # Gamma_max dt = 6.2: D is no estimate of the derivative at all
+        (20, 0.3, 0.7, np.linspace(0.0, 50.0, 64)),
+        (20, 0.3, 0.7, np.linspace(50.0, 0.0, 2001)),
+        (20, 0.3, 0.7, np.linspace(3.0, 20.0, 1001)),
+    ],
+    ids=["gp-n48", "n400", "coarse", "decreasing", "from-3"],
+)
+def test_central_difference_moves_nodes_like_the_exact_derivative(
+    bath_size, alpha1, alpha2, times
+):
+    # Against the exact derivative on the same anchored sums, the move r D
+    # is off by at most |r| max|dV/dt| min(2, (Gamma_max dt)^2 / 3), and
+    # min(4, ...) at the last node, which the one-sided formula moves; plus
+    # 2 ulp for rounding the two moves.
+    cfg = SystemConfig(omega=2.0, alpha1=alpha1, alpha2=alpha2, bath_size=bath_size)
+    _, gammas, coef, lift = dynamics._sector_tables(cfg)
+    n = times.size
+    k = dynamics._offsets_per_anchor(times)
+    assert k == math.isqrt(n)
+    anchored = dynamics._sums_by_anchors(times, k, gammas, coef, lift)
+    moved = anchored.copy()
+    dynamics._onto_times(moved, times, k)
+    deriv = _derivative_sums(times, k, gammas, coef)
+    dt = (times[-1] - times[0]) / (n - 1)
+    b = np.arange(n) % k
+    r = (times - times[np.arange(n) - b]) - b * dt
+    assert np.count_nonzero(r) > n // 10 and np.max(np.abs(r)) < 1e-13
+    exact = anchored + r * deriv
+    err = np.abs(moved - exact)
+    slope = np.abs(r) * np.max(np.abs(deriv), axis=1, keepdims=True)
+    ulps = 2.0 * np.spacing(np.abs(exact))
+    spread = (gammas[-1] * dt) ** 2 / 3.0
+    inside = slope[:, :-1] * min(2.0, spread) + ulps[:, :-1]
+    assert np.all(err[:, :-1] <= inside)
+    assert np.all(err[:, -1] <= slope[:, -1] * min(4.0, spread) + ulps[:, -1])
+    if spread < 1.0:
+        # without the move, the anchored sums are off by r dV/dt itself
+        assert np.max(np.abs(anchored - exact)) > 4.0 * np.max(err)
 
 
 def test_literal_points_match_rotation_identity():
