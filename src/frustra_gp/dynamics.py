@@ -39,7 +39,8 @@ np.linspace of their ends, which every TimeGrid gives) K = floor(sqrt(n));
 any other times, a single time included, take K = 1, where every node is
 its own anchor.  The sectors are summed in chunks, each one matrix product:
 the anchors' [cos | sin] block times a table of the chunk's coefficients
-against the offsets' cos and sin.  Both operands are held to a fixed
+against the offsets' cos and sin, issued in blocks of anchor rows small
+enough that BLAS does not split one over its threads.  Both operands are held to a fixed
 element budget, so K does not shrink as the sector count grows and
 temporary memory beyond a few arrays of n rows grows with neither S nor n.
 
@@ -180,10 +181,16 @@ def sector_rotation(
 # anchors) block fills the budget (two rows of anchors past 32768), the
 # (2c, hK) offset table a quarter.  OpenBLAS may split the product over its
 # threads and sum in another order (0.3.31, 2-core x86-64: products of at
-# most 10^6 multiply-adds never moved, larger ones did for some shapes).
-# At this width the byte tests' maps are the same at 1 and 2 threads; at
-# twice it N = 400 and gp-n48 are not; at N = 200, t = 50 they still move.
+# most _PRODUCT_MULADDS multiply-adds never moved, larger ones did for some
+# shapes).  At this width the byte tests' maps are the same at 1 and 2
+# threads; at twice it N = 400 and gp-n48 are not.
 _CHUNK_ELEMENTS = 1 << 16
+# Multiply-adds in one matrix product: a chunk's product is issued in
+# blocks of max(1, _PRODUCT_MULADDS // (2c hK)) anchor rows, so none is
+# split over the BLAS threads.  Without the blocks the N = 200 maps to
+# t = 50 (chunk products of 2.5 M multiply-adds) hashed differently at 1
+# and 2 threads on OpenBLAS 0.3.31.
+_PRODUCT_MULADDS = 10**6
 
 
 @lru_cache(maxsize=64)
@@ -259,7 +266,8 @@ def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
 
     make each sector chunk one product of the (anchors, 2c) block
     [cos Gamma a | sin Gamma a] with the (2c, hk) offset table
-    [coef cos o; -coef sin o] ([coef sin o; coef cos o] for xy).  Each block
+    [coef cos o; -coef sin o] ([coef sin o; coef cos o] for xy), issued in
+    blocks of anchor rows (_PRODUCT_MULADDS).  Each block of k nodes
     restarts from the actual times[lo], so rounding does not build up from
     block to block.  At k = 1, a + o = times[j].
     """
@@ -309,11 +317,12 @@ def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
         table = table_buf[: 2 * h * k * c].reshape(h, k, 2 * c)
         np.multiply(pair[:-1], trig[:, c:], out=table[:-1])
         np.multiply(pair[-1], trig[:, : 2 * c], out=table[-1])
-        np.matmul(
-            left.reshape(2 * c, n_a).T,
-            table.reshape(h * k, 2 * c).T,
-            out=prod.reshape(n_a, h * k),
-        )
+        lhs = left.reshape(2 * c, n_a).T
+        rhs = table.reshape(h * k, 2 * c).T
+        out = prod.reshape(n_a, h * k)
+        rows = max(1, _PRODUCT_MULADDS // (2 * c * h * k))
+        for r in range(0, n_a, rows):
+            np.matmul(lhs[r : r + rows], rhs, out=out[r : r + rows])
         sums += prod
     # the lift, added last (the chunks' partial sums are mostly smaller, and
     # round less), in node order

@@ -13,7 +13,8 @@ series, and a polarization A = cos(theta) M_zz(t) shared by its row.
 The column's azimuth increments and the unwrap guard are therefore
 computed once per column (phase.Azimuth.from_xy, the builder that
 PolarTrack.from_points uses) and kept as a phase.Azimuth, which sums the
-increments once for the column's closed-form bracket.  From the column's
+increments once for the column's closed-form bracket and forms the node
+weights of its connection sum once for all its rows.  From the column's
 squared norm rho2 a cell computes only eps_plus = sqrt(sin^2(theta) rho2 +
 A^2) and sin2_half, and its track is PolarTrack(column azimuth, A,
 sin2_half, eps_plus), which checks only those three series.  A cell falls
@@ -34,10 +35,11 @@ of a row one shared track, so the factored cells of such a row have the
 same value bit for bit.  A cell that falls back still projects its own
 points, but the fallback decision comes from the shared column.  Every
 cell still makes its own gp_closed_form call, as a per-cell trace of the
-sweep expects, but a track keeps the reductions the closed form derives
-from it alone (its start, the bracket, the connection sum and the
-diagnostics; PolarTrack._reductions), so on a shared track only the first
-cell of a row makes the n-node passes and the others read the kept values.
+sweep expects, but a track keeps what the closed form derives from it
+alone (its start, the bracket and the GpResult; PolarTrack._reductions),
+so on a shared track only the first cell of a row makes the n-node passes
+and builds the result, and the others pay only the call's checks and get
+the kept result back.
 
 `strategy_compare` contrasts coupling allocations (single bath vs split
 couplings) by two grid metrics: mean |gamma| and mean angular distance to
@@ -195,10 +197,12 @@ class _ColumnSweep:
 
     A factored track makes five elementwise passes over its n nodes
     (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and the first
-    gp_closed_form call on it four more (1 - sin2_half, pair sums, products
-    with dchi, and their sum), which the track keeps: nine per cell, or
-    nine per row when the track is shared.  The sum of dchi and the
-    singular count are the column's, made once when its Azimuth is built.
+    gp_closed_form call on it two more (products of sin2_half with the
+    column's node weights, and their sum), whose result the track keeps:
+    seven per cell, or seven per row when the track is shared, whose other
+    cells pay only the call's checks.  The sum of dchi, the node weights
+    and the singular count are the column's, made once when its Azimuth is
+    built.
     A, A/2 and A^2 are formed once per row, and a row's results are
     collected in lists that the caller converts once.
     """

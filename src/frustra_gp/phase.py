@@ -15,9 +15,10 @@ as the singular flag and not stored: nodes with R below R_TOL have an
 indeterminate azimuth; chi is propagated flat (zero increments) across them
 and they are flagged singular.  The increments and their guard are
 `unwrap_azimuth`.  The azimuth half of a track (dchi, the singular flags,
-the unwrap count and the two totals the closed form reads of them) is an
-`Azimuth`, which `Azimuth.from_xy` builds from in-plane samples for
-`PolarTrack.from_points` and for the surface sweep's azimuth columns alike.
+the unwrap count, and the node weights and two totals the phase routes
+read of them) is an `Azimuth`, which `Azimuth.from_xy` builds from
+in-plane samples for `PolarTrack.from_points` and for the surface sweep's
+azimuth columns alike.
 A `PolarTrack` is an Azimuth plus one start's A, sin2_half and eps_plus, so
 the tracks of starts that share an azimuth, such as a surface column's
 cells, share one Azimuth.
@@ -30,9 +31,16 @@ The geometric phase of the dominant spectral branch is then
                  * e^{-i integral_0^tau chi_dot cos^2(theta_t/2) dt} ],
 
 with cos(theta0/2) = sqrt(sin2_half(0)) taken from the normalized initial
-state, sin(theta_tau/2) = sqrt(sin2_half(tau)), cos^2(theta_t/2) =
-1 - sin2_half, and the connection integral evaluated by the trapezoid rule
-on the chi increments.  sqrt(lambda_plus) is a positive scalar and cannot move the
+state and sin(theta_tau/2) = sqrt(sin2_half(tau)).  Since cos^2(theta_t/2)
+= 1 - sin2_half, the connection integral is
+
+    integral_0^tau chi_dot cos^2(theta_t/2) dt
+        = dchi(tau) - (1/2) sum_j G_j sin2_half_j,
+
+the trapezoid rule on the chi increments written as one weighted node sum:
+G_j = dchi_{j-1} + dchi_j are the azimuth's node weights (a missing
+increment past either end counts as 0), and dchi(tau) is the sum of the
+increments.  sqrt(lambda_plus) is a positive scalar and cannot move the
 arg; it is reported as a diagnostic and never multiplied in, which makes the
 result bit-identical under any positive rescaling of that factor.
 
@@ -172,10 +180,13 @@ class Azimuth:
     each inside (-pi, pi); singular one flag per node, marking nodes whose
     azimuth was propagated from a neighbor; unwrap_jumps the increments
     that needed a 2 pi turn.  Both arrays are kept read-only (any other
-    shape raises ConfigError).  The two totals the closed form reads of
-    them, dchi_total = dchi.sum() and singular_nodes, are computed once
-    here, so starts that share an azimuth (a surface column's cells) do not
-    sum it again: each start's PolarTrack checks only its own three series.
+    shape raises ConfigError).  What the phase routes read of them is
+    computed once here, so starts that share an azimuth (a surface column's
+    cells) do not compute it again: each start's PolarTrack checks only its
+    own three series.  That is the two totals dchi_total = dchi.sum() and
+    singular_nodes, and the n read-only node weights of the connection sum,
+    weights[j] = dchi[j - 1] + dchi[j], with a missing increment past
+    either end counted as 0 (_trapezoid_on_chi).
     """
 
     grid: TimeGrid
@@ -184,16 +195,22 @@ class Azimuth:
     unwrap_jumps: int
     dchi_total: float = field(init=False)
     singular_nodes: int = field(init=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.grid.n_steps
         dchi = _series("dchi", self.dchi, (n - 1,))
         singular = _series("singular", self.singular, (n,))
+        weights = np.empty(n)
+        weights[0], weights[-1] = dchi[0], dchi[-1]
+        np.add(dchi[:-1], dchi[1:], out=weights[1:-1])
+        weights.setflags(write=False)
         vars(self).update(
             dchi=dchi,
             singular=singular,
             dchi_total=float(dchi.sum()),
             singular_nodes=int(np.count_nonzero(singular)),
+            weights=weights,
         )
 
     @classmethod
@@ -241,10 +258,12 @@ class PolarTrack:
     not checked.
 
     The arrays are read-only and the dataclass is frozen (dataclasses.replace
-    builds a new track), so the scalars gp_closed_form and gp_south_pole
-    derive from the track alone are computed on first use and kept
-    (_reductions): a sweep that hands one track to a whole row of cells
-    makes their n-node passes once for the row.
+    builds a new track), so what gp_closed_form and gp_south_pole derive
+    from the track alone is computed on first use and kept (_reductions),
+    the closed form's GpResult included: a sweep that hands one track to a
+    whole row of cells makes their n-node passes and builds that result
+    once for the row.  The checks of each call (purity, the stated angles,
+    an indeterminate phase) still run on every call.
     """
 
     azimuth: Azimuth
@@ -294,20 +313,24 @@ class PolarTrack:
         c0, s0 = math.sqrt(s_start), math.sqrt(1.0 - s_start)
         dchi = azimuth.dchi_total
         bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
+        # The trapezoid of chi_dot (1 - sin2_half): the increments' total
+        # minus gp_south_pole's sum, with no 1 - sin2_half pass.
+        connection = dchi - _trapezoid_on_chi(azimuth, self.sin2_half)
+        unwrapped = math.atan2(bracket.imag, bracket.real) - connection
         reductions = _Reductions(
             a0=float(self.A[0]),
             eps0=float(self.eps_plus[0]),
             bracket=bracket,
-            # The integrand cos^2(theta_t/2) is taken as 1 - sin2_half node
-            # by node.  dchi - _trapezoid_on_chi(dchi, sin2_half) saves that
-            # pass but rounds the sum differently, which moves phases that
-            # sit on the +-pi cut.
-            connection=_trapezoid_on_chi(azimuth.dchi, 1.0 - self.sin2_half),
-            diagnostics=GpDiagnostics(
-                n_steps=azimuth.grid.n_steps,
-                singular_nodes=azimuth.singular_nodes,
-                unwrap_jumps=azimuth.unwrap_jumps,
-                lambda_plus_end=(1.0 + float(self.eps_plus[-1])) / 2.0,
+            result=GpResult(
+                gamma=principal_value(unwrapped),
+                gamma_unwrapped=unwrapped,
+                method="closed_form",
+                diagnostics=GpDiagnostics(
+                    n_steps=azimuth.grid.n_steps,
+                    singular_nodes=azimuth.singular_nodes,
+                    unwrap_jumps=azimuth.unwrap_jumps,
+                    lambda_plus_end=(1.0 + float(self.eps_plus[-1])) / 2.0,
+                ),
             ),
         )
         object.__setattr__(self, "_kept_reductions", reductions)
@@ -368,16 +391,17 @@ class GpResult:
 class _Reductions(NamedTuple):
     """What the phase routes read of a track, kept by PolarTrack._reductions.
 
-    a0 and eps0 are A and eps_plus at t = 0; bracket is cos(theta0/2)
-    sin(theta_tau/2) + e^{i dchi(tau)} sin(theta0/2) cos(theta_tau/2);
-    connection is the trapezoid of chi_dot cos^2(theta_t/2).
+    a0 and eps0 are A and eps_plus at t = 0, and bracket is cos(theta0/2)
+    sin(theta_tau/2) + e^{i dchi(tau)} sin(theta0/2) cos(theta_tau/2): what
+    gp_closed_form checks on every call.  result is the GpResult it returns
+    once those checks pass, kept so that a track's later calls return the
+    same object; gp_south_pole reads its diagnostics.
     """
 
     a0: float
     eps0: float
     bracket: complex
-    connection: float
-    diagnostics: GpDiagnostics
+    result: GpResult
 
 
 def polar_track(traj: BlochTrajectory) -> PolarTrack:
@@ -385,22 +409,21 @@ def polar_track(traj: BlochTrajectory) -> PolarTrack:
     return PolarTrack.from_points(traj.points, traj.grid)
 
 
-def _trapezoid_on_chi(dchi: np.ndarray, integrand: np.ndarray) -> float:
-    """sum_i dchi_i * (f_i + f_{i+1}) / 2 for f on the n nodes bounding dchi.
+def _trapezoid_on_chi(azimuth: Azimuth, integrand: np.ndarray) -> float:
+    """(1/2) sum_j G_j f_j for f on the n nodes of azimuth.grid.
 
-    Three passes: the pair sums f_i + f_{i+1}, their products with dchi (in
-    place), and np.sum, halved once at the end (halving is exact, so this is
-    bit for bit the sum of dchi_i * ((f_i + f_{i+1}) / 2)).  np.sum adds
-    pairwise, so its rounding stays at a few ulp of the total.  Not
+    G = azimuth.weights, G_j = dchi_{j-1} + dchi_j, so in exact arithmetic
+    this is the trapezoid sum_i dchi_i (f_i + f_{i+1}) / 2 over the chi
+    increments.  Two passes: the products G_j f_j and np.add.reduce, halved
+    once at the end (halving is exact).  np.add.reduce adds pairwise, so
+    its rounding stays at a few ulp of the total.  Not
     np.einsum("i,i->"): its fused loop accumulates in a single vector
     register, and over 3 x 10^3 nodes with a total near 100 rad it lands up
     to 3e-13 from the pairwise sum.  Not np.dot: OpenBLAS splits a dot
     product of more than 10^4 nodes over its threads, and the partial sums
     then round differently with each thread count.
     """
-    pair = integrand[:-1] + integrand[1:]
-    pair *= dchi
-    return float(pair.sum()) / 2.0
+    return float(np.add.reduce(azimuth.weights * integrand)) / 2.0
 
 
 def gp_closed_form(
@@ -413,7 +436,8 @@ def gp_closed_form(
     `angles`, when given, is cross-checked against the track's initial node.
     `require_pure=False` admits sub-unit starting vectors (such as the
     literal series, whose norm at t = 0 is 1/2); the same formulas are
-    applied unchanged.
+    applied unchanged.  The result is kept with the track: every call on one
+    track returns the same GpResult object, while its checks run each time.
     """
     r = track._reductions()
     if require_pure and abs(r.eps0 - 1.0) > 1e-9:
@@ -434,13 +458,7 @@ def gp_closed_form(
         raise IndeterminatePhaseError(
             f"indeterminate phase: |bracket| = {abs(r.bracket):.3e} < {Z_TOL:.3e}"
         )
-    unwrapped = math.atan2(r.bracket.imag, r.bracket.real) - r.connection
-    return GpResult(
-        gamma=principal_value(unwrapped),
-        gamma_unwrapped=unwrapped,
-        method="closed_form",
-        diagnostics=r.diagnostics,
-    )
+    return r.result
 
 
 def gp_south_pole(track: PolarTrack) -> GpResult:
@@ -448,13 +466,13 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
 
     Requires the trajectory to start at the Bloch south pole (theta0 = pi,
     i.e. <sigma_z(0)> = -1); otherwise a PreconditionError is raised.  The
-    integrand (1 - cos theta_t)/2 is the track's sin2_half, summed by the
-    same helper (_trapezoid_on_chi) that gp_closed_form applies to
-    1 - sin2_half.  At the pole sin2_half(0) = 0, so the closed form's phase
-    is arg(e^{i dchi_total}) minus the trapezoid of 1 - sin2_half, which is
-    dchi_total minus this one: the two methods agree exactly in exact
-    arithmetic and, in floats, to the rounding of that exp/atan2 round trip
-    and of the two sums (a few ulp of |dchi_total|), mod 2*pi.
+    integrand (1 - cos theta_t)/2 is the track's sin2_half, and its
+    quadrature (1/2) sum_j G_j sin2_half_j (_trapezoid_on_chi) is the very
+    sum that gp_closed_form subtracts from dchi_total for its connection.
+    At the pole sin2_half(0) = 0, so the closed form's phase is
+    arg(e^{i dchi_total}) - (dchi_total - this sum): the two routes share
+    one sum and differ only by the exp/atan2 round trip and the two
+    subtractions (a few ulp of |dchi_total|), mod 2*pi.
     """
     a0 = float(track.A[0])
     if abs(a0 + 1.0) > 1e-12:
@@ -462,12 +480,12 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
             "south-pole form requires theta0 = pi (initial <sigma_z> = -1),"
             f" got <sigma_z(0)> = {a0:.12f}"
         )
-    unwrapped = _trapezoid_on_chi(track.azimuth.dchi, track.sin2_half)
+    unwrapped = _trapezoid_on_chi(track.azimuth, track.sin2_half)
     return GpResult(
         gamma=principal_value(unwrapped),
         gamma_unwrapped=unwrapped,
         method="south_pole",
-        diagnostics=track._reductions().diagnostics,
+        diagnostics=track._reductions().result.diagnostics,
     )
 
 

@@ -459,9 +459,17 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
     # each a (75, 56) block with a (56, 219) three-row table; N = 30,
     # (0.3, 0.7) on 371 nodes to t = 5, 3 chunks of (20, 214) @ (214, 76),
     # where (20, 430) @ (430, 152) products sum in another order at 2
-    # threads; and the literal
-    # series at N = 150, whose 22801 sectors np.dot would split over the
-    # BLAS threads
+    # threads; N = 200 to t = 50 at (0.3, 0.7) on 24252 nodes and at
+    # (1/4, 1/4) on 11273, whose (157, 26) @ (26, 620) chunk products
+    # (2.5 M multiply-adds) are issued in blocks of anchor rows, and
+    # N = 400 at (1/4, 1/4) on 9008 nodes to t = 20; and the literal series
+    # at N = 150, whose 22801 sectors np.dot would split over the BLAS
+    # threads
+    large = [
+        (200, (0.3, 0.7), 50.0, 24252),
+        (200, (0.25, 0.25), 50.0, 11273),
+        (400, (0.25, 0.25), 20.0, 9008),
+    ]
     code = (
         "import hashlib, numpy as np\n"
         "from frustra_gp import InitialStateAngles, SystemConfig, rotation_matrices\n"
@@ -475,6 +483,10 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
         "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=30)\n"
         "m = rotation_matrices(cfg, np.linspace(0.0, 5.0, 371))\n"
         "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+        f"for size, (a1, a2), t, n in {large!r}:\n"
+        "    cfg = SystemConfig(omega=2.0, alpha1=a1, alpha2=a2, bath_size=size)\n"
+        "    m = rotation_matrices(cfg, np.linspace(0.0, t, n))\n"
+        "    print(hashlib.sha256(m.tobytes()).hexdigest())\n"
         "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=150)\n"
         "ang = InitialStateAngles(theta=1.1, phi=0.4)\n"
         "p = literal_points(cfg, ang, np.linspace(0.0, 5.0, 50))\n"
@@ -501,12 +513,21 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
         SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=30),
         np.linspace(0.0, 5.0, 371),
     )
+    large_maps = [
+        rotation_matrices(
+            SystemConfig(omega=2.0, alpha1=a1, alpha2=a2, bath_size=size),
+            np.linspace(0.0, t, n),
+        )
+        for size, (a1, a2), t, n in large
+    ]
     lit = literal_points(
         SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=150),
         InitialStateAngles(theta=1.1, phi=0.4),
         np.linspace(0.0, 5.0, 50),
     )
-    digests = [hashlib.sha256(x.tobytes()).hexdigest() for x in (mats, gp_n48, n30, lit)]
+    digests = [
+        hashlib.sha256(x.tobytes()).hexdigest() for x in (mats, gp_n48, n30, *large_maps, lit)
+    ]
     assert digests == one.split()
 
 

@@ -467,13 +467,14 @@ def _pure_start_tracks(draw):
 @settings(max_examples=300, deadline=None)
 @given(track=_pure_start_tracks())
 def test_closed_form_quadrature_is_the_literal_trapezoid(track):
-    # The literal trapezoid sum_i dchi_i (f_i + f_{i+1}) / 2 on
-    # f = 1 - sin2_half, and the bracket exactly as the formula reads; the
-    # closed form only regroups exact halvings, so it must match bit for bit.
+    # The connection as the module docstring writes it, total - (1/2)
+    # sum_j G_j s_j with node weights G_j = dchi_{j-1} + dchi_j (0 past
+    # either end), and the bracket exactly as the formula reads: the closed
+    # form must match this literal bit for bit.
     s, dchi = track.sin2_half, track.azimuth.dchi
-    f = 1.0 - s
-    connection = float(np.sum(dchi * ((f[:-1] + f[1:]) / 2.0)))
+    G = np.concatenate(([0.0], dchi)) + np.concatenate((dchi, [0.0]))
     total = float(np.sum(dchi))
+    connection = total - np.sum(G * s) / 2
     bracket = complex(
         math.sqrt(s[0]) * math.sqrt(s[-1])
         + np.exp(1.0j * total) * math.sqrt(1.0 - s[0]) * math.sqrt(1.0 - s[-1])
@@ -482,26 +483,44 @@ def test_closed_form_quadrature_is_the_literal_trapezoid(track):
         with pytest.raises(IndeterminatePhaseError):
             gp_closed_form(track)
         return
-    want = math.atan2(bracket.imag, bracket.real) - connection
-    assert gp_closed_form(track).gamma_unwrapped == want
+    head = math.atan2(bracket.imag, bracket.real)
+    got = gp_closed_form(track).gamma_unwrapped
+    assert got == head - connection
+    # The classic trapezoid sum_i dchi_i (f_i + f_{i+1}) / 2 of
+    # f = 1 - sin2_half is the same integral rounded in another order.  An
+    # m-term float sum whose terms are each within k roundings of at most
+    # |dchi_i| in size is off by at most (m + k) u sum |dchi| (u the unit
+    # roundoff): n + 1 for the classic sum, n - 2 for the total and n + 1
+    # for the node sum (whose terms add to at most 2 sum |dchi|, halved),
+    # plus three subtractions of values at most pi + sum |dchi| in size.
+    f = 1.0 - s
+    classic = float(np.sum(dchi * ((f[:-1] + f[1:]) / 2.0)))
+    u = np.finfo(float).eps / 2.0
+    n = track.n_steps
+    bound = (3 * n + 10) * u * (float(np.sum(np.abs(dchi))) + math.pi)
+    assert abs(got - (head - classic)) <= bound
 
 
 def test_closed_form_and_south_pole_share_one_quadrature(monkeypatch):
+    # The south pole's phase is the node sum of sin2_half, and the closed
+    # form subtracts that same sum from dchi_total: both routes hand the
+    # helper the track's azimuth and its sin2_half, never 1 - sin2_half.
     track = polar_track(_spiral_trajectory(n_steps=2001))
     quadrature = phase._trapezoid_on_chi
-    integrands = []
+    calls = []
 
-    def spy(dchi, integrand):
-        assert dchi is track.azimuth.dchi
-        integrands.append(integrand)
-        return quadrature(dchi, integrand)
+    def spy(azimuth, integrand):
+        calls.append((azimuth, integrand))
+        return quadrature(azimuth, integrand)
 
     monkeypatch.setattr(phase, "_trapezoid_on_chi", spy)
-    gp_south_pole(track)
+    pole = gp_south_pole(track)
     gp_closed_form(track)
-    assert len(integrands) == 2
-    assert np.array_equal(integrands[0], track.sin2_half)
-    assert np.array_equal(integrands[1], 1.0 - track.sin2_half)
+    assert len(calls) == 2
+    for azimuth, integrand in calls:
+        assert azimuth is track.azimuth
+        assert integrand is track.sin2_half
+    assert pole.gamma_unwrapped == quadrature(track.azimuth, track.sin2_half)
 
 
 def test_closed_form_matches_unitary_reference():
@@ -595,25 +614,38 @@ def test_closed_form_scale_invariance():
 
 
 def test_track_keeps_its_closed_form_reductions(monkeypatch):
-    # A track keeps what the closed form derives from it alone, so a second
-    # call on it makes no n-node pass; dataclasses.replace builds a new
-    # track, which computes its own and never reads a stale value.
+    # A track keeps what the closed form derives from it alone, its result
+    # included, so a second call on it makes no n-node pass and returns the
+    # same GpResult object; dataclasses.replace builds a new track, which
+    # computes its own result and never reads a stale value.  The checks of
+    # a call's own arguments run on every call.
     track = polar_track(_spiral_trajectory(n_steps=2001))
     quadrature = phase._trapezoid_on_chi
     calls = []
 
-    def spy(dchi, integrand):
+    def spy(azimuth, integrand):
         calls.append(1)
-        return quadrature(dchi, integrand)
+        return quadrature(azimuth, integrand)
 
     monkeypatch.setattr(phase, "_trapezoid_on_chi", spy)
     first = gp_closed_form(track)
-    assert gp_closed_form(track) == first
-    assert gp_closed_form(dataclasses.replace(track)) == first
+    assert gp_closed_form(track) is first
+    assert gp_closed_form(track, angles=InitialStateAngles(theta=math.pi)) is first
+    copied = gp_closed_form(dataclasses.replace(track))
+    assert copied == first and copied is not first
     assert len(calls) == 2
     reversed_track = _with_azimuth(track, dchi=-track.azimuth.dchi)
     assert gp_closed_form(reversed_track).gamma_unwrapped != first.gamma_unwrapped
     assert len(calls) == 3
+    halved = PolarTrack(track.azimuth, 0.5 * track.A, track.sin2_half, 0.5 * track.eps_plus)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="does not start at the stated"):
+            gp_closed_form(track, angles=InitialStateAngles(theta=0.3))
+        with pytest.raises(PreconditionError, match="initial state not pure"):
+            gp_closed_form(halved)
+    kept = gp_closed_form(halved, require_pure=False)
+    assert gp_closed_form(halved, require_pure=False) is kept
+    assert len(calls) == 4
 
 
 def test_tracks_on_one_azimuth_share_it():
