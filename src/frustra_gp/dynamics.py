@@ -113,7 +113,9 @@ class BlochTrajectory:
     """Sampled reduced Bloch vectors on a time grid.
 
     points has shape (n_steps, 3); every node obeys |v| <= 1 + 1e-12 and the
-    first node is unit within 1e-10 (pure initial state).
+    first node is unit within 1e-10 (pure initial state).  It is kept in the
+    layout it was given: bloch_trajectory gives the (n, 3) view of a (3, n)
+    array, so each component points[:, i] is contiguous.
     """
 
     grid: TimeGrid
@@ -252,6 +254,18 @@ def _offsets_per_anchor(times: np.ndarray) -> int:
     return 1
 
 
+def _anchor_blocks(times, k):
+    """times padded to whole blocks of k nodes, shape (anchors, k), and dt.
+
+    Each row starts at its anchor times[lo]; the padded nodes repeat
+    times[-1] and are computed and dropped.  One node per block takes no
+    step (and a single time has none), so dt is 0 at k = 1.
+    """
+    n = times.size
+    dt = 0.0 if k == 1 else (times[-1] - times[0]) / (n - 1)
+    return np.concatenate((times, np.full(-n % k, times[-1]))).reshape(-1, k), dt
+
+
 def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
     """The diagonal and xy sector sums at anchored times, shape (h, n).
 
@@ -272,11 +286,8 @@ def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
     block to block.  At k = 1, a + o = times[j].
     """
     n, h = times.size, coef.shape[0]
-    # one node per block takes no step (and a single time has none)
-    dt = 0.0 if k == 1 else (times[-1] - times[0]) / (n - 1)
+    seg, dt = _anchor_blocks(times, k)
     offsets = np.arange(k) * dt
-    # Times padded to whole blocks; the padded nodes are computed and dropped.
-    seg = np.concatenate((times, np.full(-n % k, times[-1]))).reshape(-1, k)
     n_a = seg.shape[0]
     # The width is sized for h = 4 at either h: it fixes which sectors each
     # product sums, and so the map's bytes.
@@ -287,7 +298,7 @@ def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
     # their pages after each call (172 minor faults a call at gp-n48's map).
     vals = np.empty((h, n_a, k))
     m = h * n_a * k
-    block = np.zeros(2 * m + (2 * n_a + 3 * k + 2 * h * (k + 1)) * width)
+    block = np.empty(2 * m + (2 * n_a + 3 * k + 2 * h * (k + 1)) * width)
     sums = block[:m].reshape(n_a, h, k)
     prod = block[m : 2 * m].reshape(n_a, h, k)
     left_buf = block[2 * m :]
@@ -319,11 +330,16 @@ def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
         np.multiply(pair[-1], trig[:, : 2 * c], out=table[-1])
         lhs = left.reshape(2 * c, n_a).T
         rhs = table.reshape(h * k, 2 * c).T
-        out = prod.reshape(n_a, h * k)
+        # The first chunk's product is the sums' start, not an addend to
+        # zeros: that can leave -0.0 where 0.0 + product gives +0.0, and the
+        # lift added last (x + 0.0 at worst) turns any -0.0 into +0.0, so
+        # the bytes are those of a sum started from zeros.
+        out = (sums if lo == 0 else prod).reshape(n_a, h * k)
         rows = max(1, _PRODUCT_MULADDS // (2 * c * h * k))
         for r in range(0, n_a, rows):
             np.matmul(lhs[r : r + rows], rhs, out=out[r : r + rows])
-        sums += prod
+        if lo:
+            sums += prod
     # the lift, added last (the chunks' partial sums are mostly smaller, and
     # round less), in node order
     np.add(sums.transpose(1, 0, 2), lift[:, None, None], out=vals)
@@ -339,15 +355,17 @@ def _onto_times(sums, times, k) -> None:
     |r| max|dV/dt| min(2, (Gamma_max dt)^2 / 3) (min(4, ...) at the last
     node), max over all t: below one ulp of the map on auto grids
     (Gamma_max dt = 2 pi / 40), and never above the rounding of Gamma t.
+    Both differences are taken of the unmoved sums, then added in place;
+    the first node (r = 0) is left as it is.
     """
-    dt = (times[-1] - times[0]) / (times.size - 1)
-    b = np.arange(times.size) % k
-    r = ((times - np.repeat(times[::k], k)[: times.size]) - b * dt) / (2.0 * dt)
-    step = np.zeros_like(sums)
-    np.subtract(sums[:, 2:], sums[:, :-2], out=step[:, 1:-1])
-    step[:, -1] = 3.0 * sums[:, -1] - 4.0 * sums[:, -2] + sums[:, -3]
-    step *= r
-    sums += step
+    seg, dt = _anchor_blocks(times, k)
+    r = ((seg - seg[:, :1]) - np.arange(k) * dt).reshape(-1)[: times.size]
+    r /= 2.0 * dt
+    last = (3.0 * sums[:, -1] - 4.0 * sums[:, -2] + sums[:, -3]) * r[-1]
+    step = np.subtract(sums[:, 2:], sums[:, :-2])
+    step *= r[1:-1]
+    sums[:, 1:-1] += step
+    sums[:, -1] += last
 
 
 def _checked_times(times) -> np.ndarray:
@@ -370,6 +388,10 @@ def _check_rotation_angle(gamma_max: float, times) -> None:
 def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     """Weighted sector-sum rotation map M(t), shape (n_times, 3, 3).
 
+    The map is stored entry-major: the result is the (n, 3, 3) view of a
+    (3, 3, n) array, so each entry's series M[:, i, k] is contiguous
+    (np.ascontiguousarray gives C order).
+
     v_S(t) = M(t) @ v(0).  Sectors (+-m1, +-m2) share weight and Gamma, so
     every term odd in n_x or n_y cancels and M(t) has exactly five nonzero
     entries (c = cos(Gamma t), s = sin(Gamma t), sums over sectors):
@@ -390,9 +412,10 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     about the rounding of Gamma t (5.7e-14 at Gamma t = 500).  Each chunk
     of sectors is one matrix product whose operands hold at most
     _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 4)
-    sums, product and result ((n, 3) when alpha1 = alpha2) is about 1 MB
-    at any S and n.  Empty times give an empty map; a NaN or infinite time, or one
-    at which the fastest sector's Gamma * t overflows, raises ConfigError.
+    sums, product and result ((n, 3) when alpha1 = alpha2) and the (n, 3, 3)
+    map is about 1 MB at any S and n.  Empty times give an empty map; a NaN
+    or infinite time, or one at which the fastest sector's Gamma * t
+    overflows, raises ConfigError.
     """
     times = _checked_times(times)
     if times.size == 0:
@@ -407,12 +430,14 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     if len(diagonal) == 2:
         # alpha1 = alpha2: M_yy is M_xx, read from the same x sums
         diagonal.insert(1, diagonal[0])
-    out = np.zeros((times.size, 3, 3))
+    # entry-major: each entry's series is one contiguous row
+    out = np.empty((3, 3, times.size))
+    out[0, 2] = out[1, 2] = out[2, 0] = out[2, 1] = 0.0
     for i, d in enumerate(diagonal):
-        np.subtract(total, d, out=out[:, i, i])
-    np.negative(xy, out=out[:, 0, 1])
-    out[:, 1, 0] = xy
-    return out
+        np.subtract(total, d, out=out[i, i])
+    np.negative(xy, out=out[0, 1])
+    out[1, 0] = xy
+    return out.transpose(2, 0, 1)
 
 
 def bloch_at(
@@ -430,15 +455,22 @@ def bloch_at(
 def bloch_trajectory(
     config: SystemConfig, angles: InitialStateAngles, grid: TimeGrid
 ) -> BlochTrajectory:
-    """Sample the reduced dynamics on a uniform time grid."""
+    """Sample the reduced dynamics on a uniform time grid.
+
+    The points are the (n, 3) view of a (3, n) array, one contiguous row
+    per component.
+    """
     m = rotation_matrices(config, grid.times())
     x, y, z = initial_bloch(angles).as_array()
-    # M v0 from the map's five nonzero entries
-    pts = np.empty((grid.n_steps, 3))
-    pts[:, 0] = m[:, 0, 0] * x + m[:, 0, 1] * y
-    pts[:, 1] = m[:, 1, 0] * x + m[:, 1, 1] * y
-    pts[:, 2] = m[:, 2, 2] * z
-    return BlochTrajectory(grid=grid, points=pts)
+    # M v0 from the map's five nonzero entries, each a contiguous series,
+    # into one contiguous row per component
+    pts = np.empty((3, grid.n_steps))
+    np.multiply(m[:, 0, 0], x, out=pts[0])
+    pts[0] += m[:, 0, 1] * y
+    np.multiply(m[:, 1, 0], x, out=pts[1])
+    pts[1] += m[:, 1, 1] * y
+    np.multiply(m[:, 2, 2], z, out=pts[2])
+    return BlochTrajectory(grid=grid, points=pts.T)
 
 
 def _sinc_factors(gammas: np.ndarray, t: float):

@@ -211,9 +211,9 @@ class _ColumnSweep:
         self.ux, self.uy = -np.sin(phis), np.cos(phis)
         self.phis = phis
         self.grid = grid
+        # contiguous series: the map is stored entry-major
         self.mxx, self.mxy, self.myy, self.mzz = (
-            np.ascontiguousarray(rot[:, i, k])
-            for i, k in ((0, 0), (0, 1), (1, 1), (2, 2))
+            rot[:, i, k] for i, k in ((0, 0), (0, 1), (1, 1), (2, 2))
         )
         self.shared = np.array_equal(self.mxx, self.myy)
         n_series = 1 if self.shared else phis.size

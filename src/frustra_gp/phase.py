@@ -315,12 +315,13 @@ class PolarTrack:
         bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
         # The trapezoid of chi_dot (1 - sin2_half): the increments' total
         # minus gp_south_pole's sum, with no 1 - sin2_half pass.
-        connection = dchi - _trapezoid_on_chi(azimuth, self.sin2_half)
-        unwrapped = math.atan2(bracket.imag, bracket.real) - connection
+        half_sum = _trapezoid_on_chi(azimuth, self.sin2_half)
+        unwrapped = math.atan2(bracket.imag, bracket.real) - (dchi - half_sum)
         reductions = _Reductions(
             a0=float(self.A[0]),
             eps0=float(self.eps_plus[0]),
             bracket=bracket,
+            half_sum=half_sum,
             result=GpResult(
                 gamma=principal_value(unwrapped),
                 gamma_unwrapped=unwrapped,
@@ -393,14 +394,18 @@ class _Reductions(NamedTuple):
 
     a0 and eps0 are A and eps_plus at t = 0, and bracket is cos(theta0/2)
     sin(theta_tau/2) + e^{i dchi(tau)} sin(theta0/2) cos(theta_tau/2): what
-    gp_closed_form checks on every call.  result is the GpResult it returns
-    once those checks pass, kept so that a track's later calls return the
-    same object; gp_south_pole reads its diagnostics.
+    gp_closed_form checks on every call.  half_sum is (1/2) sum_j G_j
+    sin2_half_j (_trapezoid_on_chi), which the closed form's connection
+    subtracts from dchi_total and which is gp_south_pole's phase.  result is
+    the GpResult gp_closed_form returns once its checks pass, kept so that a
+    track's later calls return the same object; gp_south_pole reads its
+    diagnostics.
     """
 
     a0: float
     eps0: float
     bracket: complex
+    half_sum: float
     result: GpResult
 
 
@@ -468,7 +473,8 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
     i.e. <sigma_z(0)> = -1); otherwise a PreconditionError is raised.  The
     integrand (1 - cos theta_t)/2 is the track's sin2_half, and its
     quadrature (1/2) sum_j G_j sin2_half_j (_trapezoid_on_chi) is the very
-    sum that gp_closed_form subtracts from dchi_total for its connection.
+    sum that gp_closed_form subtracts from dchi_total for its connection,
+    taken once per track and kept with it (_reductions).
     At the pole sin2_half(0) = 0, so the closed form's phase is
     arg(e^{i dchi_total}) - (dchi_total - this sum): the two routes share
     one sum and differ only by the exp/atan2 round trip and the two
@@ -480,12 +486,12 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
             "south-pole form requires theta0 = pi (initial <sigma_z> = -1),"
             f" got <sigma_z(0)> = {a0:.12f}"
         )
-    unwrapped = _trapezoid_on_chi(track.azimuth, track.sin2_half)
+    r = track._reductions()
     return GpResult(
-        gamma=principal_value(unwrapped),
-        gamma_unwrapped=unwrapped,
+        gamma=principal_value(r.half_sum),
+        gamma_unwrapped=r.half_sum,
         method="south_pole",
-        diagnostics=track._reductions().result.diagnostics,
+        diagnostics=r.result.diagnostics,
     )
 
 
@@ -505,12 +511,18 @@ def _branch_spinors(points: np.ndarray, rxy: np.ndarray) -> np.ndarray:
             "fully mixed node encountered; dominant branch undefined"
         )
     ratio = a / eps
-    cos_half = np.sqrt(np.clip((1.0 + ratio) / 2.0, 0.0, 1.0))
+    chain = np.empty((pts.shape[0], 2), dtype=complex)
+    chain[:, 0] = np.sqrt(np.clip((1.0 + ratio) / 2.0, 0.0, 1.0))
     sin_half = np.sqrt(np.clip((1.0 - ratio) / 2.0, 0.0, 1.0))
-    phase = np.ones(pts.shape[0], dtype=complex)
-    ok = rxy > R_TOL
-    phase[ok] = (pts[ok, 0] + 1.0j * pts[ok, 1]) / rxy[ok]
-    return np.column_stack([cos_half.astype(complex), sin_half * phase])
+    # (x + iy) / rxy at every node, in place; on the z axis (rxy <= R_TOL)
+    # that is 0/0 or noise, and phase 1 overwrites it
+    phase = np.multiply(1.0j, pts[:, 1], out=chain[:, 1])
+    phase += pts[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phase /= rxy
+    phase[rxy <= R_TOL] = 1.0
+    np.multiply(sin_half, phase, out=chain[:, 1])
+    return chain
 
 
 def pancharatnam_phase(spinors: np.ndarray) -> tuple[float, float, float]:

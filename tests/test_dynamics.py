@@ -156,6 +156,41 @@ def test_trajectory_starts_at_initial_bloch():
         assert np.max(np.abs(traj.points[0] - initial_bloch(ang).as_array())) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "bath_size, alpha1, alpha2, grid",
+    [
+        (20, 0.3, 0.7, TimeGrid(50.0, 4001)),
+        (48, 0.5, 0.5, TimeGrid(50.0, 5441)),
+        # K = 1: fewer than 4 nodes take every node as its own anchor
+        (3, 1.0, 0.0, TimeGrid(5.0, 3)),
+    ],
+    ids=["n20", "gp-n48", "three-nodes"],
+)
+def test_map_entries_and_trajectory_components_are_contiguous(
+    bath_size, alpha1, alpha2, grid
+):
+    # The map is stored entry-major and the points component-major, so
+    # every series that later passes read is one contiguous row; the points
+    # are still M v0 from the map's five nonzero entries, bit for bit.
+    cfg = SystemConfig(omega=2.0, alpha1=alpha1, alpha2=alpha2, bath_size=bath_size)
+    ang = InitialStateAngles(theta=1.1, phi=0.4)
+    m = rotation_matrices(cfg, grid.times())
+    assert m.shape == (grid.n_steps, 3, 3)
+    assert all(m[:, i, k].flags.c_contiguous for i in range(3) for k in range(3))
+    points = bloch_trajectory(cfg, ang, grid).points
+    assert points.shape == (grid.n_steps, 3)
+    assert all(points[:, i].flags.c_contiguous for i in range(3))
+    x, y, z = initial_bloch(ang).as_array()
+    expected = np.column_stack(
+        [
+            m[:, 0, 0] * x + m[:, 0, 1] * y,
+            m[:, 1, 0] * x + m[:, 1, 1] * y,
+            m[:, 2, 2] * z,
+        ]
+    )
+    assert points.tobytes() == expected.tobytes()
+
+
 def _scalar_sector_sum(cfg, ang, t):
     ladder = sector_weights(cfg.bath_size)
     v0 = initial_bloch(ang)
@@ -456,10 +491,11 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
     # N = 400 on 2298 nodes: 806 sector chunks, each one GEMM of the
     # (49, 86) anchor block with the (86, 188) offset table; gp-n48's map
     # (N = 48, alpha1 = alpha2 = 1/2 on 5441 nodes to t = 50): 10 chunks,
-    # each a (75, 56) block with a (56, 219) three-row table; N = 30,
-    # (0.3, 0.7) on 371 nodes to t = 5, 3 chunks of (20, 214) @ (214, 76),
-    # where (20, 430) @ (430, 152) products sum in another order at 2
-    # threads; N = 200 to t = 50 at (0.3, 0.7) on 24252 nodes and at
+    # each a (75, 56) block with a (56, 219) three-row table, and a
+    # trajectory on it, whose points are formed from the map's entry rows;
+    # N = 30, (0.3, 0.7) on 371 nodes to t = 5, 3 chunks of (20, 214) @
+    # (214, 76), where (20, 430) @ (430, 152) products sum in another order
+    # at 2 threads; N = 200 to t = 50 at (0.3, 0.7) on 24252 nodes and at
     # (1/4, 1/4) on 11273, whose (157, 26) @ (26, 620) chunk products
     # (2.5 M multiply-adds) are issued in blocks of anchor rows, and
     # N = 400 at (1/4, 1/4) on 9008 nodes to t = 20; and the literal series
@@ -472,7 +508,9 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
     ]
     code = (
         "import hashlib, numpy as np\n"
-        "from frustra_gp import InitialStateAngles, SystemConfig, rotation_matrices\n"
+        "from frustra_gp import (\n"
+        "    InitialStateAngles, SystemConfig, TimeGrid, bloch_trajectory, rotation_matrices\n"
+        ")\n"
         "from frustra_gp.dynamics import literal_points\n"
         "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=400)\n"
         "m = rotation_matrices(cfg, np.linspace(0.0, 5.0, 2298))\n"
@@ -480,6 +518,9 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
         "cfg = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48)\n"
         "m = rotation_matrices(cfg, np.linspace(0.0, 50.0, 5441))\n"
         "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
+        "ang = InitialStateAngles(theta=1.1, phi=0.4)\n"
+        "p = bloch_trajectory(cfg, ang, TimeGrid(50.0, 5441)).points\n"
+        "print(hashlib.sha256(p.tobytes()).hexdigest())\n"
         "cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=30)\n"
         "m = rotation_matrices(cfg, np.linspace(0.0, 5.0, 371))\n"
         "print(hashlib.sha256(m.tobytes()).hexdigest())\n"
@@ -505,10 +546,11 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
     assert one == digest("2")
     cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.2, bath_size=400)
     mats = rotation_matrices(cfg, np.linspace(0.0, 5.0, 2298))
-    gp_n48 = rotation_matrices(
-        SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48),
-        np.linspace(0.0, 50.0, 5441),
-    )
+    cfg48 = SystemConfig(omega=2.0, alpha1=0.5, alpha2=0.5, bath_size=48)
+    gp_n48 = rotation_matrices(cfg48, np.linspace(0.0, 50.0, 5441))
+    gp_n48_points = bloch_trajectory(
+        cfg48, InitialStateAngles(theta=1.1, phi=0.4), TimeGrid(50.0, 5441)
+    ).points
     n30 = rotation_matrices(
         SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=30),
         np.linspace(0.0, 5.0, 371),
@@ -526,7 +568,8 @@ def test_rotation_map_bytes_ignore_blas_threads_over_many_chunks():
         np.linspace(0.0, 5.0, 50),
     )
     digests = [
-        hashlib.sha256(x.tobytes()).hexdigest() for x in (mats, gp_n48, n30, *large_maps, lit)
+        hashlib.sha256(x.tobytes()).hexdigest()
+        for x in (mats, gp_n48, gp_n48_points, n30, *large_maps, lit)
     ]
     assert digests == one.split()
 

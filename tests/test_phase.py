@@ -503,8 +503,9 @@ def test_closed_form_quadrature_is_the_literal_trapezoid(track):
 
 def test_closed_form_and_south_pole_share_one_quadrature(monkeypatch):
     # The south pole's phase is the node sum of sin2_half, and the closed
-    # form subtracts that same sum from dchi_total: both routes hand the
-    # helper the track's azimuth and its sin2_half, never 1 - sin2_half.
+    # form subtracts that same sum from dchi_total: the track takes it once,
+    # of its azimuth and its sin2_half (never 1 - sin2_half), and both
+    # routes read the kept sum.
     track = polar_track(_spiral_trajectory(n_steps=2001))
     quadrature = phase._trapezoid_on_chi
     calls = []
@@ -516,7 +517,7 @@ def test_closed_form_and_south_pole_share_one_quadrature(monkeypatch):
     monkeypatch.setattr(phase, "_trapezoid_on_chi", spy)
     pole = gp_south_pole(track)
     gp_closed_form(track)
-    assert len(calls) == 2
+    assert len(calls) == 1
     for azimuth, integrand in calls:
         assert azimuth is track.azimuth
         assert integrand is track.sin2_half
@@ -739,6 +740,24 @@ def test_discrete_holonomy_rejects_fully_mixed_node():
     traj = BlochTrajectory(grid=grid, points=pts)
     with pytest.raises(PreconditionError):
         gp_discrete_holonomy(traj)
+
+
+def test_branch_spinors_on_the_z_axis_take_phase_one():
+    # Nodes with rxy <= R_TOL (here 0, where (x + iy) / rxy is 0/0) take
+    # phase 1, so their spinors are real; every other node's spinor is what
+    # the chain without them gets, bit for bit.
+    t = np.linspace(0.0, 2.0, 9)
+    beta = 0.3 + t
+    pts = np.column_stack([np.sin(beta) * np.cos(t), np.sin(beta) * np.sin(t), np.cos(beta)])
+    pts[4] = [0.0, 0.0, -1.0]
+    pts[6] = [0.0, 0.0, 0.5]
+    rxy = np.hypot(pts[:, 0], pts[:, 1])
+    chain = phase._branch_spinors(pts, rxy)
+    assert chain[4].tolist() == [0.0, 1.0]
+    assert chain[6].tolist() == [1.0, 0.0]
+    off_axis = np.delete(np.arange(9), [4, 6])
+    regular = phase._branch_spinors(pts[off_axis], rxy[off_axis])
+    assert chain[off_axis].tobytes() == regular.tobytes()
 
 
 def test_discrete_holonomy_rejects_impure_start():
