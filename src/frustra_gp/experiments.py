@@ -35,11 +35,10 @@ of a row one shared track, so the factored cells of such a row have the
 same value bit for bit.  A cell that falls back still projects its own
 points, but the fallback decision comes from the shared column.  Every
 cell still makes its own gp_closed_form call, as a per-cell trace of the
-sweep expects, but a track keeps what the closed form derives from it
-alone (its start, the bracket and the GpResult; PolarTrack._reductions),
-so on a shared track only the first cell of a row makes the n-node passes
-and builds the result, and the others pay only the call's checks and get
-the kept result back.
+sweep expects, but a track evaluates its closed form (the bracket, the
+connection sum and the GpResult) when it is built, so a shared track's
+n-node passes run once per row, when its first cell builds it, and every
+cell's call pays only the call's checks and gets the track's result back.
 
 `strategy_compare` contrasts coupling allocations (single bath vs split
 couplings) by two grid metrics: mean |gamma| and mean angular distance to
@@ -58,7 +57,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -89,6 +88,7 @@ from .phase import (
     gp_south_pole,
     gp_unitary_reference,
     polar_track,
+    principal_value,
 )
 
 COMPARE_METRICS = ("mean_dist_to_unitary", "mean_abs_gp")
@@ -154,29 +154,31 @@ def auto_time_grid(
 class GpSurface:
     """Geometric phase over an angle grid at one evolution time.
 
-    gamma holds principal values in [-pi, pi); gamma_unwrapped the unreduced
-    values; singular_count the number of flagged azimuth nodes per cell.
-    Cells whose phase is indeterminate are NaN in both gamma arrays.
+    gamma_unwrapped holds the unreduced values; singular_count the number of
+    flagged azimuth nodes per cell; both must have the grid's shape.  gamma
+    is not passed: it is principal_value(gamma_unwrapped), in [-pi, pi),
+    derived when the surface is built.  Cells whose phase is indeterminate
+    are NaN in both gamma arrays.  All three arrays are read-only.
     """
 
     grid: AngleGrid
     config: SystemConfig
     t: float
     time_steps: int
-    gamma: np.ndarray
+    gamma: np.ndarray = field(init=False)
     gamma_unwrapped: np.ndarray
     singular_count: np.ndarray
 
     def __post_init__(self) -> None:
         shape = (self.grid.n_theta, self.grid.n_phi)
-        for name in ("gamma", "gamma_unwrapped", "singular_count"):
+        for name in ("gamma_unwrapped", "singular_count"):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ConfigError(f"{name} must have shape {shape}")
             arr.setflags(write=False)
-        finite = self.gamma[np.isfinite(self.gamma)]
-        if finite.size and (finite.min() < -math.pi or finite.max() >= math.pi):
-            raise ConfigError("gamma entries fall outside the principal range")
+        gamma = principal_value(self.gamma_unwrapped)
+        gamma.setflags(write=False)
+        vars(self).update(gamma=gamma)
 
 
 class _ColumnSweep:
@@ -196,15 +198,15 @@ class _ColumnSweep:
     the module docstring).  Only these are kept per column, never a track.
 
     A factored track makes five elementwise passes over its n nodes
-    (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and the first
-    gp_closed_form call on it two more (products of sin2_half with the
-    column's node weights, and their sum), whose result the track keeps:
-    seven per cell, or seven per row when the track is shared, whose other
-    cells pay only the call's checks.  The sum of dchi, the node weights
-    and the singular count are the column's, made once when its Azimuth is
-    built.
-    A, A/2 and A^2 are formed once per row, and a row's results are
-    collected in lists that the caller converts once.
+    (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and its
+    constructor two more (products of sin2_half with the column's node
+    weights, and their sum), of which it builds its GpResult: seven per
+    cell, or seven per row when the track is shared, whose cells' calls pay
+    only the call's checks.  The sum of dchi, the node weights and the
+    singular count are the column's, made once when its Azimuth is built.
+    A, A/2 and A^2 are formed once per row, and a row's unreduced phases
+    and singular counts are collected in two lists that the caller converts
+    once; the surface derives the principal values of the whole grid.
     """
 
     def __init__(self, rot: np.ndarray, phis: np.ndarray, grid: TimeGrid):
@@ -212,8 +214,8 @@ class _ColumnSweep:
         self.phis = phis
         self.grid = grid
         # contiguous series: the map is stored entry-major
-        self.mxx, self.mxy, self.myy, self.mzz = (
-            rot[:, i, k] for i, k in ((0, 0), (0, 1), (1, 1), (2, 2))
+        self.mxx, self.mxy, self.myx, self.myy, self.mzz = (
+            rot[:, i, k] for i, k in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2))
         )
         self.shared = np.array_equal(self.mxx, self.myy)
         n_series = 1 if self.shared else phis.size
@@ -230,9 +232,9 @@ class _ColumnSweep:
         self.rho_min = np.sqrt(self.rho2.min(axis=1)).tolist()
 
     def _in_plane(self, j: int, st: float) -> tuple[np.ndarray, np.ndarray]:
-        """x, y of the start st * (ux[j], uy[j]) under the map, whose M_yx = -M_xy."""
+        """x, y of the start st * (ux[j], uy[j]) under the map's in-plane block."""
         sx, sy = st * self.ux[j], st * self.uy[j]
-        return sx * self.mxx + sy * self.mxy, sy * self.myy - sx * self.mxy
+        return sx * self.mxx + sy * self.mxy, sy * self.myy + sx * self.myx
 
     def _cell_track(
         self, c: int, st: float, a: np.ndarray, a_half: np.ndarray, a2: np.ndarray
@@ -247,13 +249,13 @@ class _ColumnSweep:
         s += 0.5
         return PolarTrack(self.azimuths[c], a, s, eps)
 
-    def row(self, theta: float) -> tuple[list[float], list[float], list[int]]:
-        """gamma, gamma_unwrapped and singular_count of one constant-theta row."""
+    def row(self, theta: float) -> tuple[list[float], list[int]]:
+        """gamma_unwrapped and singular_count of one constant-theta row."""
         st, ct = math.sin(theta), math.cos(theta)
         a = ct * self.mzz
         a_half = a / 2.0
         a2 = a * a
-        gam, unw, sing = [], [], []
+        unw, sing = [], []
         shared_track = None
         for j in range(self.phis.size):
             c = 0 if self.shared else j
@@ -277,17 +279,15 @@ class _ColumnSweep:
                         shared_track = track
                 res = gp_closed_form(track)
             except IndeterminatePhaseError:
-                gam.append(math.nan)
                 unw.append(math.nan)
             except ResolutionError as exc:
                 raise ResolutionError(
                     f"cell theta={theta:.6f}, phi={self.phis[j]:.6f}: {exc}"
                 ) from exc
             else:
-                gam.append(res.gamma)
                 unw.append(res.gamma_unwrapped)
             sing.append(track.azimuth.singular_nodes)
-        return gam, unw, sing
+        return unw, sing
 
 
 def gp_surface(
@@ -325,13 +325,12 @@ def gp_surface(
 
         with ThreadPoolExecutor(max_workers=min(threads, grid.n_theta)) as pool:
             rows = list(pool.map(sweep.row, thetas))
-    gamma, unwrapped, singular = (np.array(column) for column in zip(*rows))
+    unwrapped, singular = (np.array(column) for column in zip(*rows))
     return GpSurface(
         grid=grid,
         config=config,
         t=t,
         time_steps=tg.n_steps,
-        gamma=gamma,
         gamma_unwrapped=unwrapped,
         singular_count=singular,
     )

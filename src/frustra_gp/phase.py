@@ -21,7 +21,11 @@ in-plane samples for `PolarTrack.from_points` and for the surface sweep's
 azimuth columns alike.
 A `PolarTrack` is an Azimuth plus one start's A, sin2_half and eps_plus, so
 the tracks of starts that share an azimuth, such as a surface column's
-cells, share one Azimuth.
+cells, share one Azimuth.  Like an Azimuth, a track is complete when built:
+its constructor checks the ends of sin2_half and evaluates the closed form
+below, and the phase routes only check their own arguments and return it.
+A `GpResult` is given only the unreduced phase; its principal value gamma
+is derived from it when the record is built.
 
 The geometric phase of the dominant spectral branch is then
 
@@ -68,7 +72,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -253,17 +256,19 @@ class PolarTrack:
     from whatever array-like it was given.  sin2_half is sin^2(theta_t/2) =
     (1 + A/eps_plus)/2 and lies in [0, 1].  Of that range only the two end
     values, whose square roots the closed form takes, are enforced: a track
-    whose sin2_half at t = 0 or at t = tau lies outside it (or is NaN) makes
-    gp_closed_form and gp_south_pole raise ConfigError; nodes in between are
-    not checked.
+    whose sin2_half at t = 0 or at t = tau lies outside it (or is NaN) is
+    refused with ConfigError when it is built; nodes in between are not
+    checked.
 
-    The arrays are read-only and the dataclass is frozen (dataclasses.replace
-    builds a new track), so what gp_closed_form and gp_south_pole derive
-    from the track alone is computed on first use and kept (_reductions),
-    the closed form's GpResult included: a sweep that hands one track to a
-    whole row of cells makes their n-node passes and builds that result
-    once for the row.  The checks of each call (purity, the stated angles,
-    an indeterminate phase) still run on every call.
+    A track is complete when built: the constructor also takes the closed
+    form's bracket, the connection's half-sum (1/2) sum_j G_j sin2_half_j
+    (_trapezoid_on_chi) and the GpResult they give, and keeps them as plain
+    attributes, not fields.  The arrays are read-only and the dataclass is
+    frozen (dataclasses.replace builds a new track), so these never go
+    stale: a sweep that hands one track to a whole row of cells makes their
+    n-node passes and builds that result once for the row.  gp_closed_form
+    and gp_south_pole run only the checks of each call (purity, the stated
+    angles, an indeterminate phase) and return what the track holds.
     """
 
     azimuth: Azimuth
@@ -272,13 +277,43 @@ class PolarTrack:
     eps_plus: np.ndarray
 
     def __init__(self, azimuth: Azimuth, A, sin2_half, eps_plus) -> None:
-        # Each field is stored once, the three series checked and frozen.
         node = (azimuth.grid.n_steps,)
+        A = _series("A", A, node)
+        sin2_half = _series("sin2_half", sin2_half, node)
+        eps_plus = _series("eps_plus", eps_plus, node)
+        # sin2_half follows the branch direction A/eps, not raw <sigma_z>,
+        # which keeps the arg exactly invariant under positive rescalings of
+        # the polarization.
+        s_start, s_end = float(sin2_half[0]), float(sin2_half[-1])
+        if not (0.0 <= s_start <= 1.0 and 0.0 <= s_end <= 1.0):
+            raise ConfigError(
+                "sin2_half must lie in [0, 1] at both ends of the track,"
+                f" got {s_start!r} at t = 0 and {s_end!r} at t = tau"
+            )
+        c0, s0 = math.sqrt(s_start), math.sqrt(1.0 - s_start)
+        dchi = azimuth.dchi_total
+        bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
+        # The trapezoid of chi_dot (1 - sin2_half): the increments' total
+        # minus gp_south_pole's sum, with no 1 - sin2_half pass.
+        half_sum = _trapezoid_on_chi(azimuth, sin2_half)
+        unwrapped = math.atan2(bracket.imag, bracket.real) - (dchi - half_sum)
         vars(self).update(
             azimuth=azimuth,
-            A=_series("A", A, node),
-            sin2_half=_series("sin2_half", sin2_half, node),
-            eps_plus=_series("eps_plus", eps_plus, node),
+            A=A,
+            sin2_half=sin2_half,
+            eps_plus=eps_plus,
+            _bracket=bracket,
+            _half_sum=half_sum,
+            _result=GpResult(
+                gamma_unwrapped=unwrapped,
+                method="closed_form",
+                diagnostics=GpDiagnostics(
+                    n_steps=azimuth.grid.n_steps,
+                    singular_nodes=azimuth.singular_nodes,
+                    unwrap_jumps=azimuth.unwrap_jumps,
+                    lambda_plus_end=(1.0 + float(eps_plus[-1])) / 2.0,
+                ),
+            ),
         )
 
     @property
@@ -288,54 +323,6 @@ class PolarTrack:
     @property
     def n_steps(self) -> int:
         return self.azimuth.grid.n_steps
-
-    def _reductions(self) -> _Reductions:
-        """The track's closed-form reductions, computed on first use.
-
-        Kept with object.__setattr__, not functools.cached_property: on
-        Python 3.10 and 3.11 that takes one lock per class, which would
-        serialize a sweep's row threads.  Two threads that race both compute
-        the same bytes, and either result is kept.
-        """
-        reductions = self.__dict__.get("_kept_reductions")
-        if reductions is not None:
-            return reductions
-        # sin2_half follows the branch direction A/eps, not raw <sigma_z>,
-        # which keeps the arg exactly invariant under positive rescalings of
-        # the polarization.
-        s_start, s_end = float(self.sin2_half[0]), float(self.sin2_half[-1])
-        if not (0.0 <= s_start <= 1.0 and 0.0 <= s_end <= 1.0):
-            raise ConfigError(
-                "sin2_half must lie in [0, 1] at both ends of the track,"
-                f" got {s_start!r} at t = 0 and {s_end!r} at t = tau"
-            )
-        azimuth = self.azimuth
-        c0, s0 = math.sqrt(s_start), math.sqrt(1.0 - s_start)
-        dchi = azimuth.dchi_total
-        bracket = c0 * math.sqrt(s_end) + cmath.exp(1.0j * dchi) * s0 * math.sqrt(1.0 - s_end)
-        # The trapezoid of chi_dot (1 - sin2_half): the increments' total
-        # minus gp_south_pole's sum, with no 1 - sin2_half pass.
-        half_sum = _trapezoid_on_chi(azimuth, self.sin2_half)
-        unwrapped = math.atan2(bracket.imag, bracket.real) - (dchi - half_sum)
-        reductions = _Reductions(
-            a0=float(self.A[0]),
-            eps0=float(self.eps_plus[0]),
-            bracket=bracket,
-            half_sum=half_sum,
-            result=GpResult(
-                gamma=principal_value(unwrapped),
-                gamma_unwrapped=unwrapped,
-                method="closed_form",
-                diagnostics=GpDiagnostics(
-                    n_steps=azimuth.grid.n_steps,
-                    singular_nodes=azimuth.singular_nodes,
-                    unwrap_jumps=azimuth.unwrap_jumps,
-                    lambda_plus_end=(1.0 + float(self.eps_plus[-1])) / 2.0,
-                ),
-            ),
-        )
-        object.__setattr__(self, "_kept_reductions", reductions)
-        return reductions
 
     @property
     def theta_t(self) -> np.ndarray:
@@ -381,32 +368,19 @@ class GpDiagnostics:
 
 @dataclass(frozen=True)
 class GpResult:
-    """Geometric phase: principal value, unreduced value, method, diagnostics."""
+    """Geometric phase: principal value, unreduced value, method, diagnostics.
 
-    gamma: float
+    Only gamma_unwrapped is passed; gamma is principal_value(gamma_unwrapped),
+    set when the record is built, so the two can never disagree.
+    """
+
+    gamma: float = field(init=False)
     gamma_unwrapped: float
     method: str
     diagnostics: GpDiagnostics
 
-
-class _Reductions(NamedTuple):
-    """What the phase routes read of a track, kept by PolarTrack._reductions.
-
-    a0 and eps0 are A and eps_plus at t = 0, and bracket is cos(theta0/2)
-    sin(theta_tau/2) + e^{i dchi(tau)} sin(theta0/2) cos(theta_tau/2): what
-    gp_closed_form checks on every call.  half_sum is (1/2) sum_j G_j
-    sin2_half_j (_trapezoid_on_chi), which the closed form's connection
-    subtracts from dchi_total and which is gp_south_pole's phase.  result is
-    the GpResult gp_closed_form returns once its checks pass, kept so that a
-    track's later calls return the same object; gp_south_pole reads its
-    diagnostics.
-    """
-
-    a0: float
-    eps0: float
-    bracket: complex
-    half_sum: float
-    result: GpResult
+    def __post_init__(self) -> None:
+        vars(self).update(gamma=principal_value(self.gamma_unwrapped))
 
 
 def polar_track(traj: BlochTrajectory) -> PolarTrack:
@@ -441,29 +415,30 @@ def gp_closed_form(
     `angles`, when given, is cross-checked against the track's initial node.
     `require_pure=False` admits sub-unit starting vectors (such as the
     literal series, whose norm at t = 0 is 1/2); the same formulas are
-    applied unchanged.  The result is kept with the track: every call on one
-    track returns the same GpResult object, while its checks run each time.
+    applied unchanged.  The track evaluated the closed form when it was
+    built, so every call on one track returns the same GpResult object,
+    while the checks below run each time.
     """
-    r = track._reductions()
-    if require_pure and abs(r.eps0 - 1.0) > 1e-9:
+    a0, eps0 = float(track.A[0]), float(track.eps_plus[0])
+    if require_pure and abs(eps0 - 1.0) > 1e-9:
         raise PreconditionError(
-            f"initial state not pure: |v(0)| = {r.eps0:.12f}; the closed form"
+            f"initial state not pure: |v(0)| = {eps0:.12f}; the closed form"
             " assumes a single dominant branch"
         )
-    if angles is not None and abs(r.a0 - math.cos(angles.theta)) > 1e-9:
+    if angles is not None and abs(a0 - math.cos(angles.theta)) > 1e-9:
         raise PreconditionError(
             "track does not start at the stated initial state:"
-            f" <sigma_z(0)> = {r.a0:.12f} vs cos(theta0) = {math.cos(angles.theta):.12f}"
+            f" <sigma_z(0)> = {a0:.12f} vs cos(theta0) = {math.cos(angles.theta):.12f}"
         )
-    if r.eps0 < 1e-15:
+    if eps0 < 1e-15:
         raise IndeterminatePhaseError(
             "initial polarization vanishes; dominant branch undefined at t = 0"
         )
-    if abs(r.bracket) < Z_TOL:
+    if abs(track._bracket) < Z_TOL:
         raise IndeterminatePhaseError(
-            f"indeterminate phase: |bracket| = {abs(r.bracket):.3e} < {Z_TOL:.3e}"
+            f"indeterminate phase: |bracket| = {abs(track._bracket):.3e} < {Z_TOL:.3e}"
         )
-    return r.result
+    return track._result
 
 
 def gp_south_pole(track: PolarTrack) -> GpResult:
@@ -474,7 +449,7 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
     integrand (1 - cos theta_t)/2 is the track's sin2_half, and its
     quadrature (1/2) sum_j G_j sin2_half_j (_trapezoid_on_chi) is the very
     sum that gp_closed_form subtracts from dchi_total for its connection,
-    taken once per track and kept with it (_reductions).
+    taken once, when the track was built.
     At the pole sin2_half(0) = 0, so the closed form's phase is
     arg(e^{i dchi_total}) - (dchi_total - this sum): the two routes share
     one sum and differ only by the exp/atan2 round trip and the two
@@ -486,12 +461,10 @@ def gp_south_pole(track: PolarTrack) -> GpResult:
             "south-pole form requires theta0 = pi (initial <sigma_z> = -1),"
             f" got <sigma_z(0)> = {a0:.12f}"
         )
-    r = track._reductions()
     return GpResult(
-        gamma=principal_value(r.half_sum),
-        gamma_unwrapped=r.half_sum,
+        gamma_unwrapped=track._half_sum,
         method="south_pole",
-        diagnostics=r.result.diagnostics,
+        diagnostics=track._result.diagnostics,
     )
 
 
@@ -565,10 +538,9 @@ def gp_discrete_holonomy(traj: BlochTrajectory) -> GpResult:
     """
     rxy = np.hypot(traj.points[:, 0], traj.points[:, 1])
     spinors = _branch_spinors(traj.points, rxy)
-    gamma, unwrapped, min_overlap = pancharatnam_phase(spinors)
+    _, unwrapped, min_overlap = pancharatnam_phase(spinors)
     eps_end = float(np.linalg.norm(traj.points[-1]))
     return GpResult(
-        gamma=gamma,
         gamma_unwrapped=unwrapped,
         method="discrete_holonomy",
         diagnostics=GpDiagnostics(

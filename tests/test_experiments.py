@@ -1,5 +1,6 @@
 """Tests for surfaces, strategy comparison, and the verification suite."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from frustra_gp import (
     gp_unitary_reference,
     max_sector_freq,
     polar_track,
+    principal_value,
     rotation_matrices,
     sector_weights,
     strategy_compare,
@@ -156,9 +158,9 @@ def test_equal_coupling_rows_are_bit_identical():
 
 def test_shared_track_makes_its_passes_once_per_row(monkeypatch):
     # alpha1 = alpha2: the factored cells of a row share one track, which
-    # keeps its connection sum, so the quadrature runs once for such a row;
-    # each pole cell falls back to a track of its own.  Every cell still
-    # makes its own gp_closed_form call.
+    # takes its connection sum when built, so the quadrature runs once for
+    # such a row; each pole cell falls back to a track of its own.  Every
+    # cell still makes its own gp_closed_form call.
     cfg = SystemConfig(omega=2.0, alpha1=0.4, alpha2=0.4, bath_size=3)
     grid = AngleGrid(n_theta=5, n_phi=6, theta_min=0.0, theta_max=math.pi)
     quadrature, closed_form = phase._trapezoid_on_chi, experiments.gp_closed_form
@@ -320,27 +322,40 @@ def test_surface_cells_match_single_trajectory_route(monkeypatch):
 
 
 def test_gp_surface_validation():
+    # gamma is derived from gamma_unwrapped, so it is always in range; the
+    # two arrays a caller passes must have the grid's shape.
     ok = np.zeros((9, 8))
-    with pytest.raises(ConfigError):
-        GpSurface(
-            grid=SMALL_GRID,
-            config=MIXED_CFG,
-            t=1.0,
-            time_steps=10,
-            gamma=np.zeros((3, 3)),
-            gamma_unwrapped=ok,
-            singular_count=np.zeros((9, 8), dtype=int),
-        )
-    with pytest.raises(ConfigError):
-        GpSurface(
-            grid=SMALL_GRID,
-            config=MIXED_CFG,
-            t=1.0,
-            time_steps=10,
-            gamma=np.full((9, 8), 4.0),  # outside [-pi, pi)
-            gamma_unwrapped=ok.copy(),
-            singular_count=np.zeros((9, 8), dtype=int),
-        )
+    for name, changes in (
+        ("gamma_unwrapped", dict(gamma_unwrapped=np.zeros((3, 3)))),
+        ("singular_count", dict(singular_count=np.zeros((8, 9), dtype=int))),
+    ):
+        arrays = dict(gamma_unwrapped=ok.copy(), singular_count=np.zeros((9, 8), dtype=int))
+        with pytest.raises(ConfigError, match=rf"^{name} must have shape \(9, 8\)$"):
+            GpSurface(
+                grid=SMALL_GRID, config=MIXED_CFG, t=1.0, time_steps=10, **{**arrays, **changes}
+            )
+
+
+def test_surface_gamma_is_the_principal_value_of_gamma_unwrapped():
+    # gamma is derived from gamma_unwrapped when the surface is built, bit
+    # for bit, NaN cells included: on pole rows (their own tracks) and on an
+    # indeterminate equator row.  Each cell equals the scalar principal value
+    # a cell's GpResult carries.
+    cases = (
+        (MIXED_CFG, AngleGrid(n_theta=5, n_phi=4, theta_min=0.0, theta_max=math.pi), 5.0),
+        (UNITARY_CFG, AngleGrid(3, 4, theta_min=0.5, theta_max=math.pi - 0.5), math.pi / 2),
+    )
+    for cfg, grid, t in cases:
+        surf = gp_surface(cfg, grid, t, time_steps=301)
+        assert surf.gamma.tobytes() == principal_value(surf.gamma_unwrapped).tobytes()
+        cells = [principal_value(float(x)) for x in surf.gamma_unwrapped.ravel()]
+        assert surf.gamma.tobytes() == np.array(cells).reshape(surf.gamma.shape).tobytes()
+        assert not surf.gamma.flags.writeable
+        with pytest.raises(ValueError):
+            surf.gamma[0, 0] = 0.0
+    assert np.isnan(surf.gamma[1]).all()
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(surf, gamma=surf.gamma)
 
 
 def test_single_bath_quarter_turn_symmetry():

@@ -3,8 +3,9 @@ private names, no module keeps a private name that it never reads, no
 function takes a parameter that its body never reads, no dataclass keeps a
 field that no module reads, no module but model decides by hand whether a
 value is a bool, every call of the builtin open sits in a try that catches
-OSError, and the package re-exports exactly the public names its modules
-declare, each declared once: in its module's literal __all__ list.
+OSError, no object is written to after it is built, and the package
+re-exports exactly the public names its modules declare, each declared
+once: in its module's literal __all__ list.
 
 Each source file is parsed with ast, so the checks need no import side
 effects.  A private name is one with a single leading underscore; dunder
@@ -529,4 +530,83 @@ def test_guard_flags_unguarded_opens():
         "line 6: open(path + '.bak')",
         "line 9: open(path, 'w')",
         "line 14: open(path)",
+    ]
+
+
+# The constructors in which a frozen record may set its own attributes.
+_BUILDERS = {"__init__", "__post_init__"}
+
+
+def _late_writes(tree: ast.Module) -> list[str]:
+    """object.__setattr__ and vars(...).update calls outside __init__ and
+    __post_init__.
+
+    A frozen record is checked and derived once, when it is built; a write
+    from any other function (the innermost one around the call counts)
+    fills or changes it after the fact, as a lazy cache would.
+    """
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Lambda):
+            function = "<lambda>"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            setattr_call = (
+                node.func.attr == "__setattr__"
+                and isinstance(owner, ast.Name)
+                and owner.id == "object"
+            )
+            vars_update = (
+                node.func.attr == "update"
+                and isinstance(owner, ast.Call)
+                and isinstance(owner.func, ast.Name)
+                and owner.func.id == "vars"
+            )
+            if (setattr_call or vars_update) and function not in _BUILDERS:
+                found.append(f"line {node.lineno}: {ast.unparse(node.func)} in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_records_are_written_only_while_built():
+    offenders = {
+        path.name: writes
+        for path in SOURCES
+        if (writes := _late_writes(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert offenders == {}
+
+
+def test_guard_flags_late_writes():
+    source = (
+        "class Track:\n"
+        "    def __init__(self, a):\n"
+        "        vars(self).update(a=a)\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'b', 1)\n"
+        "    def cached(self):\n"
+        "        object.__setattr__(self, '_kept', 1)\n"
+        "        return vars(self).get('_kept'), setattr(self, 'c', 2)\n"
+        "    def __init_subclass__(cls):\n"
+        "        vars(cls).update(d=3)\n"
+        "def build(track):\n"
+        "    def __init__(other):\n"
+        "        vars(other).update(e=4)\n"
+        "    vars(track).update(f=5)\n"
+        "    return lambda: object.__setattr__(track, 'g', 6)\n"
+        "object.__setattr__(Track, 'h', 7)\n"
+        "self.__dict__.update(i=8)\n"
+    )
+    assert _late_writes(ast.parse(source)) == [
+        "line 7: object.__setattr__ in cached",
+        "line 10: vars(cls).update in __init_subclass__",
+        "line 14: vars(track).update in build",
+        "line 15: object.__setattr__ in <lambda>",
+        "line 16: object.__setattr__ in <module>",
     ]

@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 from frustra_gp import (
     Azimuth,
     ConfigError,
+    GpDiagnostics,
+    GpResult,
     IndeterminatePhaseError,
     InitialStateAngles,
     PolarTrack,
@@ -504,9 +506,9 @@ def test_closed_form_quadrature_is_the_literal_trapezoid(track):
 def test_closed_form_and_south_pole_share_one_quadrature(monkeypatch):
     # The south pole's phase is the node sum of sin2_half, and the closed
     # form subtracts that same sum from dchi_total: the track takes it once,
-    # of its azimuth and its sin2_half (never 1 - sin2_half), and both
-    # routes read the kept sum.
-    track = polar_track(_spiral_trajectory(n_steps=2001))
+    # of its azimuth and its sin2_half (never 1 - sin2_half) when it is
+    # built, and both routes read the kept sum.
+    traj = _spiral_trajectory(n_steps=2001)
     quadrature = phase._trapezoid_on_chi
     calls = []
 
@@ -515,6 +517,7 @@ def test_closed_form_and_south_pole_share_one_quadrature(monkeypatch):
         return quadrature(azimuth, integrand)
 
     monkeypatch.setattr(phase, "_trapezoid_on_chi", spy)
+    track = polar_track(traj)
     pole = gp_south_pole(track)
     gp_closed_form(track)
     assert len(calls) == 1
@@ -549,8 +552,8 @@ def test_closed_form_angle_cross_check():
         UNITARY_CFG, InitialStateAngles(theta=1.2, phi=0.5), TimeGrid(math.pi, 801)
     )
     track = polar_track(traj)
-    # The track keeps its reductions after the first call; the cross-check
-    # still runs on every call.
+    # The track holds its result from when it was built; the cross-check
+    # runs on every call.
     for _ in range(2):
         with pytest.raises(PreconditionError, match="does not start at the stated"):
             gp_closed_form(track, angles=InitialStateAngles(theta=0.3))
@@ -572,8 +575,8 @@ def test_closed_form_purity_precondition():
     scaled = PolarTrack(
         _copied_azimuth(base), 0.5 * base.A, np.array(base.sin2_half), 0.5 * base.eps_plus
     )
-    # Purity is checked before the angles, and on every call, also once the
-    # track keeps its reductions.
+    # Purity is checked before the angles, and on every call of the track,
+    # which holds its result from when it was built.
     for _ in range(2):
         with pytest.raises(PreconditionError, match="initial state not pure"):
             gp_closed_form(scaled)
@@ -615,12 +618,13 @@ def test_closed_form_scale_invariance():
 
 
 def test_track_keeps_its_closed_form_reductions(monkeypatch):
-    # A track keeps what the closed form derives from it alone, its result
-    # included, so a second call on it makes no n-node pass and returns the
-    # same GpResult object; dataclasses.replace builds a new track, which
-    # computes its own result and never reads a stale value.  The checks of
-    # a call's own arguments run on every call.
-    track = polar_track(_spiral_trajectory(n_steps=2001))
+    # A track evaluates what the closed form derives from it alone, its
+    # result included, when it is built, so no call on it makes an n-node
+    # pass and every call returns the same GpResult object;
+    # dataclasses.replace builds a new track, which computes its own result
+    # and never reads a stale value.  The checks of a call's own arguments
+    # run on every call.
+    traj = _spiral_trajectory(n_steps=2001)
     quadrature = phase._trapezoid_on_chi
     calls = []
 
@@ -629,6 +633,8 @@ def test_track_keeps_its_closed_form_reductions(monkeypatch):
         return quadrature(azimuth, integrand)
 
     monkeypatch.setattr(phase, "_trapezoid_on_chi", spy)
+    track = polar_track(traj)
+    assert len(calls) == 1
     first = gp_closed_form(track)
     assert gp_closed_form(track) is first
     assert gp_closed_form(track, angles=InitialStateAngles(theta=math.pi)) is first
@@ -689,28 +695,32 @@ def test_tracks_on_one_azimuth_share_it():
 
 def test_closed_form_refuses_sin2_half_ends_outside_unit_interval():
     # The closed form takes square roots of sin2_half and 1 - sin2_half at
-    # both ends; an end value outside [0, 1] is refused by name, not by a
-    # math domain error.  The bounds themselves are valid.
+    # both ends; an end value outside [0, 1] is refused by name when the
+    # track is built, not by a math domain error.  The bounds themselves
+    # are valid.
     base = PolarTrack.from_points(_arc_points(5), TimeGrid(1.0, 5))
+    builders = (
+        lambda s: dataclasses.replace(base, sin2_half=s),
+        lambda s: PolarTrack(base.azimuth, base.A, s, base.eps_plus),
+    )
     for end in (0, -1):
-        for bad in (1.5, -0.1, math.nan):
-            s = np.array(base.sin2_half)
-            s[end] = bad
-            track = dataclasses.replace(base, sin2_half=s)
-            for _ in range(2):  # nothing is kept from a refused track
+        for build in builders:
+            for bad in (1.5, -0.1, math.nan):
+                s = np.array(base.sin2_half)
+                s[end] = bad
                 with pytest.raises(ConfigError, match=r"^sin2_half must lie in \[0, 1\]"):
-                    gp_closed_form(track)
-        for edge in (0.0, 1.0):
-            s = np.array(base.sin2_half)
-            s[end] = edge
-            assert math.isfinite(gp_closed_form(dataclasses.replace(base, sin2_half=s)).gamma)
+                    build(s)
+            for edge in (0.0, 1.0):
+                s = np.array(base.sin2_half)
+                s[end] = edge
+                assert math.isfinite(gp_closed_form(build(s)).gamma)
 
 
 def test_closed_form_rejects_vanishing_polarization():
     grid = TimeGrid(1.0, 3)
     azimuth = Azimuth(grid, np.zeros(2), np.ones(3, dtype=bool), 0)
     dead = PolarTrack(azimuth, np.zeros(3), np.full(3, 0.5), np.zeros(3))
-    for _ in range(2):  # also once the track keeps its reductions
+    for _ in range(2):  # on every call of the track
         with pytest.raises(IndeterminatePhaseError, match="initial polarization vanishes"):
             gp_closed_form(dead, require_pure=False)
 
@@ -721,7 +731,7 @@ def test_closed_form_indeterminate_on_equator_half_turn():
     chi = np.linspace(0.0, math.pi, 5)
     pts = np.column_stack([np.cos(chi), np.sin(chi), np.zeros(5)])
     track = polar_track(BlochTrajectory(grid=grid, points=pts))
-    for _ in range(2):  # also once the track keeps its reductions
+    for _ in range(2):  # on every call of the track
         with pytest.raises(IndeterminatePhaseError, match="indeterminate phase"):
             gp_closed_form(track)
 
@@ -815,6 +825,23 @@ def test_result_principal_matches_unwrapped():
     for res in (gp_closed_form(polar_track(traj)), gp_discrete_holonomy(traj)):
         assert res.gamma == principal_value(res.gamma_unwrapped)
         assert -math.pi <= res.gamma < math.pi
+
+
+def test_result_derives_gamma_from_gamma_unwrapped():
+    # A GpResult is given only the unreduced phase; gamma is its principal
+    # value, bit for bit, at the branch cut, past it, where the two folds
+    # alone fall out of range, and for NaN.  The record's fields, and so
+    # the gp command's JSON keys, keep their order.
+    diagnostics = GpDiagnostics(n_steps=3, singular_nodes=0, unwrap_jumps=0, lambda_plus_end=1.0)
+    for x in (math.pi, -math.pi, 3.0 * math.pi, 1.1430261876889298e17, math.nan):
+        res = GpResult(gamma_unwrapped=x, method="closed_form", diagnostics=diagnostics)
+        assert np.float64(res.gamma).tobytes() == np.float64(principal_value(x)).tobytes()
+        assert res.gamma_unwrapped is x
+    with pytest.raises(TypeError):
+        GpResult(gamma=0.0, gamma_unwrapped=0.0, method="closed_form", diagnostics=diagnostics)
+    assert [f.name for f in dataclasses.fields(GpResult)] == [
+        "gamma", "gamma_unwrapped", "method", "diagnostics"
+    ]
 
 
 def test_guards_are_fixed_constants():
