@@ -502,8 +502,9 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     blocks) for N in {1, 2, 3}; the decoupled-limit phase against
     -pi (1 - cos theta0); closed form vs discrete holonomy on randomized
     decohering configs; the documented normalization discrepancy of the
-    literal polarization series; the south-pole special case; and exact
-    sector-weight normalization.
+    literal polarization series; the south-pole special case and the
+    closed form on a spiral leaving the pole; and exact sector-weight
+    normalization.
     Failures are recorded as entries, never raised; a seed that is not an
     integer >= 0 raises ConfigError.
     """
@@ -600,23 +601,27 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
         measured=ratio,
     )
 
-    # South-pole special case against the closed form.
-    worst = 0.0
-    for _ in range(3):
-        cfg = SystemConfig(
-            omega=float(rng.uniform(1.0, 2.5)),
-            alpha1=float(rng.uniform(0.1, 1.0)),
-            alpha2=float(rng.uniform(0.1, 1.0)),
-            bath_size=2,
-        )
-        ang = InitialStateAngles(theta=math.pi, phi=0.0)
-        tg = TimeGrid(5.0, 8_001)
-        track = polar_track(bloch_trajectory(cfg, ang, tg))
-        sp = gp_south_pole(track)
-        cf = gp_closed_form(track, ang)
-        worst = max(worst, angular_distance(sp.gamma, cf.gamma))
+    # South-pole special case and closed form against the analytic phase of
+    # a spiral leaving the pole: chi = t and polar angle 0.15 t from the
+    # south pole on [0, 4] give 2 - sin(0.6)/0.3.  A pole start under the
+    # model's map never leaves the z axis, so it would test nothing.
+    grid = TimeGrid(4.0, 8_001)
+    t = grid.times()
+    beta = 0.15 * t
+    track = PolarTrack.from_points(
+        np.column_stack([np.sin(beta) * np.cos(t), np.sin(beta) * np.sin(t), -np.cos(beta)]),
+        grid,
+    )
+    exact = 2.0 - math.sin(0.6) / 0.3
+    worst = max(
+        angular_distance(res.gamma, exact)
+        for res in (gp_south_pole(track), gp_closed_form(track))
+    )
     record(
-        "south_pole_consistency", worst, 1e-6, "pole form vs closed form at theta0 = pi"
+        "south_pole_consistency",
+        worst,
+        1e-6,
+        "pole form and closed form vs 2 - sin(0.6)/0.3 on a spiral leaving theta0 = pi",
     )
 
     # Exact combinatorial weights.

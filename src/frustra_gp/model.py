@@ -150,7 +150,10 @@ class InitialStateAngles:
         if not (0.0 <= theta <= math.pi):
             raise ConfigError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi % TWO_PI)
+        # phi % TWO_PI rounds to TWO_PI itself for phi in (-4.4e-16, 0);
+        # 0.0 is in range and the nearer equivalent angle.
+        phi %= TWO_PI
+        object.__setattr__(self, "phi", 0.0 if phi == TWO_PI else phi)
 
 
 @dataclass(frozen=True)

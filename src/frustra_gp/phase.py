@@ -100,36 +100,28 @@ _SQUARES_EXACT_MIN = math.sqrt(sys.float_info.min)
 def principal_value(angle):
     """Reduce an angle to [-pi, pi), i.e. (-pi, pi] with +pi reported as -pi.
 
-    Rounding in angle - 2*pi*k can overshoot either boundary by a few ulp
-    for large inputs, so the result is folded once more where needed.
-    From |angle| ~ 1e17 on, one ulp of angle exceeds 2*pi and the product
-    2*pi*k is off by more than a turn; where the folds leave such a value
-    out of range, it is reduced by the exact remainder fmod(angle, 2*pi)
-    and one more fold instead.  Scalar input (including np.float64) gives a
-    built-in float; array input gives an array.
+    The result is the exact remainder angle - k*TWO_PI, k an integer, at
+    every magnitude: fmod(angle, TWO_PI) is exact, and so is the one fold
+    by TWO_PI where that remainder r lies outside [-pi, pi), because there
+    pi <= |r| < TWO_PI, within a factor 2 of TWO_PI (Sterbenz).  NaN and
+    +-inf give NaN, without a warning.  Scalar input (including np.float64
+    and a 0-d array) gives a built-in float; array input gives an array.
     """
     if isinstance(angle, (float, int)):
         # Same arithmetic as the array path below, without its per-call cost.
         angle = float(angle)
         if not math.isfinite(angle):
             return math.nan
-        wrapped = angle - TWO_PI * math.floor((angle + math.pi) / TWO_PI)
+        wrapped = math.fmod(angle, TWO_PI)
         if wrapped >= math.pi:
-            wrapped -= TWO_PI
+            return wrapped - TWO_PI
         if wrapped < -math.pi:
-            wrapped += TWO_PI
-        if -math.pi <= wrapped < math.pi:
-            return wrapped
-        angle = np.array(angle)  # out of range: the array path's fmod fold
-    angle = np.asarray(angle, dtype=float)
-    wrapped = angle - TWO_PI * np.floor((angle + math.pi) / TWO_PI)
+            return wrapped + TWO_PI
+        return wrapped
+    with np.errstate(invalid="ignore"):  # fmod of +-inf is NaN
+        wrapped = np.fmod(np.asarray(angle, dtype=float), TWO_PI)
     wrapped = np.where(wrapped >= math.pi, wrapped - TWO_PI, wrapped)
     wrapped = np.where(wrapped < -math.pi, wrapped + TWO_PI, wrapped)
-    huge = (wrapped >= math.pi) | (wrapped < -math.pi)
-    if huge.any():
-        rest = np.fmod(angle[huge], TWO_PI)
-        rest = np.where(rest >= math.pi, rest - TWO_PI, rest)
-        wrapped[huge] = np.where(rest < -math.pi, rest + TWO_PI, rest)
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped

@@ -434,6 +434,19 @@ def test_verify_suite_records_a_wrong_zeta_total(monkeypatch):
     assert not report.all_passed
 
 
+def test_verify_suite_pole_check_catches_a_wrong_connection_sum(monkeypatch):
+    # The pole check measures both routes against the spiral's analytic
+    # phase, so a connection sum 0.1 % off fails it (as it fails the other
+    # closed-form checks); a track that stays on the z axis has every node
+    # weight 0 and would pass whatever the sum.
+    quadrature = phase._trapezoid_on_chi
+    monkeypatch.setattr(
+        phase, "_trapezoid_on_chi", lambda azimuth, f: 1.001 * quadrature(azimuth, f)
+    )
+    pole = next(c for c in verify_suite().checks if c.name == "south_pole_consistency")
+    assert not pole.passed and pole.measured > 1e-4
+
+
 def test_verify_suite_passes():
     report = verify_suite()
     names = [c.name for c in report.checks]

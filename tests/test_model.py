@@ -129,6 +129,9 @@ def test_initial_angles_validation():
     assert math.isclose(a.phi, 7.0 - 2.0 * math.pi, rel_tol=0, abs_tol=1e-12)
     b = InitialStateAngles(theta=1.0, phi=-0.5)
     assert math.isclose(b.phi, 2.0 * math.pi - 0.5, rel_tol=0, abs_tol=1e-12)
+    # a tiny negative phi would round up to 2 pi itself; it is stored as 0
+    for phi in (-1e-20, -5e-324):
+        assert InitialStateAngles(theta=1.0, phi=phi).phi == 0.0
 
 
 

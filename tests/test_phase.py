@@ -17,6 +17,8 @@ import inspect
 import json
 import math
 import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +73,18 @@ def test_principal_value_frozen_points():
     assert principal_value(1.0) == 1.0
     out = principal_value(np.array([0.0, math.pi, -3.0 * math.pi]))
     assert np.array_equal(out, [0.0, -math.pi, -math.pi])
+    # exact remainders that a floor((x + pi) / TWO_PI) reduction misses
+    assert principal_value(5020369408244.841) == 3.141180491973678
+    assert principal_value(-1e15) == -2.1486798353953063
+
+
+def test_principal_value_of_non_finite_array_is_nan_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = principal_value(np.array([math.inf, -math.inf, math.nan, 1.0]))
+        scalars = [principal_value(x) for x in (math.inf, -math.inf, math.nan)]
+    assert np.isnan(out[:3]).all() and out[3] == 1.0
+    assert all(type(x) is float and math.isnan(x) for x in scalars)
 
 
 def test_principal_value_randomized_containment():
@@ -106,31 +120,24 @@ def test_principal_value_scalar_is_builtin_float():
     assert math.isnan(principal_value(math.inf))
 
 
-def _two_fold_reference(x):
-    """principal_value's arithmetic before the fmod reduction for huge inputs."""
-    wrapped = x - 2.0 * math.pi * math.floor((x + math.pi) / (2.0 * math.pi))
-    if wrapped >= math.pi:
-        wrapped -= 2.0 * math.pi
-    if wrapped < -math.pi:
-        wrapped += 2.0 * math.pi
-    return wrapped
-
-
 def _check_principal_value(x):
     out = principal_value(x)
+    assert type(out) is float
     assert np.float64(out).tobytes() == principal_value(np.array([x]))[0].tobytes()
     assert -math.pi <= out < math.pi
-    reference = _two_fold_reference(x)
-    if -math.pi <= reference < math.pi:
-        assert np.float64(out).tobytes() == np.float64(reference).tobytes()
+    # the exact remainder: x - out is a whole number of turns of TWO_PI
+    turns = (Fraction(x) - Fraction(out)) / Fraction(2.0 * math.pi)
+    assert turns.denominator == 1
 
 
-# The two folds left 1.1430261876889298e17 at -9.7.  5020369408244.841
-# needs the first fold (wrapped >= pi); a log-uniform search found no such
-# input below 1e12.
+# x - TWO_PI * floor((x + pi) / TWO_PI) misses the exact remainder here:
+# by more than a turn at 1.1430261876889298e17, by 4.2e-4 at
+# 5020369408244.841 and by 0.024 at -1e15.
 @example(x=1.1430261876889298e17)
 @example(x=-1.1430261876889298e17)
 @example(x=5020369408244.841)
+@example(x=-1e15)
+@example(x=1e6 + 0.5)
 @example(x=sys.float_info.max)
 @example(x=-sys.float_info.max)
 @example(x=5e-324)
@@ -829,8 +836,8 @@ def test_result_principal_matches_unwrapped():
 
 def test_result_derives_gamma_from_gamma_unwrapped():
     # A GpResult is given only the unreduced phase; gamma is its principal
-    # value, bit for bit, at the branch cut, past it, where the two folds
-    # alone fall out of range, and for NaN.  The record's fields, and so
+    # value, bit for bit, at the branch cut, past it, at a magnitude where
+    # one ulp exceeds a turn, and for NaN.  The record's fields, and so
     # the gp command's JSON keys, keep their order.
     diagnostics = GpDiagnostics(n_steps=3, singular_nodes=0, unwrap_jumps=0, lambda_plus_end=1.0)
     for x in (math.pi, -math.pi, 3.0 * math.pi, 1.1430261876889298e17, math.nan):
