@@ -56,6 +56,7 @@ scalar by model.check_real or check_count and then its range here.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -505,10 +506,12 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     literal polarization series; the south-pole special case and the
     closed form on a spiral leaving the pole; and exact sector-weight
     normalization.
+    The randomized configs are drawn from the standard library's
+    random.Random(seed), so a seed gives the same report on every run.
     Failures are recorded as entries, never raised; a seed that is not an
     integer >= 0 raises ConfigError.
     """
-    rng = np.random.default_rng(check_count("seed", seed, 0))
+    rng = random.Random(check_count("seed", seed, 0))
     started = time.perf_counter()
     checks = []
 
@@ -522,16 +525,16 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     for n in (1, 2, 3):
         for _ in range(3):
             cfg = SystemConfig(
-                omega=float(rng.uniform(0.5, 2.5)),
-                alpha1=float(rng.uniform(0.0, 1.5)),
-                alpha2=float(rng.uniform(0.0, 1.5)),
+                omega=rng.uniform(0.5, 2.5),
+                alpha1=rng.uniform(0.0, 1.5),
+                alpha2=rng.uniform(0.0, 1.5),
                 bath_size=n,
             )
             ang = InitialStateAngles(
-                theta=float(rng.uniform(0.0, math.pi)),
-                phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+                theta=rng.uniform(0.0, math.pi),
+                phi=rng.uniform(0.0, 2.0 * math.pi),
             )
-            grid = TimeGrid(float(rng.uniform(2.0, 8.0)), 7)
+            grid = TimeGrid(rng.uniform(2.0, 8.0), 7)
             exact = oracle_trajectory(cfg, ang, grid)
             approx = bloch_trajectory(cfg, ang, grid)
             worst = max(worst, float(np.max(np.abs(exact.points - approx.points))))
@@ -558,14 +561,14 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     worst = 0.0
     for _ in range(4):
         cfg = SystemConfig(
-            omega=float(rng.uniform(1.0, 2.5)),
-            alpha1=float(rng.uniform(0.0, 1.0)),
-            alpha2=float(rng.uniform(0.0, 1.0)),
-            bath_size=int(rng.integers(1, 5)),
+            omega=rng.uniform(1.0, 2.5),
+            alpha1=rng.uniform(0.0, 1.0),
+            alpha2=rng.uniform(0.0, 1.0),
+            bath_size=rng.randrange(1, 5),
         )
         ang = InitialStateAngles(
-            theta=float(rng.uniform(0.4, math.pi - 0.4)),
-            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+            theta=rng.uniform(0.4, math.pi - 0.4),
+            phi=rng.uniform(0.0, 2.0 * math.pi),
         )
         tg = TimeGrid(5.0, 10_000)
         traj = bloch_trajectory(cfg, ang, tg)
@@ -585,8 +588,8 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     ratio = math.nan
     for _ in range(5):
         ang = InitialStateAngles(
-            theta=float(rng.uniform(0.1, math.pi - 0.1)),
-            phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+            theta=rng.uniform(0.1, math.pi - 0.1),
+            phi=rng.uniform(0.0, 2.0 * math.pi),
         )
         lit = literal_points(cfg, ang, np.array([0.0]))[0]
         phys = initial_bloch(ang).as_array()

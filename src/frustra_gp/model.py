@@ -175,6 +175,17 @@ class BlochVector:
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
 
+def _hermitian_extremes(m: np.ndarray) -> tuple[float, float]:
+    """Eigenvalues of the Hermitian part h = (m + m^H) / 2 of a 2x2 matrix.
+
+    Closed form, low then high: (h00 + h11) / 2 -+ hypot((h00 - h11) / 2, |h01|).
+    """
+    (h00, h01), (h10, h11) = m.tolist()
+    mean = (h00.real + h11.real) / 2.0
+    radius = math.hypot((h00.real - h11.real) / 2.0, abs(h01 + h10.conjugate()) / 2.0)
+    return mean - radius, mean + radius
+
+
 class QubitDensity:
     """Validated 2x2 density matrix in the ordered (|u>, |d>) basis.
 
@@ -194,8 +205,8 @@ class QubitDensity:
             raise ConfigError("density matrix not Hermitian within 1e-12")
         if abs(m.trace() - 1.0) > 1e-12:
             raise ConfigError("density matrix trace differs from 1 beyond 1e-12")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if eigs.min() < -1e-12 or eigs.max() > 1.0 + 1e-12:
+        low, high = _hermitian_extremes(m)
+        if low < -1e-12 or high > 1.0 + 1e-12:
             raise ConfigError("density matrix eigenvalues outside [0, 1]")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

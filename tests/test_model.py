@@ -6,11 +6,14 @@ test (binomial sums via math.comb, density matrices built from projectors).
 """
 
 import dataclasses
+import decimal
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frustra_gp import (
     AngleGrid,
@@ -34,6 +37,7 @@ from frustra_gp import (
     validate_config,
     verify_suite,
 )
+from frustra_gp import model
 from frustra_gp.model import (
     SIGMA_X,
     SIGMA_Y,
@@ -206,6 +210,49 @@ def test_qubit_density_validation():
     mixed = QubitDensity(np.array([[0.75, 0.0], [0.0, 0.25]]))
     assert mixed.purity() == pytest.approx(0.625, abs=1e-15)
     assert np.allclose(mixed.bloch_vector().as_array(), [0.0, 0.0, 0.5], atol=1e-15)
+
+
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(UNIT, UNIT, UNIT, UNIT)
+def test_closed_form_extremes_match_eigvalsh(h00, h11, re_h01, im_h01):
+    h = np.array([[h00, complex(re_h01, im_h01)], [complex(re_h01, -im_h01), h11]])
+    low, high = model._hermitian_extremes(h)
+    # 40-digit reference: (h00 + h11) / 2 -+ sqrt(((h00 - h11) / 2)^2 + |h01|^2)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d00, d11, dre, dim = map(decimal.Decimal, (h00, h11, re_h01, im_h01))
+        mean, radius = (d00 + d11) / 2, (((d00 - d11) / 2) ** 2 + dre**2 + dim**2).sqrt()
+        exact = (float(mean - radius), float(mean + radius))
+    assert abs(low - exact[0]) <= 1e-15 and abs(high - exact[1]) <= 1e-15
+    # eigvalsh carries its own rounding of up to about 1e-15 on these entries
+    eigs = np.linalg.eigvalsh(h)
+    assert abs(low - eigs[0]) <= 2e-15 and abs(high - eigs[1]) <= 2e-15
+
+
+def _rotated(eigs):
+    """A state with eigenvalues `eigs` in a basis with complex off-diagonals."""
+    c, s = math.cos(0.7), math.sin(0.7) * complex(math.cos(1.3), math.sin(1.3))
+    u = np.array([[c, -s.conjugate()], [s, c]])
+    return u @ np.diag(eigs) @ u.conj().T
+
+
+# eigenvalue pairs (low, high); the trace check allows 1 -+ 1e-12, so a low
+# of -1.5e-12 fails alone at trace 1 - 0.9e-12 and a high of 1 + 1.5e-12
+# fails alone at trace 1 + 0.9e-12
+REFUSED = [(-2e-12, 1.0 + 2e-12), (-1.5e-12, 1.0 + 0.6e-12), (-0.6e-12, 1.0 + 1.5e-12)]
+ACCEPTED = [(-5e-13, 1.0 + 5e-13), (-0.9e-12, 1.0 + 0.4e-12)]
+
+
+@pytest.mark.parametrize("build", [np.diag, _rotated], ids=["diagonal", "rotated"])
+def test_qubit_density_eigenvalue_bounds_at_1e12(build):
+    for eigs in REFUSED:
+        with pytest.raises(ConfigError, match=r"density matrix eigenvalues outside \[0, 1\]"):
+            QubitDensity(build(np.array(eigs)))
+    for eigs in ACCEPTED:
+        QubitDensity(build(np.array(eigs)))
 
 
 def test_qubit_density_is_immutable():
