@@ -196,6 +196,22 @@ _PRODUCT_MULADDS = 10**6
 
 
 @lru_cache(maxsize=64)
+def _folded_ladder(bath_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m >= 0 half of sector_weights(bath_size): m and its folded weight.
+
+    Each |m| > 0 stands for the pair +-m and carries twice its ladder
+    weight; m = 0 (even N) keeps its own.  Both arrays are read-only and
+    built once per bath size, shared by every config of that size.
+    """
+    ladder = [s for s in sector_weights(bath_size) if s.m >= 0.0]
+    m = np.array([s.m for s in ladder])
+    w = np.array([s.w if s.m == 0.0 else 2.0 * s.w for s in ladder])
+    for arr in (m, w):
+        arr.setflags(write=False)
+    return m, w
+
+
+@lru_cache(maxsize=64)
 def _sector_tables(config: SystemConfig):
     """Sector sum folded onto the m1, m2 >= 0 quadrant, equal Gamma merged.
 
@@ -211,15 +227,19 @@ def _sector_tables(config: SystemConfig):
     merged rows were summed in), so the tables leave y out (h = 3: x, z and
     xy; otherwise h = 4) and rotation_matrices reads M_yy from the x sums,
     bit for bit M_xx at every N.
+
+    Cached per config; the folded ladder they are formed from
+    (_folded_ladder) is cached per bath size and shared by every config of
+    that size.  Where no two Gamma^2 are equal, the rows are only put in
+    ascending order; otherwise equal ones are summed in sector order.
     """
-    ladder = [s for s in sector_weights(config.bath_size) if s.m >= 0.0]
-    m = np.array([s.m for s in ladder])
-    w = np.array([s.w if s.m == 0.0 else 2.0 * s.w for s in ladder])
-    bx2 = np.repeat((config.alpha1 * m) ** 2, m.size)
-    by2 = np.tile((config.alpha2 * m) ** 2, m.size)
+    m, w = _folded_ladder(config.bath_size)
+    # (size, size) tables, sector (m1, m2) at row m1 and column m2
+    bx2 = ((config.alpha1 * m) ** 2)[:, None]
+    by2 = (config.alpha2 * m) ** 2
     bz2 = config.omega * config.omega
     gammas2 = bx2 + by2 + bz2
-    weights = np.repeat(w, w.size) * np.tile(w, w.size)
+    weights = w[:, None] * w
     # w (1 - n_i^2) for i = x, y, z against 1 - cos, then w n_z against sin;
     # no y when alpha1 = alpha2, where M_yy is read from the x sums.
     rows = [weights * ((by2 + bz2) / gammas2)]
@@ -227,9 +247,18 @@ def _sector_tables(config: SystemConfig):
         rows.append(weights * ((bx2 + bz2) / gammas2))
     rows.append(weights * ((bx2 + by2) / gammas2))
     rows.append(weights * (config.omega / np.sqrt(gammas2)))
-    distinct2, sector = np.unique(gammas2, return_inverse=True)
-    merged = np.zeros((distinct2.size, len(rows)))
-    np.add.at(merged, sector, np.column_stack(rows))
+    rows = np.stack(rows, axis=-1).reshape(-1, len(rows))
+    gammas2 = gammas2.reshape(-1)
+    order = np.argsort(gammas2)
+    distinct2 = gammas2[order]
+    if np.all(distinct2[1:] != distinct2[:-1]):
+        merged = rows[order]
+    else:
+        # np.add.at sums a group in sector order; np.add.reduceat would
+        # not, and moves a row's last bit (N = 4, alpha = (1, 0)).
+        distinct2, sector = np.unique(gammas2, return_inverse=True)
+        merged = np.zeros((distinct2.size, rows.shape[1]))
+        np.add.at(merged, sector, rows)
     gammas = np.sqrt(distinct2)
     wc, wz = merged[:, :-1], merged[:, -1]
     # -w c cos for x, (y,) z with w c in the lift, and w n_z sin for xy

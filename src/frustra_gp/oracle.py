@@ -16,13 +16,15 @@ is real in the sigma_z (x) J_z basis (sigma_y (x) J_y = -(i sigma_y) (x)
 * rho0_eig = V^T rho(0) V = w sum_ab rho_S(0)[a, b] K_ab.  O(D^2);
 * per time node, rho_S(t)[a, b] += sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t}
   K_ab[k, l], the bath trace of V e^{-iEt} rho0_eig e^{iEt} V^T.  O(D^2),
-  nodes taken in chunks of at most D.
+  nodes taken in chunks sized to an element budget, and never fewer
+  than D.
 
 Equal-size blocks share one batched eigh, up to _STACK_ELEMENTS elements
-(a larger block goes alone).  Both evolution routes are refused above
-MAX_EVOLUTION_BATH_SIZE = 20 (largest block D = 882) before anything is
-built.  No dense 2 * 4^N matrix is ever formed; the tests build one from
-complex kron chains at N <= 4 and check the blocks against it.
+(a larger block goes alone); the stacks are listed once per bath size.
+Both evolution routes are refused above MAX_EVOLUTION_BATH_SIZE = 20
+(largest block D = 882) before anything is built.  No dense 2 * 4^N
+matrix is ever formed; the tests build one from complex kron chains at
+N <= 4 and check the blocks against it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ from .model import (
 MAX_EVOLUTION_BATH_SIZE = 20
 # Equal-size blocks share one batched eigh up to this many elements.
 _STACK_ELEMENTS = 2**18
+# Complex elements in each (k, 2, 2, nodes, D) temporary of a stack's node
+# chunk; a chunk takes at least D nodes, whatever its stack's size.
+_SERIES_ELEMENTS = 2**13
 _PAULI = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
@@ -75,22 +80,29 @@ def _spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     return jx, ijy
 
 
-def _block_stacks(n_spins: int):
+@lru_cache(maxsize=MAX_EVOLUTION_BATH_SIZE)
+def _block_stacks(n_spins: int) -> tuple:
     """Stacks of equal-size (j1, j2) blocks at bath size n_spins.
 
-    Yields (weights, pairs): each block's d_j1 d_j2 / 4^N and (2 j1, 2 j2);
-    a stack holds at most _STACK_ELEMENTS matrix elements, or one block.
+    A tuple of (weights, pairs): each block's d_j1 d_j2 / 4^N (read-only)
+    and (2 j1, 2 j2); a stack holds at most _STACK_ELEMENTS matrix
+    elements, or one block.  Cached per bath size, so every config and
+    start of that size shares one set of stacks.
     """
     spins = _spin_multiplicities(n_spins)
     by_dim: dict[int, list] = {}
     for tj1, d1 in spins:
         for tj2, d2 in spins:
             by_dim.setdefault((tj1 + 1) * (tj2 + 1), []).append((d1 * d2, (tj1, tj2)))
+    stacks = []
     for dim, blocks in by_dim.items():
         per_stack = max(1, _STACK_ELEMENTS // (2 * dim) ** 2)
         for start in range(0, len(blocks), per_stack):
             counts, pairs = zip(*blocks[start : start + per_stack])
-            yield np.array(counts) * 4.0**-n_spins, pairs
+            weights = np.array(counts) * 4.0**-n_spins
+            weights.setflags(write=False)
+            stacks.append((weights, pairs))
+    return tuple(stacks)
 
 
 def _block_hamiltonians(config: SystemConfig, pairs) -> np.ndarray:
@@ -140,8 +152,11 @@ def _reduced_series(
 
     Per stack, rho_S(t)[a, b] += sum_kl rho0_eig[k, l] e^{-i(E_k - E_l)t}
     K_ab[k, l], as ((P @ W_ab) * conj(P)).sum() over blocks and columns,
-    with P = e^{-iEt} and W_ab = rho0_eig o K_ab.  Nodes go in chunks of at
-    most D.  Refused above MAX_EVOLUTION_BATH_SIZE before anything is built.
+    with P = e^{-iEt} and W_ab = rho0_eig o K_ab.  A stack of k blocks takes
+    its nodes in chunks of max(D, _SERIES_ELEMENTS // 4kD), so each chunk's
+    (k, 2, 2, nodes, D) temporaries hold about _SERIES_ELEMENTS elements,
+    more only where D nodes already pass that.  Refused above
+    MAX_EVOLUTION_BATH_SIZE before anything is built.
     """
     n_spins = config.bath_size
     if n_spins > MAX_EVOLUTION_BATH_SIZE:
@@ -153,15 +168,17 @@ def _reduced_series(
     out = np.zeros((2, 2, times.size), dtype=complex)
     for weights, pairs in _block_stacks(n_spins):
         energies, gram = _diagonalized(config, pairs)
-        rho0_eig = np.tensordot(gram, rho_s, ((1, 2), (0, 1)))
+        k, dim = energies.shape
+        rho0_eig = rho_s.reshape(4) @ gram.reshape(k, 4, dim * dim)
+        rho0_eig = rho0_eig.reshape(k, dim, dim)
         rho0_eig *= weights[:, None, None]
         # W_ab replaces K_ab, so the real Gram blocks are freed.
         gram = gram * rho0_eig[:, None, None]
-        dim = energies.shape[1]
-        for start in range(0, times.size, dim):
-            phase = np.exp(-1.0j * times[start : start + dim, None] * energies[:, None, :])
+        nodes = max(dim, _SERIES_ELEMENTS // (4 * k * dim))
+        for start in range(0, times.size, nodes):
+            phase = np.exp(-1.0j * times[start : start + nodes, None] * energies[:, None, :])
             chunk = (phase[:, None, None] @ gram) * phase.conj()[:, None, None]
-            out[..., start : start + dim] += chunk.sum((0, 4))
+            out[..., start : start + nodes] += chunk.sum((0, 4))
     return out.transpose(2, 0, 1)
 
 

@@ -640,6 +640,79 @@ def test_equal_couplings_sum_three_rows_to_the_bytes_of_four(bath_size):
         assert four.tobytes() == mats.tobytes()
 
 
+def _merged_tables(cfg):
+    """Sector tables by the unfolded ladder, np.unique and np.add.at.
+
+    Every folded sector's rows are scattered onto its distinct Gamma^2 by
+    np.add.at, whether or not it shares that Gamma^2 with another.
+    """
+    ladder = [s for s in sector_weights(cfg.bath_size) if s.m >= 0.0]
+    m = np.array([s.m for s in ladder])
+    w = np.array([s.w if s.m == 0.0 else 2.0 * s.w for s in ladder])
+    bx2 = np.repeat((cfg.alpha1 * m) ** 2, m.size)
+    by2 = np.tile((cfg.alpha2 * m) ** 2, m.size)
+    bz2 = cfg.omega * cfg.omega
+    gammas2 = bx2 + by2 + bz2
+    weights = np.repeat(w, w.size) * np.tile(w, w.size)
+    rows = [weights * ((by2 + bz2) / gammas2)]
+    if cfg.alpha1 != cfg.alpha2:
+        rows.append(weights * ((bx2 + bz2) / gammas2))
+    rows.append(weights * ((bx2 + by2) / gammas2))
+    rows.append(weights * (cfg.omega / np.sqrt(gammas2)))
+    distinct2, sector = np.unique(gammas2, return_inverse=True)
+    merged = np.zeros((distinct2.size, len(rows)))
+    np.add.at(merged, sector, np.column_stack(rows))
+    wc, wz = merged[:, :-1], merged[:, -1]
+    coef = np.vstack([-wc.T, wz])
+    lift = np.append(wc.sum(axis=0), 0.0)
+    return float(weights.sum()), np.sqrt(distinct2), coef, lift, gammas2.size
+
+
+def test_sector_tables_equal_the_scattered_tables_bit_for_bit():
+    # The tables sort distinct Gamma^2 without a scatter and sum equal ones
+    # with np.add.at; both sides must give the bytes of scattering every
+    # sector.  Seeded draws at N <= 4 have no equal Gamma^2 (bar alpha = 0);
+    # the fixed couplings merge rows (equal couplings, one bath) or not.
+    rng = np.random.default_rng(36)
+    configs = [_random_config(rng, n_max=4) for _ in range(200)]
+    configs += [
+        SystemConfig(omega=2.0, alpha1=a1, alpha2=a2, bath_size=n)
+        for n in (4, 20, 48, 100)
+        for a1, a2 in ((1.0, 0.0), (0.0, 1.0), (0.25, 0.25), (0.5, 0.5), (0.3, 0.2))
+    ]
+    dynamics._sector_tables.cache_clear()
+    merged = distinct = 0
+    for cfg in configs:
+        total, gammas, coef, lift, sectors = _merged_tables(cfg)
+        built = dynamics._sector_tables(cfg)
+        assert built[0] == total
+        for got, want in zip(built[1:], (gammas, coef, lift)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        merged += gammas.size < sectors
+        distinct += gammas.size == sectors
+    assert merged >= 16 and distinct >= 150
+
+
+def test_folded_ladder_is_built_once_per_bath_size(monkeypatch):
+    # Configs of one bath size share one folded ladder: building their
+    # tables reads sector_weights once per size, not once per config.
+    calls = []
+
+    def spy(bath_size):
+        calls.append(bath_size)
+        return sector_weights(bath_size)
+
+    monkeypatch.setattr(dynamics, "sector_weights", spy)
+    dynamics._sector_tables.cache_clear()
+    dynamics._folded_ladder.cache_clear()
+    for n in (3, 4, 3, 4):
+        for alpha in (0.1, 0.2, 0.3):
+            dynamics._sector_tables(SystemConfig(2.0, alpha, 0.7, n))
+    assert calls == [3, 4]
+    m, w = dynamics._folded_ladder(4)
+    assert not m.flags.writeable and not w.flags.writeable
+
+
 def test_six_rows_round_like_eight_where_the_blas_changes_kernel():
     # 279 nodes in blocks of 16 against 273 distinct Gamma in chunks of
     # 128: each product is 18 x 256 x 48 multiply-adds with the three rows

@@ -26,6 +26,7 @@ from frustra_gp import (
     gp_closed_form,
     gp_surface,
     gp_unitary_reference,
+    initial_bloch,
     max_sector_freq,
     polar_track,
     principal_value,
@@ -493,6 +494,47 @@ def test_verify_leaves_numpy_random_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("seed", [0, 20260814])
+def test_verify_suite_builds_what_its_calls_share_once(monkeypatch, seed):
+    # 9 oracle maps, one map for the five decoupled starts and 4 holonomy
+    # maps; the sector tables read sector_weights once per bath size, and
+    # the literal series its five times (all at N = 3) on top.
+    maps, ladders = [], []
+
+    def map_spy(config, times):
+        maps.append(config)
+        return rotation_matrices(config, times)
+
+    def ladder_spy(bath_size):
+        ladders.append(bath_size)
+        return sector_weights(bath_size)
+
+    dynamics._sector_tables.cache_clear()
+    dynamics._folded_ladder.cache_clear()
+    monkeypatch.setattr(dynamics, "rotation_matrices", map_spy)
+    monkeypatch.setattr(experiments, "rotation_matrices", map_spy)
+    monkeypatch.setattr(dynamics, "sector_weights", ladder_spy)
+    assert verify_suite(seed).all_passed
+    assert len(maps) == 14
+    sizes = {cfg.bath_size for cfg in maps}
+    assert {1, 2, 3} <= sizes <= {1, 2, 3, 4}
+    expected = sorted(sizes) + [3] * 5
+    assert sorted(ladders) == sorted(expected)
+
+
+def test_decoupled_starts_share_one_map_bit_for_bit():
+    # verify's decoupled-limit check applies one map to its five starts;
+    # at its phi = 0.4 that gives bloch_trajectory's points bit for bit
+    grid = TimeGrid(math.pi, 4001)
+    rot = rotation_matrices(UNITARY_CFG, grid.times())
+    for theta0 in (0.3, 0.9, 1.5, 2.1, 2.7):
+        ang = InitialStateAngles(theta=theta0, phi=0.4)
+        v0 = initial_bloch(ang).as_array()
+        shared = np.einsum("nij,j->ni", rot, v0)
+        own = bloch_trajectory(UNITARY_CFG, ang, grid).points
+        assert shared.tobytes() == np.ascontiguousarray(own).tobytes()
 
 
 def test_verify_suite_passes_for_every_bench_seed():

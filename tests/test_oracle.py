@@ -33,6 +33,7 @@ from frustra_gp import (
 from frustra_gp.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 from frustra_gp.oracle import (
     MAX_EVOLUTION_BATH_SIZE,
+    _SERIES_ELEMENTS,
     _block_hamiltonians,
     _block_stacks,
     _reduced_series,
@@ -118,6 +119,19 @@ def _sector_spectrum(cfg):
     return np.sort(np.concatenate(parts))
 
 
+@pytest.mark.parametrize("n_spins", [1, 2, 3, 8])
+def test_block_stacks_are_listed_once_per_bath_size(n_spins):
+    # one cached, read-only set of stacks per bath size, whose blocks hold
+    # every bath state once: sum of d_j1 d_j2 (2 j1 + 1)(2 j2 + 1) / 4^N = 1
+    stacks = _block_stacks(n_spins)
+    assert _block_stacks(n_spins) is stacks
+    shares = []
+    for weights, pairs in stacks:
+        assert not weights.flags.writeable
+        shares.extend(w * (tj1 + 1) * (tj2 + 1) for w, (tj1, tj2) in zip(weights, pairs))
+    assert math.fsum(shares) == 1.0
+
+
 def _block_spectrum(cfg):
     """Every (j1, j2) block's eigenvalues, each repeated d_j1 * d_j2 times, sorted."""
     parts = []
@@ -200,7 +214,11 @@ def test_evolve_reduced_matches_sector_sum():
 
 def test_oracle_trajectory_matches_sector_sum():
     ang = InitialStateAngles(theta=1.1, phi=0.4)
-    grid = TimeGrid(5.0, 41)
+    # N = 4's largest block (D = 50, alone in its stack) takes
+    # max(D, _SERIES_ELEMENTS // 4D) = 40 nodes per chunk, so one node more
+    # crosses a chunk boundary
+    nodes = max(50, _SERIES_ELEMENTS // (4 * 50)) + 1
+    grid = TimeGrid(5.0, nodes)
     for n in (2, 4):  # largest blocks D = 18 and 50; 41 nodes take several chunks
         cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=n)
         exact = oracle_trajectory(cfg, ang, grid)
