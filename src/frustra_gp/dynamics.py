@@ -142,6 +142,29 @@ class BlochTrajectory:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
+    @classmethod
+    def from_map(
+        cls, grid: TimeGrid, m: np.ndarray, v0: np.ndarray
+    ) -> BlochTrajectory:
+        """M v0 along `grid`, for m = rotation_matrices(config, grid.times()).
+
+        bloch_trajectory's own kernel, so starts that share a config and a
+        grid can share one map.  Only the map's five nonzero entries are
+        read (M_xz = M_yz = M_zx = M_zy = 0).
+        """
+        if np.shape(m) != (grid.n_steps, 3, 3):
+            raise ConfigError(f"rotation map must have shape ({grid.n_steps}, 3, 3)")
+        x, y, z = v0
+        # M v0 from the map's five nonzero entries, each a contiguous series,
+        # into one contiguous row per component
+        pts = np.empty((3, grid.n_steps))
+        np.multiply(m[:, 0, 0], x, out=pts[0])
+        pts[0] += m[:, 0, 1] * y
+        np.multiply(m[:, 1, 0], x, out=pts[1])
+        pts[1] += m[:, 1, 1] * y
+        np.multiply(m[:, 2, 2], z, out=pts[2])
+        return cls(grid=grid, points=pts.T)
+
 
 def gamma_freq(config: SystemConfig, m1: float, m2: float) -> float:
     """Sector precession frequency sqrt(omega^2 + alpha1^2 m1^2 + alpha2^2 m2^2).
@@ -490,16 +513,7 @@ def bloch_trajectory(
     per component.
     """
     m = rotation_matrices(config, grid.times())
-    x, y, z = initial_bloch(angles).as_array()
-    # M v0 from the map's five nonzero entries, each a contiguous series,
-    # into one contiguous row per component
-    pts = np.empty((3, grid.n_steps))
-    np.multiply(m[:, 0, 0], x, out=pts[0])
-    pts[0] += m[:, 0, 1] * y
-    np.multiply(m[:, 1, 0], x, out=pts[1])
-    pts[1] += m[:, 1, 1] * y
-    np.multiply(m[:, 2, 2], z, out=pts[2])
-    return BlochTrajectory(grid=grid, points=pts.T)
+    return BlochTrajectory.from_map(grid, m, initial_bloch(angles).as_array())
 
 
 def _sinc_factors(gammas: np.ndarray, t: float):

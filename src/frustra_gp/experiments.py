@@ -557,8 +557,7 @@ def verify_suite(seed: int = 20260814) -> VerifyReport:
     )
     for theta0 in (0.3, 0.9, 1.5, 2.1, 2.7):
         ang = InitialStateAngles(theta=theta0, phi=0.4)
-        v0 = initial_bloch(ang).as_array()
-        traj = BlochTrajectory(grid=tg, points=np.einsum("nij,j->ni", rot, v0))
+        traj = BlochTrajectory.from_map(tg, rot, initial_bloch(ang).as_array())
         res = gp_closed_form(polar_track(traj), ang)
         worst = max(worst, angular_distance(res.gamma, gp_unitary_reference(theta0)))
     record(

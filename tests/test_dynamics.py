@@ -250,6 +250,16 @@ def test_unitary_limit_preserves_norm():
     assert np.max(np.abs(norms - 1.0)) < 1e-13
 
 
+def test_trajectory_from_map_refuses_a_map_off_its_grid():
+    cfg = SystemConfig(omega=1.7, alpha1=0.4, alpha2=0.2, bath_size=3)
+    grid = TimeGrid(9.0, 301)
+    m = rotation_matrices(cfg, grid.times())
+    v0 = initial_bloch(InitialStateAngles(theta=0.8, phi=1.0)).as_array()
+    for bad in (m[:-1], m[:, :2]):
+        with pytest.raises(ConfigError, match="rotation map must have shape"):
+            BlochTrajectory.from_map(grid, bad, v0)
+
+
 def test_rotation_matrices_contractive_and_identity_at_zero():
     rng = np.random.default_rng(11)
     cfg = _random_config(rng)

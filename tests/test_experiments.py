@@ -12,6 +12,7 @@ import pytest
 
 from frustra_gp import (
     AngleGrid,
+    BlochTrajectory,
     ConfigError,
     GpSurface,
     IndeterminatePhaseError,
@@ -525,16 +526,20 @@ def test_verify_suite_builds_what_its_calls_share_once(monkeypatch, seed):
 
 
 def test_decoupled_starts_share_one_map_bit_for_bit():
-    # verify's decoupled-limit check applies one map to its five starts;
-    # at its phi = 0.4 that gives bloch_trajectory's points bit for bit
+    # verify's decoupled-limit check applies one map to its five starts
+    # through bloch_trajectory's own kernel, so the points are bit for bit
+    # bloch_trajectory's, signs of zero included (phi = 0)
     grid = TimeGrid(math.pi, 4001)
     rot = rotation_matrices(UNITARY_CFG, grid.times())
     for theta0 in (0.3, 0.9, 1.5, 2.1, 2.7):
-        ang = InitialStateAngles(theta=theta0, phi=0.4)
-        v0 = initial_bloch(ang).as_array()
-        shared = np.einsum("nij,j->ni", rot, v0)
-        own = bloch_trajectory(UNITARY_CFG, ang, grid).points
-        assert shared.tobytes() == np.ascontiguousarray(own).tobytes()
+        for phi in (0.4, 0.0):
+            ang = InitialStateAngles(theta=theta0, phi=phi)
+            v0 = initial_bloch(ang).as_array()
+            shared = BlochTrajectory.from_map(grid, rot, v0).points
+            own = bloch_trajectory(UNITARY_CFG, ang, grid).points
+            assert np.ascontiguousarray(shared).tobytes() == (
+                np.ascontiguousarray(own).tobytes()
+            )
 
 
 def test_verify_suite_passes_for_every_bench_seed():

@@ -214,12 +214,12 @@ def test_evolve_reduced_matches_sector_sum():
 
 def test_oracle_trajectory_matches_sector_sum():
     ang = InitialStateAngles(theta=1.1, phi=0.4)
-    # N = 4's largest block (D = 50, alone in its stack) takes
-    # max(D, _SERIES_ELEMENTS // 4D) = 40 nodes per chunk, so one node more
-    # crosses a chunk boundary
-    nodes = max(50, _SERIES_ELEMENTS // (4 * 50)) + 1
-    grid = TimeGrid(5.0, nodes)
-    for n in (2, 4):  # largest blocks D = 18 and 50; 41 nodes take several chunks
+    for n in (2, 4):
+        # the largest block, D = 2 (N + 1)^2, is alone in its stack and takes
+        # max(D, _SERIES_ELEMENTS // 4D) nodes per chunk (113 at N = 2, 50
+        # at N = 4), so one node more crosses a chunk boundary
+        dim = 2 * (n + 1) ** 2
+        grid = TimeGrid(5.0, max(dim, _SERIES_ELEMENTS // (4 * dim)) + 1)
         cfg = SystemConfig(omega=2.0, alpha1=0.6, alpha2=0.3, bath_size=n)
         exact = oracle_trajectory(cfg, ang, grid)
         fast = bloch_trajectory(cfg, ang, grid)
