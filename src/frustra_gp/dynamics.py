@@ -34,15 +34,17 @@ taken at all.
 One route evaluates the sum: cos and sin are taken only at anchors every K
 nodes and at the K offsets of one block, angle addition turns them into
 every node, and the sums' central difference moves each node onto its
-exact float time.  On a uniform grid (times bit for bit equal to
-np.linspace of their ends, which every TimeGrid gives) K = floor(sqrt(n));
-any other times, a single time included, take K = 1, where every node is
-its own anchor.  The sectors are summed in chunks, each one matrix product:
-the anchors' [cos | sin] block times a table of the chunk's coefficients
-against the offsets' cos and sin, issued in blocks of anchor rows small
-enough that BLAS does not split one over its threads.  Both operands are held to a fixed
-element budget, so K does not shrink as the sector count grows and
-temporary memory beyond a few arrays of n rows grows with neither S nor n.
+exact float time.  K = floor(sqrt(n)) wherever every node's residual, its
+time minus its anchor plus offset, is within a few ulp of the largest |t|,
+as on every grid uniform to within a few ulp (np.linspace and TimeGrid
+included); other times, and fewer than 4, take K = 1, where every node is
+its own anchor.  The sectors are summed in chunks, each one
+matrix product: the anchors' [cos | sin] block times a table of the chunk's
+coefficients against the offsets' cos and sin, issued in blocks of anchor
+rows small enough that BLAS does not split one over its threads.  Both
+operands are held to a fixed element budget, so K does not shrink as the
+sector count grows and temporary memory beyond a few arrays of n rows
+grows with neither S nor n.
 
 A SystemConfig is valid once built, so only times, node counts and sector
 eigenvalues are checked here (model.check_real, check_time, check_count):
@@ -253,8 +255,7 @@ def _sector_tables(config: SystemConfig):
 
     Cached per config; the folded ladder they are formed from
     (_folded_ladder) is cached per bath size and shared by every config of
-    that size.  Where no two Gamma^2 are equal, the rows are only put in
-    ascending order; otherwise equal ones are summed in sector order.
+    that size.  Rows of equal Gamma^2 are summed in sector order.
     """
     m, w = _folded_ladder(config.bath_size)
     # (size, size) tables, sector (m1, m2) at row m1 and column m2
@@ -271,17 +272,11 @@ def _sector_tables(config: SystemConfig):
     rows.append(weights * ((bx2 + by2) / gammas2))
     rows.append(weights * (config.omega / np.sqrt(gammas2)))
     rows = np.stack(rows, axis=-1).reshape(-1, len(rows))
-    gammas2 = gammas2.reshape(-1)
-    order = np.argsort(gammas2)
-    distinct2 = gammas2[order]
-    if np.all(distinct2[1:] != distinct2[:-1]):
-        merged = rows[order]
-    else:
-        # np.add.at sums a group in sector order; np.add.reduceat would
-        # not, and moves a row's last bit (N = 4, alpha = (1, 0)).
-        distinct2, sector = np.unique(gammas2, return_inverse=True)
-        merged = np.zeros((distinct2.size, rows.shape[1]))
-        np.add.at(merged, sector, rows)
+    # np.add.at sums a group in sector order; np.add.reduceat would not,
+    # and moves a row's last bit (N = 4, alpha = (1, 0)).
+    distinct2, sector = np.unique(gammas2.reshape(-1), return_inverse=True)
+    merged = np.zeros((distinct2.size, rows.shape[1]))
+    np.add.at(merged, sector, rows)
     gammas = np.sqrt(distinct2)
     wc, wz = merged[:, :-1], merged[:, -1]
     # -w c cos for x, (y,) z with w c in the lift, and w n_z sin for xy
@@ -292,40 +287,47 @@ def _sector_tables(config: SystemConfig):
     return float(weights.sum()), gammas, coef, lift
 
 
-def _offsets_per_anchor(times: np.ndarray) -> int:
-    """Block length K of _sums_by_anchors: floor(sqrt(n)) on a uniform grid.
-
-    Angle addition from anchors needs times to be bit for bit
-    np.linspace(times[0], times[-1], n).  Any other times, and fewer than 4
-    of them, take K = 1: every node is its own anchor.
-    """
-    if times.size >= 4 and np.array_equal(
-        times, np.linspace(times[0], times[-1], times.size)
-    ):
-        return math.isqrt(times.size)
-    return 1
+# Largest residual |times[j] - a - o|, in ulp of max|t|, at which
+# _time_layout keeps its anchors.  np.linspace grids reach 2.0 (20000
+# seeded draws: ascending and descending, t_start in [0, 50], spans 1e-3 to
+# 200, 4 to 4e4 nodes), so 4 keeps a 2x margin.  The move onto the times
+# then errs by no more than an error of 4 _RESIDUAL_ULPS ulp of max|t| in
+# the times would (_onto_times).
+_RESIDUAL_ULPS = 4.0
 
 
-def _anchor_blocks(times, k):
-    """times padded to whole blocks of k nodes, shape (anchors, k), and dt.
+def _time_layout(times, t_max):
+    """Anchors, offsets, residuals and step of the nodes, t_max = max|t|.
 
-    Each row starts at its anchor times[lo]; the padded nodes repeat
-    times[-1] and are computed and dropped.  One node per block takes no
-    step (and a single time has none), so dt is 0 at k = 1.
+    Node j = lo + b, in blocks of K = floor(sqrt(n)) nodes, is summed at
+    a + o: the anchor a = times[lo] plus the offset o = b dt, where dt is
+    the mean step (times[-1] - times[0]) / (n - 1), and then moved onto
+    times[j] by its residual r = times[j] - a - o (_onto_times).  That
+    layout is kept when every |r| is at most _RESIDUAL_ULPS ulp of t_max
+    and dt != 0.  Otherwise, and below 4 nodes, every node is its own
+    anchor: offsets (0,), residuals None and dt = 0.
     """
     n = times.size
-    dt = 0.0 if k == 1 else (times[-1] - times[0]) / (n - 1)
-    return np.concatenate((times, np.full(-n % k, times[-1]))).reshape(-1, k), dt
+    if n >= 4:
+        k = math.isqrt(n)
+        # whole blocks of k nodes, the last padded with times[-1] (dropped)
+        seg = np.concatenate((times, np.full(-n % k, times[-1]))).reshape(-1, k)
+        dt = (times[-1] - times[0]) / (n - 1)
+        offsets = np.arange(k) * dt
+        r = ((seg - seg[:, :1]) - offsets).reshape(-1)[:n]
+        if dt != 0.0 and np.max(np.abs(r)) <= _RESIDUAL_ULPS * np.spacing(t_max):
+            return times[::k], offsets, r, dt
+    return times, np.zeros(1), None, 0.0
 
 
-def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
-    """The diagonal and xy sector sums at anchored times, shape (h, n).
+def _sums_by_anchors(anchors, offsets, gammas, coef, lift) -> np.ndarray:
+    """The diagonal and xy sector sums at every anchor plus every offset.
 
-    coef has h rows (_sector_tables): x, y, z and xy, or x, z and xy when
-    alpha1 = alpha2.  Node j = lo + b, in blocks of k nodes, is summed at
-    a + o, the anchor a = times[lo] plus the offset o = b dt, a few ulp from
-    times[j] (see _onto_times).  Its sum is the row's lift plus the sum over
-    sectors of coef cos(Gamma (a + o)) (sin for the xy row), and
+    Shape (h, anchors * k) for k offsets, in node order (a + o for each
+    anchor a, then each offset o).  coef has h rows (_sector_tables): x, y,
+    z and xy, or x, z and xy when alpha1 = alpha2.  The sum at a + o is the
+    row's lift plus the sum over sectors of coef cos(Gamma (a + o)) (sin for
+    the xy row), and
 
         cos(a + o) = cos a cos o - sin a sin o
         sin(a + o) = sin a cos o + cos a sin o
@@ -334,13 +336,10 @@ def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
     [cos Gamma a | sin Gamma a] with the (2c, hk) offset table
     [coef cos o; -coef sin o] ([coef sin o; coef cos o] for xy), issued in
     blocks of anchor rows (_PRODUCT_MULADDS).  Each block of k nodes
-    restarts from the actual times[lo], so rounding does not build up from
-    block to block.  At k = 1, a + o = times[j].
+    restarts from its anchor, so rounding does not build up from block to
+    block.
     """
-    n, h = times.size, coef.shape[0]
-    seg, dt = _anchor_blocks(times, k)
-    offsets = np.arange(k) * dt
-    n_a = seg.shape[0]
+    n_a, k, h = anchors.size, offsets.size, coef.shape[0]
     # The width is sized for h = 4 at either h: it fixes which sectors each
     # product sums, and so the map's bytes.
     width = max(1, min(_CHUNK_ELEMENTS // (32 * k), _CHUNK_ELEMENTS // (2 * n_a)))
@@ -362,7 +361,7 @@ def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
         c = gam.size
         # the block transposed, anchors innermost: ([cos a | sin a], c, anchors)
         left = left_buf[: 2 * c * n_a].reshape(2, c, n_a)
-        np.multiply.outer(gam, seg[:, 0], out=left[1])
+        np.multiply.outer(gam, anchors, out=left[1])
         np.cos(left[1], out=left[0])
         np.sin(left[1], out=left[1])
         # [sin o | cos o | -sin o] per offset: [cos o | -sin o] against the
@@ -395,24 +394,24 @@ def _sums_by_anchors(times, k, gammas, coef, lift) -> np.ndarray:
     # the lift, added last (the chunks' partial sums are mostly smaller, and
     # round less), in node order
     np.add(sums.transpose(1, 0, 2), lift[:, None, None], out=vals)
-    return vals.reshape(h, -1)[:, :n]
+    return vals.reshape(h, -1)
 
 
-def _onto_times(sums, times, k) -> None:
-    """Move the (h, n) sums V of _sums_by_anchors (k > 1) onto times, in place.
+def _onto_times(sums, r, dt) -> None:
+    """Move the (h, n) sums V at a + o onto the times, in place (n >= 4).
 
-    Node j, summed at a + o, moves by r D: r = times[j] - a - o is a few
-    ulp (0 at the first node) and D = (V[j+1] - V[j-1]) / 2dt, second order
-    one-sided at the last node.  The error |r| |D - dV/dt| is at most
-    |r| max|dV/dt| min(2, (Gamma_max dt)^2 / 3) (min(4, ...) at the last
-    node), max over all t: below one ulp of the map on auto grids
-    (Gamma_max dt = 2 pi / 40), and never above the rounding of Gamma t.
+    Node j moves by r D: r = times[j] - a - o is its residual from
+    _time_layout (0 at the first node, at most _RESIDUAL_ULPS ulp of
+    max|t|) and D = (V[j+1] - V[j-1]) / 2dt, second order one-sided at the
+    last node.  The error |r| |D - dV/dt| is at most |r| max|dV/dt|
+    min(2, (Gamma_max dt)^2 / 3) (min(4, ...) at the last node), max over
+    all t: below one ulp of the map on auto grids (Gamma_max dt = 2 pi /
+    40), and never above what moving the time by 4 _RESIDUAL_ULPS ulp of
+    max|t| would change (|dV/dt| <= Gamma_max).
     Both differences are taken of the unmoved sums, then added in place;
     the first node (r = 0) is left as it is.
     """
-    seg, dt = _anchor_blocks(times, k)
-    r = ((seg - seg[:, :1]) - np.arange(k) * dt).reshape(-1)[: times.size]
-    r /= 2.0 * dt
+    r = r / (2.0 * dt)
     last = (3.0 * sums[:, -1] - 4.0 * sums[:, -2] + sums[:, -3]) * r[-1]
     step = np.subtract(sums[:, 2:], sums[:, :-2])
     step *= r[1:-1]
@@ -420,17 +419,20 @@ def _onto_times(sums, times, k) -> None:
     sums[:, -1] += last
 
 
-def _checked_times(times) -> np.ndarray:
-    """times as a flat float array; a NaN or infinite time raises ConfigError."""
+def _checked_times(times) -> tuple[np.ndarray, float]:
+    """times as a flat float array, and max|t| (0 for no times).
+
+    A NaN or infinite time raises ConfigError.
+    """
     times = np.asarray(times, dtype=float).reshape(-1)
     if not np.isfinite(times).all():
         raise ConfigError("times must be finite")
-    return times
+    return times, float(np.max(np.abs(times), initial=0.0))
 
 
-def _check_rotation_angle(gamma_max: float, times) -> None:
+def _check_rotation_angle(gamma_max: float, worst: float) -> None:
     """ConfigError naming the time whose rotation angle gamma_max * |t| overflows."""
-    gamma_max, worst = float(gamma_max), float(np.max(np.abs(times), initial=0.0))
+    gamma_max = float(gamma_max)
     if math.isinf(gamma_max * worst):
         raise ConfigError(
             f"time {worst!r} too large: Gamma * t overflows at Gamma = {gamma_max!r}"
@@ -456,28 +458,29 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
 
     The sums run over the S distinct frequencies of _sector_tables (folded
     quadrant, equal Gamma merged), by angle addition from anchors every K
-    nodes (_sums_by_anchors).  On times bit for bit equal to
-    np.linspace(times[0], times[-1], n), as every TimeGrid gives,
-    K = floor(sqrt(n)), so cos and sin are taken at n/K anchors and K
-    offsets instead of at all n nodes; any other times, a single time
-    included, take K = 1 and cos and sin at every node.  The two agree to
-    about the rounding of Gamma t (5.7e-14 at Gamma t = 500).  Each chunk
-    of sectors is one matrix product whose operands hold at most
-    _CHUNK_ELEMENTS elements each (512 KB), so memory beyond the (n, 4)
-    sums, product and result ((n, 3) when alpha1 = alpha2) and the (n, 3, 3)
-    map is about 1 MB at any S and n.  Empty times give an empty map; a NaN
+    nodes (_sums_by_anchors).  On times uniform to within a few ulp (every
+    residual against anchor plus offset at most _RESIDUAL_ULPS ulp of
+    max|t|), as every TimeGrid and np.linspace gives, K = floor(sqrt(n)),
+    so cos and sin are taken at n/K anchors and K offsets instead of at all
+    n nodes; any other times, fewer than 4 included, take K = 1 and cos and
+    sin at every node.  The two agree to about the rounding of Gamma t
+    (5.7e-14 at Gamma t = 500).  Each chunk of sectors is one matrix
+    product whose operands hold at most _CHUNK_ELEMENTS elements each
+    (512 KB), so memory beyond the (n, 4) sums, product and result ((n, 3)
+    when alpha1 = alpha2) and the (n, 3, 3) map is about 1 MB at any S
+    and n.  Empty times give an empty map; a NaN
     or infinite time, or one at which the fastest sector's Gamma * t
     overflows, raises ConfigError.
     """
-    times = _checked_times(times)
+    times, t_max = _checked_times(times)
     if times.size == 0:
         return np.zeros((0, 3, 3))
     total, *tables = _sector_tables(config)
-    _check_rotation_angle(tables[0][-1], times)
-    k = _offsets_per_anchor(times)
-    sums = _sums_by_anchors(times, k, *tables)
-    if k > 1:
-        _onto_times(sums, times, k)
+    _check_rotation_angle(tables[0][-1], t_max)
+    anchors, offsets, r, dt = _time_layout(times, t_max)
+    sums = _sums_by_anchors(anchors, offsets, *tables)[:, : times.size]
+    if r is not None:
+        _onto_times(sums, r, dt)
     *diagonal, xy = sums
     if len(diagonal) == 2:
         # alpha1 = alpha2: M_yy is M_xx, read from the same x sums
@@ -532,7 +535,7 @@ def literal_points(
     the same dyadic number).  Shape (n_times, 3) ordered (x, y, z).  A NaN
     or infinite time, or one whose Gamma * t overflows, raises ConfigError.
     """
-    times = _checked_times(times)
+    times, t_max = _checked_times(times)
     ladder = sector_weights(config.bath_size)
     m = np.array([s.m for s in ladder])
     w = np.array([s.w for s in ladder])
@@ -541,7 +544,7 @@ def literal_points(
     weights = np.repeat(w, w.size) * np.tile(w, w.size)
     omega = config.omega
     gammas = np.sqrt(omega**2 + a1m * a1m + a2m * a2m)
-    _check_rotation_angle(gammas.max(), times)
+    _check_rotation_angle(gammas.max(), t_max)
 
     st, ct = math.sin(angles.theta), math.cos(angles.theta)
     sp, cp = math.sin(angles.phi), math.cos(angles.phi)

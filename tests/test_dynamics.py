@@ -10,9 +10,9 @@ Oracles used here, independent of the implementation under test:
 - the folded rotation map is property-tested against the unfolded
   (S, 3, 3) full-sector formula, written out inside this file, at both of
   its block lengths: arbitrary times (K = 1, every node its own anchor)
-  and uniform grids (K ~ sqrt(n) nodes per anchor), the latter also against
-  single-time calls on long grids, one of them summed in many sector
-  chunks;
+  and grids uniform to within a few ulp (K ~ sqrt(n) nodes per anchor),
+  the latter also against single-time calls on long grids, one of them
+  summed in many sector chunks;
 - the central-difference move of the anchored sums onto their times is
   checked against the move along exact derivative sums, which the same
   kernel sums from the derivative rows of the sector tables;
@@ -382,6 +382,11 @@ def test_folded_rotation_map_properties(omega, alpha1, alpha2, bath_size, times)
     assert np.max(np.abs(mats - _unfolded_rotation_matrices(cfg, times))) <= 1e-13
 
 
+def _layout(times):
+    """_time_layout of times as rotation_matrices takes it: (anchors, offsets, r, dt)."""
+    return dynamics._time_layout(*dynamics._checked_times(times))
+
+
 _coupling_pairs = st.one_of(
     st.floats(0.0, 3.0).map(lambda a: (a, a)),  # swapped sectors merge
     st.tuples(st.floats(0.0, 3.0), st.just(0.0)),  # one ladder merges
@@ -407,7 +412,7 @@ def test_uniform_grid_rotation_map_properties(omega, pair, bath_size, t_start, s
     cfg = SystemConfig(omega=omega, alpha1=pair[0], alpha2=pair[1], bath_size=bath_size)
     times = np.linspace(t_start, t_start + span, n)
     # every grid of 4 or more nodes runs blocks of K >= 2 nodes per anchor
-    assert (dynamics._offsets_per_anchor(times) >= 2) == (n >= 4)
+    assert (_layout(times)[1].size >= 2) == (n >= 4)
     mats = rotation_matrices(cfg, times)
     for i, j in [(0, 2), (1, 2), (2, 0), (2, 1)]:
         assert np.all(mats[:, i, j] == 0.0)
@@ -436,9 +441,9 @@ def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch, alpha1, alpha2
     blocks = []
     anchored = dynamics._sums_by_anchors
 
-    def spy(t, k, *tables):
-        blocks.append(k)
-        return anchored(t, k, *tables)
+    def spy(anchors, offsets, *tables):
+        blocks.append(offsets.size)
+        return anchored(anchors, offsets, *tables)
 
     monkeypatch.setattr(dynamics, "_sums_by_anchors", spy)
     mats = rotation_matrices(cfg, times)
@@ -449,13 +454,73 @@ def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch, alpha1, alpha2
     for j in picks:
         single = rotation_matrices(cfg, times[j : j + 1])
         assert np.max(np.abs(mats[j] - single[0])) <= 1e-13
-    # one node moved by one ulp: no longer a linspace, so every node is
-    # its own anchor
+    # one node moved by one ulp: no longer a linspace, but its residual is
+    # still within the guard, so the grid keeps its anchors
     nudged = times.copy()
     nudged[times.size // 2] = np.nextafter(nudged[times.size // 2], np.inf)
-    per_node = rotation_matrices(cfg, nudged)
-    assert blocks[-1] == 1
-    assert np.max(np.abs(per_node - mats)) <= 1e-13
+    moved = rotation_matrices(cfg, nudged)
+    assert blocks[-1] == k
+    assert np.max(np.abs(moved - mats)) <= 1e-13
+
+
+def test_linspace_residuals_stay_within_half_the_guard():
+    # np.linspace reaches 2 ulp of max|t| against anchor plus offset, half
+    # the guard: ascending and descending, from 0 and later, up to 4e4 nodes
+    rng = np.random.default_rng(37)
+    draws = [(0.0, 50.0, 40000, False), (50.0, 200.0, 40000, True), (1e-3, 1e-3, 4, False)]
+    for _ in range(2000):
+        t_start = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 50.0)
+        span = 10.0 ** rng.uniform(-3.0, math.log10(200.0))
+        n = int(10.0 ** rng.uniform(math.log10(4.0), math.log10(4e4)))
+        draws.append((t_start, span, n, rng.random() < 0.5))
+    worst = 0.0
+    for t_start, span, n, descending in draws:
+        ends = (t_start + span, t_start) if descending else (t_start, t_start + span)
+        times = np.linspace(*ends, n)
+        _, offsets, r, _ = _layout(times)
+        assert offsets.size == math.isqrt(n)
+        worst = max(worst, np.max(np.abs(r)) / np.spacing(np.max(np.abs(times))))
+    assert 1.0 <= worst <= dynamics._RESIDUAL_ULPS / 2.0
+
+
+def test_grids_uniform_to_a_few_ulp_keep_their_anchors():
+    # arange steps and a linspace with one node nudged by one ulp are not
+    # np.linspace bit for bit, but every residual is within the guard
+    cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=5)
+    grids = [
+        t_start + np.arange(n) * step
+        for t_start, n, step in ((0.0, 4, 0.1), (3.0, 17, 0.1), (0.5, 17, 0.01), (3.0, 1000, 1 / 1300))
+    ]
+    for n in (4, 1000, 40000):
+        nudged = np.linspace(3.0, 20.0, n)
+        nudged[n // 2] = np.nextafter(nudged[n // 2], np.inf)
+        grids.append(nudged)
+    for times in grids:
+        n = times.size
+        assert not np.array_equal(times, np.linspace(times[0], times[-1], n))
+        _, offsets, r, _ = _layout(times)
+        assert offsets.size == math.isqrt(n) and r is not None
+        mats = rotation_matrices(cfg, times)
+        assert np.max(np.abs(mats - _unfolded_rotation_matrices(cfg, times))) <= 1e-13
+
+
+def test_irregular_times_are_each_their_own_anchor():
+    # random and geometric steps leave residuals far past the guard; equal
+    # times leave none, but have no step to move the nodes by
+    cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=6)
+    rng = np.random.default_rng(37)
+    grids = [
+        np.sort(rng.uniform(0.0, 30.0, 400)),
+        np.geomspace(1e-3, 30.0, 400),
+        np.full(9, 2.5),
+        np.zeros(4),
+    ]
+    for times in grids:
+        anchors, offsets, r, dt = _layout(times)
+        assert anchors.tobytes() == times.tobytes() and offsets.tolist() == [0.0]
+        assert r is None and dt == 0.0
+        mats = rotation_matrices(cfg, times)
+        assert np.max(np.abs(mats - _unfolded_rotation_matrices(cfg, times))) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -618,10 +683,10 @@ def _four_row_tables(coef, lift):
 
 def _sums_at(times, gammas, coef, lift):
     """The sector sums at times, as rotation_matrices takes them."""
-    k = dynamics._offsets_per_anchor(times)
-    sums = dynamics._sums_by_anchors(times, k, gammas, coef, lift)
-    if k > 1:
-        dynamics._onto_times(sums, times, k)
+    anchors, offsets, r, dt = _layout(times)
+    sums = dynamics._sums_by_anchors(anchors, offsets, gammas, coef, lift)[:, : times.size]
+    if r is not None:
+        dynamics._onto_times(sums, r, dt)
     return sums
 
 
@@ -679,10 +744,10 @@ def _merged_tables(cfg):
 
 
 def test_sector_tables_equal_the_scattered_tables_bit_for_bit():
-    # The tables sort distinct Gamma^2 without a scatter and sum equal ones
-    # with np.add.at; both sides must give the bytes of scattering every
-    # sector.  Seeded draws at N <= 4 have no equal Gamma^2 (bar alpha = 0);
-    # the fixed couplings merge rows (equal couplings, one bath) or not.
+    # The tables scatter (size, size) broadcasts of the cached ladder; they
+    # must give the bytes of scattering the repeated and tiled ladder written
+    # out here.  Seeded draws at N <= 4 have no equal Gamma^2 (bar alpha =
+    # 0); the fixed couplings merge rows (equal couplings, one bath) or not.
     rng = np.random.default_rng(36)
     configs = [_random_config(rng, n_max=4) for _ in range(200)]
     configs += [
@@ -733,7 +798,7 @@ def test_six_rows_round_like_eight_where_the_blas_changes_kernel():
     times = auto_time_grid(cfg, 5.0).times()
     assert times.size == 279
     total, gammas, coef, lift = dynamics._sector_tables(cfg)
-    assert dynamics._offsets_per_anchor(times) == 16
+    assert _layout(times)[1].size == 16
     four = _sums_at(times, gammas, *_four_row_tables(coef, lift))
     four[:3] = total - four[:3]
     mats = _map_sums(rotation_matrices(cfg, times))
@@ -741,7 +806,7 @@ def test_six_rows_round_like_eight_where_the_blas_changes_kernel():
     assert four.tobytes() == mats.tobytes()
 
 
-def _derivative_sums(times, k, gammas, coef):
+def _derivative_sums(anchors, offsets, gammas, coef):
     """d/dt of the value rows at the anchored times, by the same kernel.
 
     A cos row a has the derivative row -a Gamma against sin, and the xy
@@ -751,7 +816,7 @@ def _derivative_sums(times, k, gammas, coef):
     rows = []
     for a in coef[:-1]:
         pair = np.stack([coef[-1] * gammas, -a * gammas])
-        d_xy, d_a = dynamics._sums_by_anchors(times, k, gammas, pair, np.zeros(2))
+        d_xy, d_a = dynamics._sums_by_anchors(anchors, offsets, gammas, pair, np.zeros(2))
         rows.append(d_a)
     return np.stack(rows + [d_xy])
 
@@ -778,15 +843,17 @@ def test_central_difference_moves_nodes_like_the_exact_derivative(
     cfg = SystemConfig(omega=2.0, alpha1=alpha1, alpha2=alpha2, bath_size=bath_size)
     _, gammas, coef, lift = dynamics._sector_tables(cfg)
     n = times.size
-    k = dynamics._offsets_per_anchor(times)
+    anchors, offsets, residuals, step = _layout(times)
+    k = offsets.size
     assert k == math.isqrt(n)
-    anchored = dynamics._sums_by_anchors(times, k, gammas, coef, lift)
+    anchored = dynamics._sums_by_anchors(anchors, offsets, gammas, coef, lift)[:, :n]
     moved = anchored.copy()
-    dynamics._onto_times(moved, times, k)
-    deriv = _derivative_sums(times, k, gammas, coef)
+    dynamics._onto_times(moved, residuals, step)
+    deriv = _derivative_sums(anchors, offsets, gammas, coef)[:, :n]
     dt = (times[-1] - times[0]) / (n - 1)
     b = np.arange(n) % k
     r = (times - times[np.arange(n) - b]) - b * dt
+    assert step == dt and residuals.tobytes() == r.tobytes()
     assert np.count_nonzero(r) > n // 10 and np.max(np.abs(r)) < 1e-13
     exact = anchored + r * deriv
     err = np.abs(moved - exact)
