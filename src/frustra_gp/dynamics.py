@@ -35,10 +35,10 @@ One route evaluates the sum: cos and sin are taken only at anchors every K
 nodes and at the K offsets of one block, angle addition turns them into
 every node, and the sums' central difference moves each node onto its
 exact float time.  K = floor(sqrt(n)) wherever every node's residual, its
-time minus its anchor plus offset, is within a few ulp of the largest |t|,
-as on every grid uniform to within a few ulp (np.linspace and TimeGrid
-included); other times, and fewer than 4, take K = 1, where every node is
-its own anchor.  The sectors are summed in chunks, each one
+time minus its anchor plus offset, and every anchor's distance from
+times[0] + lo dt are within a few ulp of the largest |t|, as on every grid
+uniform to within a few ulp (np.linspace and TimeGrid included); other
+times, and fewer than 4, take K = 1, where every node is its own anchor.  The sectors are summed in chunks, each one
 matrix product: the anchors' [cos | sin] block times a table of the chunk's
 coefficients against the offsets' cos and sin, issued in blocks of anchor
 rows small enough that BLAS does not split one over its threads.  Both
@@ -287,12 +287,13 @@ def _sector_tables(config: SystemConfig):
     return float(weights.sum()), gammas, coef, lift
 
 
-# Largest residual |times[j] - a - o|, in ulp of max|t|, at which
-# _time_layout keeps its anchors.  np.linspace grids reach 2.0 (20000
-# seeded draws: ascending and descending, t_start in [0, 50], spans 1e-3 to
-# 200, 4 to 4e4 nodes), so 4 keeps a 2x margin.  The move onto the times
-# then errs by no more than an error of 4 _RESIDUAL_ULPS ulp of max|t| in
-# the times would (_onto_times).
+# Largest deviation, in ulp of max|t|, at which _time_layout keeps its
+# anchors: of each residual |times[j] - a - o| and of each anchor from
+# times[0] + lo dt.  np.linspace grids reach 2.0 and 1.5 (20000 seeded
+# draws: ascending and descending, t_start in [0, 50], spans 1e-3 to 200,
+# 4 to 4e4 nodes), so 4 keeps a 2x margin.  The move onto the times then
+# errs by about what an error of 4 _RESIDUAL_ULPS ulp of max|t| in the
+# times would (_onto_times).
 _RESIDUAL_ULPS = 4.0
 
 
@@ -303,20 +304,28 @@ def _time_layout(times, t_max):
     a + o: the anchor a = times[lo] plus the offset o = b dt, where dt is
     the mean step (times[-1] - times[0]) / (n - 1), and then moved onto
     times[j] by its residual r = times[j] - a - o (_onto_times).  That
-    layout is kept when every |r| is at most _RESIDUAL_ULPS ulp of t_max
-    and dt != 0.  Otherwise, and below 4 nodes, every node is its own
-    anchor: offsets (0,), residuals None and dt = 0.
+    layout is kept when dt is finite and nonzero and every |r|, and every
+    anchor's distance from times[0] + lo dt, is at most _RESIDUAL_ULPS ulp
+    of t_max: the residuals alone would pass blocks displaced from one
+    another, whose central differences across a block boundary span far
+    more than 2 dt.
+    Otherwise, and below 4 nodes, every node is its own anchor: offsets
+    (0,), residuals None and dt = 0.
     """
     n = times.size
-    if n >= 4:
+    # Python floats: a span past the floats gives dt = inf without a warning
+    dt = (float(times[-1]) - float(times[0])) / (n - 1) if n >= 4 else 0.0
+    if 0.0 < abs(dt) < math.inf:
         k = math.isqrt(n)
         # whole blocks of k nodes, the last padded with times[-1] (dropped)
         seg = np.concatenate((times, np.full(-n % k, times[-1]))).reshape(-1, k)
-        dt = (times[-1] - times[0]) / (n - 1)
         offsets = np.arange(k) * dt
-        r = ((seg - seg[:, :1]) - offsets).reshape(-1)[:n]
-        if dt != 0.0 and np.max(np.abs(r)) <= _RESIDUAL_ULPS * np.spacing(t_max):
-            return times[::k], offsets, r, dt
+        anchors = seg[:, 0]
+        r = ((seg - anchors[:, None]) - offsets).reshape(-1)[:n]
+        drift = anchors - (np.arange(0, n, k) * dt + times[0])
+        guard = _RESIDUAL_ULPS * np.spacing(t_max)
+        if max(np.max(np.abs(r)), np.max(np.abs(drift))) <= guard:
+            return anchors, offsets, r, dt
     return times, np.zeros(1), None, 0.0
 
 
@@ -406,8 +415,11 @@ def _onto_times(sums, r, dt) -> None:
     last node.  The error |r| |D - dV/dt| is at most |r| max|dV/dt|
     min(2, (Gamma_max dt)^2 / 3) (min(4, ...) at the last node), max over
     all t: below one ulp of the map on auto grids (Gamma_max dt = 2 pi /
-    40), and never above what moving the time by 4 _RESIDUAL_ULPS ulp of
-    max|t| would change (|dV/dt| <= Gamma_max).
+    40).  Where a difference spans a block boundary, its two anchors each
+    lie within g = _RESIDUAL_ULPS ulp of max|t| of times[0] + lo dt, which
+    adds at most 3 |r| max|dV/dt| g / dt.  So the move never changes the
+    map by more than moving the time by (4 + 3 g / dt) g would
+    (|dV/dt| <= Gamma_max).
     Both differences are taken of the unmoved sums, then added in place;
     the first node (r = 0) is left as it is.
     """
@@ -431,7 +443,7 @@ def _checked_times(times) -> tuple[np.ndarray, float]:
 
 
 def _check_rotation_angle(gamma_max: float, worst: float) -> None:
-    """ConfigError naming the time whose rotation angle gamma_max * |t| overflows."""
+    """ConfigError naming worst, the largest |t|, if gamma_max * worst overflows."""
     gamma_max = float(gamma_max)
     if math.isinf(gamma_max * worst):
         raise ConfigError(
@@ -459,8 +471,9 @@ def rotation_matrices(config: SystemConfig, times: np.ndarray) -> np.ndarray:
     The sums run over the S distinct frequencies of _sector_tables (folded
     quadrant, equal Gamma merged), by angle addition from anchors every K
     nodes (_sums_by_anchors).  On times uniform to within a few ulp (every
-    residual against anchor plus offset at most _RESIDUAL_ULPS ulp of
-    max|t|), as every TimeGrid and np.linspace gives, K = floor(sqrt(n)),
+    residual against anchor plus offset, and every anchor against
+    times[0] + lo dt, at most _RESIDUAL_ULPS ulp of max|t|: _time_layout),
+    as every TimeGrid and np.linspace gives, K = floor(sqrt(n)),
     so cos and sin are taken at n/K anchors and K offsets instead of at all
     n nodes; any other times, fewer than 4 included, take K = 1 and cos and
     sin at every node.  The two agree to about the rounding of Gamma t

@@ -296,6 +296,7 @@ def test_time_whose_rotation_angle_overflows_is_refused_before_the_map():
     v0 = initial_bloch(InitialStateAngles(theta=1.0))
     calls = (
         lambda: rotation_matrices(cfg, np.array([0.0, 1e308])),
+        lambda: rotation_matrices(cfg, np.array([0.0, -1e308])),  # named by |t|
         lambda: literal_points(cfg, InitialStateAngles(theta=1.0), np.array([1e308, 0.0])),
         lambda: sector_rotation(v0, cfg, 0.5, 0.5, 1e308),
     )
@@ -304,6 +305,17 @@ def test_time_whose_rotation_angle_overflows_is_refused_before_the_map():
         for call in calls:
             with pytest.raises(ConfigError, match=r"^time 1e\+308 too large: Gamma \* t overflows"):
                 call()
+        # a single time is refused as negative before its angle is checked
+        with pytest.raises(ConfigError, match=r"^t must be finite and >= 0$"):
+            sector_rotation(v0, cfg, 0.5, 0.5, -1e308)
+    # a span past the floats has no step (its dt overflows), so each node
+    # is its own anchor, without an overflow warning on the way
+    tiny = SystemConfig(omega=1e-150, alpha1=0.0, alpha2=0.0, bath_size=1)
+    wide = np.array([-1e308, 0.0, 1.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _layout(wide)[2] is None
+        assert np.isfinite(rotation_matrices(tiny, wide)).all()
     # the largest time that keeps Gamma_max t finite still evaluates
     gamma_max = float(np.sqrt(4.0 + 0.45**2 + 0.3**2))
     assert np.isfinite(rotation_matrices(cfg, np.array([1e308 / gamma_max]))).all()
@@ -464,8 +476,9 @@ def test_uniform_grid_map_has_no_drift_on_long_grids(monkeypatch, alpha1, alpha2
 
 
 def test_linspace_residuals_stay_within_half_the_guard():
-    # np.linspace reaches 2 ulp of max|t| against anchor plus offset, half
-    # the guard: ascending and descending, from 0 and later, up to 4e4 nodes
+    # np.linspace reaches 2 ulp of max|t| against anchor plus offset, and
+    # its anchors 1.5 against times[0] + lo dt, at most half the guard:
+    # ascending and descending, from 0 and later, up to 4e4 nodes
     rng = np.random.default_rng(37)
     draws = [(0.0, 50.0, 40000, False), (50.0, 200.0, 40000, True), (1e-3, 1e-3, 4, False)]
     for _ in range(2000):
@@ -477,9 +490,12 @@ def test_linspace_residuals_stay_within_half_the_guard():
     for t_start, span, n, descending in draws:
         ends = (t_start + span, t_start) if descending else (t_start, t_start + span)
         times = np.linspace(*ends, n)
-        _, offsets, r, _ = _layout(times)
-        assert offsets.size == math.isqrt(n)
-        worst = max(worst, np.max(np.abs(r)) / np.spacing(np.max(np.abs(times))))
+        anchors, offsets, r, dt = _layout(times)
+        k = offsets.size
+        assert k == math.isqrt(n)
+        drift = anchors - (np.arange(0, n, k) * dt + times[0])
+        ulp = np.spacing(np.max(np.abs(times)))
+        worst = max(worst, np.max(np.abs(r)) / ulp, np.max(np.abs(drift)) / ulp)
     assert 1.0 <= worst <= dynamics._RESIDUAL_ULPS / 2.0
 
 
@@ -506,14 +522,29 @@ def test_grids_uniform_to_a_few_ulp_keep_their_anchors():
 
 def test_irregular_times_are_each_their_own_anchor():
     # random and geometric steps leave residuals far past the guard; equal
-    # times leave none, but have no step to move the nodes by
+    # times leave none, but have no step to move the nodes by.  Blocks that
+    # are each uniform but displaced from one another leave no residual
+    # either: their anchors, off times[0] + lo dt, refuse the layout, whose
+    # central differences would span a block boundary's whole gap
     cfg = SystemConfig(omega=2.0, alpha1=0.3, alpha2=0.7, bath_size=6)
     rng = np.random.default_rng(37)
+    # 100 uniform blocks of 100 nodes, the first 50 packed 0.99 steps
+    # closer each, so the 51st opens a gap of about 50 steps; at the node
+    # before it, 3 ulp of residual moved the map by 2.4e-13 across that gap
+    packed = np.repeat(np.where(np.arange(100) < 50, -0.99e-3 * np.arange(100), 0.0), 100)
+    gapped = 30.0 + np.arange(10000) * 1e-3 + packed
+    for _ in range(3):
+        gapped[4999] = np.nextafter(gapped[4999], np.inf)
     grids = [
         np.sort(rng.uniform(0.0, 30.0, 400)),
         np.geomspace(1e-3, 30.0, 400),
         np.full(9, 2.5),
         np.zeros(4),
+        # the middle block moved to t = 1, out of order
+        np.array([0.0, 1e-9, 2e-9, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 6e-9, 7e-9, 8e-9]),
+        # ascending, the middle block half a step late
+        np.array([0.0, 1.0, 2.0, 3.5, 4.5, 5.5, 6.0, 7.0, 8.0]),
+        gapped,
     ]
     for times in grids:
         anchors, offsets, r, dt = _layout(times)
