@@ -571,8 +571,11 @@ def literal_points(
         sz = cosv * ct + s_over * st * (a1m * cp - a2m * sp) + omega * common * c_over
         sx = cosv * st * sp - s_over * (omega * st * cp - a2m * ct) + a1m * common * c_over
         sy = cosv * st * cp - s_over * (-omega * st * sp + a1m * ct) + a2m * common * c_over
-        # Pairwise sums, not np.dot, whose OpenBLAS split over threads
-        # rounds differently with each thread count (see phase._trapezoid_on_chi).
+        # Pairwise sums: an unblocked np.dot would be split over OpenBLAS's
+        # threads past 10^4 sectors and round differently with each thread
+        # count (see phase._trapezoid_on_chi), and this route's callers
+        # (verify, at one node and N <= 3) take too few sums for a blocked
+        # dot to save time, so it would only move the literal series' bits.
         out[i, 0] = -0.5 * float((weights * sx).sum())
         out[i, 1] = -0.5 * float((weights * sy).sum())
         out[i, 2] = -0.5 * float((weights * sz).sum())

@@ -37,8 +37,9 @@ points, but the fallback decision comes from the shared column.  Every
 cell still makes its own gp_closed_form call, as a per-cell trace of the
 sweep expects, but a track evaluates its closed form (the bracket, the
 connection sum and the GpResult) when it is built, so a shared track's
-n-node passes run once per row, when its first cell builds it, and every
-cell's call pays only the call's checks and gets the track's result back.
+n-node work (five elementwise passes and one blocked dot) runs once per
+row, when its first cell builds it, and every cell's call pays only the
+call's checks and gets the track's result back.
 
 `strategy_compare` contrasts coupling allocations (single bath vs split
 couplings) by two grid metrics: mean |gamma| and mean angular distance to
@@ -201,11 +202,12 @@ class _ColumnSweep:
 
     A factored track makes five elementwise passes over its n nodes
     (sin^2(theta) rho2, + A^2, sqrt, (A/2)/eps and + 1/2), and its
-    constructor two more (products of sin2_half with the column's node
-    weights, and their sum), of which it builds its GpResult: seven per
-    cell, or seven per row when the track is shared, whose cells' calls pay
-    only the call's checks.  The sum of dchi, the node weights and the
-    singular count are the column's, made once when its Azimuth is built.
+    constructor one dot of sin2_half with the column's node weights (the
+    connection sum, a BLAS dot per block of nodes), of which it builds its
+    GpResult: five passes and one dot per cell, or per row when the track
+    is shared, whose cells' calls pay only the call's checks.  The sum of
+    dchi, the node weights and the singular count are the column's, made
+    once when its Azimuth is built.
     A, A/2 and A^2 are formed once per row, and a row's unreduced phases
     and singular counts are collected in two lists that the caller converts
     once; the surface derives the principal values of the whole grid.

@@ -44,9 +44,12 @@ state and sin(theta_tau/2) = sqrt(sin2_half(tau)).  Since cos^2(theta_t/2)
 the trapezoid rule on the chi increments written as one weighted node sum:
 G_j = dchi_{j-1} + dchi_j are the azimuth's node weights (a missing
 increment past either end counts as 0), and dchi(tau) is the sum of the
-increments.  sqrt(lambda_plus) is a positive scalar and cannot move the
-arg; it is reported as a diagnostic and never multiplied in, which makes the
-result bit-identical under any positive rescaling of that factor.
+increments.  The node sum is one BLAS dot per block of nodes short enough
+that OpenBLAS never splits it over threads, so its bits do not depend on
+the thread count (_trapezoid_on_chi).  sqrt(lambda_plus) is a positive
+scalar and cannot move the arg; it is reported as a diagnostic and never
+multiplied in, which makes the result bit-identical under any positive
+rescaling of that factor.
 
 Two independent routes are provided for cross-checking: a discrete holonomy
 product over eigenvector overlaps (`gp_discrete_holonomy`) and the pole
@@ -95,6 +98,9 @@ _JUMP_LIMIT = math.pi - 1e-9
 # Below this norm x^2 + y^2 + z^2 is subnormal or zero, so its square root
 # is no longer within an ulp of |v|.
 _SQUARES_EXACT_MIN = math.sqrt(sys.float_info.min)
+# Nodes per BLAS dot in the connection sum: below the 10^4 elements past
+# which OpenBLAS splits a dot over its threads (_trapezoid_on_chi).
+_DOT_BLOCK = 8192
 
 
 def principal_value(angle):
@@ -385,16 +391,32 @@ def _trapezoid_on_chi(azimuth: Azimuth, integrand: np.ndarray) -> float:
 
     G = azimuth.weights, G_j = dchi_{j-1} + dchi_j, so in exact arithmetic
     this is the trapezoid sum_i dchi_i (f_i + f_{i+1}) / 2 over the chi
-    increments.  Two passes: the products G_j f_j and np.add.reduce, halved
-    once at the end (halving is exact).  np.add.reduce adds pairwise, so
-    its rounding stays at a few ulp of the total.  Not
+    increments.  One BLAS dot (np.dot) per block of at most _DOT_BLOCK
+    nodes, with no temporary; the block partials are added by math.fsum,
+    which rounds their exact sum once, and the total is halved (exact).
+    OpenBLAS splits a dot of more than 10^4 elements over its threads, and
+    the split partials round differently with each thread count (random
+    vectors gave identical bits at 1 and 2 threads up to n = 10^4 and
+    different bits from 10^4 + 1); a block never reaches the split, so the
+    sum's bits do not depend on OPENBLAS_NUM_THREADS.  Over the 441
+    (1, 0)-coupling cells of a 21 x 21, N = 20, t = 50 sweep the dot lands
+    at most 2.8e-14 (mean 4.9e-15) from the exact sum of the rounded
+    products, as np.add.reduce's pairwise sum does (mean 3.5e-15), in
+    about a third of the time of its multiply-then-reduce.  Not
     np.einsum("i,i->"): its fused loop accumulates in a single vector
-    register, and over 3 x 10^3 nodes with a total near 100 rad it lands up
-    to 3e-13 from the pairwise sum.  Not np.dot: OpenBLAS splits a dot
-    product of more than 10^4 nodes over its threads, and the partial sums
-    then round differently with each thread count.
+    register and there lands up to 4e-13 from the exact sum.
     """
-    return float(np.add.reduce(azimuth.weights * integrand)) / 2.0
+    weights = azimuth.weights
+    if weights.size <= _DOT_BLOCK:
+        # The blocked sum at one block (fsum of one partial is that
+        # partial), without the list and fsum calls that cost half as much
+        # again as a 3 x 10^3-node dot.
+        return float(np.dot(weights, integrand)) / 2.0
+    partials = [
+        np.dot(weights[lo : lo + _DOT_BLOCK], integrand[lo : lo + _DOT_BLOCK])
+        for lo in range(0, weights.size, _DOT_BLOCK)
+    ]
+    return math.fsum(partials) / 2.0
 
 
 def gp_closed_form(

@@ -880,15 +880,17 @@ def test_verify_report_bytes_ignore_blas_threads():
 
 def test_gp_n100_output_bytes_ignore_blas_threads():
     # 11273 nodes, past the 10^4 beyond which OpenBLAS splits a dot product
-    # over its threads (a BLAS dot in the phase quadrature changes the last
-    # digit here), and 1031 distinct Gamma, so the rotation map runs blocks
-    # of K = 106 nodes over 55 sector chunks, each one product of at most
-    # (107, 38) x (38, 318).
-    args = [a if a != "48" else "100" for a in GP_N48_ARGS]
-    one = _module_run(args, OPENBLAS_NUM_THREADS="1")
-    two = _module_run(args, OPENBLAS_NUM_THREADS="2")
-    assert one.returncode == 0 and two.returncode == 0
-    assert one.stdout == two.stdout
+    # over its threads, and 1031 distinct Gamma, so the rotation map runs
+    # blocks of K = 106 nodes over 55 sector chunks, each one product of at
+    # most (107, 38) x (38, 318).  The N = 48 run on 31001 nodes takes the
+    # connection sum in four dot blocks; as one unblocked np.dot that sum
+    # changes the phase's last digits at 2 threads.
+    n100 = [a if a != "48" else "100" for a in GP_N48_ARGS]
+    for args in (n100, GP_N48_ARGS + ["--steps", "31001"]):
+        one = _module_run(args, OPENBLAS_NUM_THREADS="1")
+        two = _module_run(args, OPENBLAS_NUM_THREADS="2")
+        assert one.returncode == 0 and two.returncode == 0
+        assert one.stdout == two.stdout
 
 
 def test_surface_n30_output_bytes_ignore_blas_threads():
@@ -905,9 +907,9 @@ def test_surface_n30_output_bytes_ignore_blas_threads():
 
 
 def test_compare_output_bytes_ignore_blas_and_worker_threads():
-    # The only BLAS products on this path are the rotation map's chunked
-    # matrix products; the sweep projects cells by elementwise products and
-    # its quadrature sums with np.sum.  OPENBLAS_NUM_THREADS=2 checks that
+    # The BLAS calls on this path are the rotation map's chunked matrix
+    # products and one dot per cell for the connection, on 2001 nodes, one
+    # block below OpenBLAS's thread split.  OPENBLAS_NUM_THREADS=2 checks that
     # the 2001-step run's products give the same bytes on two threads, and
     # FRUSTRA_GP_THREADS=2 that the row pool does not reach the bytes.
     args = ["compare", "--bath-size", "4", "--n-theta", "5", "--n-phi", "6",

@@ -473,21 +473,46 @@ def _pure_start_tracks(draw):
     return PolarTrack(azimuth, a, s, np.ones(n))
 
 
+def _literal_bracket(track):
+    # The closed form's bracket exactly as the module docstring's formula reads.
+    s, total = track.sin2_half, float(np.sum(track.azimuth.dchi))
+    return complex(
+        math.sqrt(s[0]) * math.sqrt(s[-1])
+        + np.exp(1.0j * total) * math.sqrt(1.0 - s[0]) * math.sqrt(1.0 - s[-1])
+    )
+
+
+def _assert_near_classic_trapezoid(track, got, head):
+    # The classic trapezoid sum_i dchi_i (f_i + f_{i+1}) / 2 of
+    # f = 1 - sin2_half is the same integral rounded in another order.  An
+    # m-term float sum whose terms are each within k roundings of at most
+    # |dchi_i| in size is off by at most (m + k) u sum |dchi| (u the unit
+    # roundoff), in any order of addition: n + 1 for the classic sum, n - 2
+    # for the total and n + 1 for the node sum (whose terms add to at most
+    # 2 sum |dchi|, halved), plus three subtractions of values at most
+    # pi + sum |dchi| in size.
+    s, dchi = track.sin2_half, track.azimuth.dchi
+    f = 1.0 - s
+    classic = float(np.sum(dchi * ((f[:-1] + f[1:]) / 2.0)))
+    u = np.finfo(float).eps / 2.0
+    n = track.n_steps
+    bound = (3 * n + 10) * u * (float(np.sum(np.abs(dchi))) + math.pi)
+    assert abs(got - (head - classic)) <= bound
+
+
 @settings(max_examples=300, deadline=None)
 @given(track=_pure_start_tracks())
 def test_closed_form_quadrature_is_the_literal_trapezoid(track):
     # The connection as the module docstring writes it, total - (1/2)
     # sum_j G_j s_j with node weights G_j = dchi_{j-1} + dchi_j (0 past
-    # either end), and the bracket exactly as the formula reads: the closed
-    # form must match this literal bit for bit.
+    # either end), its node sum one BLAS dot (at most 60 nodes are one
+    # block), and the bracket exactly as the formula reads: the closed form
+    # must match this literal bit for bit.
     s, dchi = track.sin2_half, track.azimuth.dchi
     G = np.concatenate(([0.0], dchi)) + np.concatenate((dchi, [0.0]))
     total = float(np.sum(dchi))
-    connection = total - np.sum(G * s) / 2
-    bracket = complex(
-        math.sqrt(s[0]) * math.sqrt(s[-1])
-        + np.exp(1.0j * total) * math.sqrt(1.0 - s[0]) * math.sqrt(1.0 - s[-1])
-    )
+    connection = total - float(np.dot(G, s)) / 2
+    bracket = _literal_bracket(track)
     if abs(bracket) < phase.Z_TOL:
         with pytest.raises(IndeterminatePhaseError):
             gp_closed_form(track)
@@ -495,19 +520,22 @@ def test_closed_form_quadrature_is_the_literal_trapezoid(track):
     head = math.atan2(bracket.imag, bracket.real)
     got = gp_closed_form(track).gamma_unwrapped
     assert got == head - connection
-    # The classic trapezoid sum_i dchi_i (f_i + f_{i+1}) / 2 of
-    # f = 1 - sin2_half is the same integral rounded in another order.  An
-    # m-term float sum whose terms are each within k roundings of at most
-    # |dchi_i| in size is off by at most (m + k) u sum |dchi| (u the unit
-    # roundoff): n + 1 for the classic sum, n - 2 for the total and n + 1
-    # for the node sum (whose terms add to at most 2 sum |dchi|, halved),
-    # plus three subtractions of values at most pi + sum |dchi| in size.
-    f = 1.0 - s
-    classic = float(np.sum(dchi * ((f[:-1] + f[1:]) / 2.0)))
-    u = np.finfo(float).eps / 2.0
-    n = track.n_steps
-    bound = (3 * n + 10) * u * (float(np.sum(np.abs(dchi))) + math.pi)
-    assert abs(got - (head - classic)) <= bound
+    _assert_near_classic_trapezoid(track, got, head)
+
+
+def test_closed_form_quadrature_across_dot_blocks():
+    # Three full blocks of the connection's blocked dot and a short fourth:
+    # the block partials and their sum stay within the same bound.
+    n = 3 * phase._DOT_BLOCK + 17
+    j = np.arange(n)
+    s = np.sin(0.0113 * j) ** 2
+    dchi = 3.1 * np.sin(0.37 * j[:-1]) * np.cos(0.0007 * j[:-1])
+    azimuth = Azimuth(TimeGrid(1.0, n), dchi, np.zeros(n, dtype=bool), 0)
+    track = PolarTrack(azimuth, 2.0 * s - 1.0, s, np.ones(n))
+    bracket = _literal_bracket(track)
+    assert abs(bracket) > 0.1
+    got = gp_closed_form(track).gamma_unwrapped
+    _assert_near_classic_trapezoid(track, got, math.atan2(bracket.imag, bracket.real))
 
 
 def test_closed_form_and_south_pole_share_one_quadrature(monkeypatch):
